@@ -36,11 +36,14 @@ from .game import (
     game_value,
     influence_tables,
     load_game,
+    nash_mask,
     pre_payoff,
     prisoners_dilemma,
     pure_nash,
+    regime_map,
     save_game,
     symmetric_influence,
+    symmetric_payoffs,
     symmetric_transform,
     table_oracle,
     tipping_points,
@@ -111,8 +114,9 @@ __all__ = [
     "NormalFormGame", "prisoners_dilemma", "game_to_dict", "game_from_dict",
     "load_game", "save_game", "influence_tables", "symmetric_influence",
     "table_oracle", "pre_payoff", "TransformedGame", "transform_from_tables",
-    "transform_game", "pure_nash", "symmetric_transform", "RegimeSummary",
-    "tipping_points", "classify_regime", "game_value",
+    "transform_game", "pure_nash", "nash_mask", "symmetric_transform",
+    "symmetric_payoffs", "RegimeSummary", "tipping_points", "regime_map",
+    "classify_regime", "game_value",
     "REGIME_PD_V1", "REGIME_COOPERATION", "REGIME_PD_V2", "REGIME_BOUNDARY",
     "PD_V1_PROFILE", "COOPERATION_PROFILE", "PD_V2_PROFILE",
     "single_chain", "two_decider_chain", "crossed_chains",

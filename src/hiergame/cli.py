@@ -12,9 +12,10 @@ print one JSON line on stderr with the error class and message.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import product
 
@@ -29,15 +30,14 @@ from .errors import (
     MultiEdgeError,
 )
 from .game import (
-    REGIME_BOUNDARY,
-    REGIME_COOPERATION,
-    REGIME_PD_V1,
-    REGIME_PD_V2,
+    REGIME_LABELS,
     TransformedGame,
     load_game,
+    nash_mask,
+    prisoners_dilemma,
     pure_nash,
-    symmetric_transform,
-    tipping_points,
+    regime_map,
+    symmetric_payoffs,
     transform_game,
 )
 from .graph import deciders, executives, load_graph, validate_graph
@@ -51,6 +51,8 @@ EXIT_CAP = 4
 EXIT_DEGENERATE = 5
 
 SWEEP_PARAMS = ("a", "c", "beta", "D", "x", "y")
+MAX_SWEEP_POINTS = 10**7
+SWEEP_CHUNK = 4096  # grid points evaluated and written at a time
 
 
 def _fmt(value: float) -> str:
@@ -258,7 +260,8 @@ class SweepSpec:
     """A grid over (a, c, beta, D) chain geometry or direct (x, y) points.
 
     Varied axes iterate in the order given, first axis outermost.  x and y
-    ranges must stay inside (0, 1).
+    ranges must stay inside (0, 1), and the grid may hold at most
+    MAX_SWEEP_POINTS points.
     """
 
     varied: tuple[tuple[str, float, float, int], ...]
@@ -279,6 +282,10 @@ class SweepSpec:
                 raise ValueError(f"axis {name} needs lo < hi")
             if name in ("x", "y") and not (0.0 < lo and hi < 1.0):
                 raise ValueError(f"axis {name} must stay inside (0, 1)")
+        points = math.prod(steps for *_, steps in self.varied)
+        if points > MAX_SWEEP_POINTS:
+            raise ValueError(
+                f"sweep grid has {points} points; the limit is {MAX_SWEEP_POINTS}")
         for name, value in self.fixed:
             if name in seen:
                 raise ValueError(f"parameter {name} both varied and fixed")
@@ -298,91 +305,101 @@ class SweepSpec:
     def names(self) -> tuple[str, ...]:
         return tuple(name for name, *_ in self.varied)
 
-    def grid(self):
+    def chunks(self):
+        """The grid in order, SWEEP_CHUNK points at a time, as one array per
+        parameter, varied or fixed."""
         axes = [np.linspace(lo, hi, steps) for _, lo, hi, steps in self.varied]
-        fixed = dict(self.fixed)
-        for combo in product(*axes):
-            point = dict(fixed)
-            point.update(zip(self.names, (float(v) for v in combo)))
-            yield point
+        shape = tuple(len(axis) for axis in axes)
+        total = math.prod(shape)
+        for start in range(0, total, SWEEP_CHUNK):
+            flat = np.arange(start, min(start + SWEEP_CHUNK, total))
+            columns = {name: np.full(len(flat), value) for name, value in self.fixed}
+            columns.update(zip(self.names, (axis[i] for axis, i in
+                                            zip(axes, np.unravel_index(flat, shape)))))
+            yield columns
 
 
-def _profile_string(tg: TransformedGame, idx: tuple[int, ...]) -> str:
-    # semicolons between deciders, pipes between equilibria: no commas, so
-    # the sweep CSV stays naively splittable
-    return ";".join("".join(cmds) for cmds in tg.profile_labels(idx))
-
-
-def _map_point(x: float, y: float, tol: float = 1e-9) -> tuple[str, float]:
-    """Regime and value from the analytic tipping lines; nan on a boundary
-    where the two adjacent value branches disagree.  Admits y = 1/2, where
-    all three regions meet."""
+def _map_domain(x: float, y: float) -> tuple[float, float]:
+    """Check a point against the regime map's domain, which admits y = 1/2,
+    where all three regions meet."""
     if not 0.0 < x < 1.0:
         raise ValueError(f"x must lie inside (0, 1), got {x}")
     if not 0.5 <= y < 1.0:
         raise ValueError(f"the regime map needs 1/2 <= y < 1, got {y}")
-    lower, upper = tipping_points(y)
-    if abs(x - lower) <= tol:
-        v1, v2 = -1.0 + 2.0 * x, -1.0 + 2.0 * y
-        return REGIME_BOUNDARY, (0.5 * (v1 + v2) if abs(v1 - v2) <= tol
-                                 else float("nan"))
-    if abs(x - upper) <= tol:
-        v1, v2 = -1.0 + 2.0 * y, 1.0 - 2.0 * x
-        return REGIME_BOUNDARY, (0.5 * (v1 + v2) if abs(v1 - v2) <= tol
-                                 else float("nan"))
-    if x < lower:
-        return REGIME_PD_V1, -1.0 + 2.0 * x
-    if x < upper:
-        return REGIME_COOPERATION, -1.0 + 2.0 * y
-    return REGIME_PD_V2, 1.0 - 2.0 * x
+    return x, y
 
 
-def sweep_point(point: dict[str, float]) -> tuple[float, float, str, float, str]:
-    """Evaluate one grid point: resolve (x, y), place it on the regime map,
-    and list the pure equilibria of the decider game it induces.
-
-    The nash cell is empty when the game degenerates (y = 1/2 exactly,
-    where commands carry no influence to attribute)."""
-    if "x" in point:
-        x, y = point["x"], point["y"]
-    else:
-        d = point.get("D", 0.5)
-        if not 0.0 < d < 1.0:
-            raise ValueError(f"D must lie inside (0, 1), got {d}")
-        beta = point.get("beta", 1.0) * (1.0 - d) / d
-        a, c = point["a"], point["c"]
-        if a != int(a) or c != int(c) or a < 1 or c < 1:
-            raise ValueError(f"chain lengths must be positive integers, got a={a} c={c}")
-        x, y = chain_xy(int(a), int(c), beta)
-    regime, value = _map_point(x, y)
-    try:
-        tg = symmetric_transform(x, y)
-        nash = "|".join(_profile_string(tg, idx) for idx in pure_nash(tg))
-    except DegenerateInfluenceError:
-        nash = ""
-    return x, y, regime, value, nash
+def _chain_point(a: float, c: float, beta: float, d: float) -> tuple[float, float]:
+    if not 0.0 < d < 1.0:
+        raise ValueError(f"D must lie inside (0, 1), got {d}")
+    beta = beta * (1.0 - d) / d
+    if a != int(a) or c != int(c) or a < 1 or c < 1:
+        raise ValueError(f"chain lengths must be positive integers, got a={a} c={c}")
+    return _map_domain(*chain_xy(int(a), int(c), beta))
 
 
-def _sweep_rows(spec: SweepSpec, workers: int):
-    points = list(spec.grid())
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(sweep_point, points, chunksize=256))
-    else:
-        results = [sweep_point(p) for p in points]
+def _sweep_xy(columns: dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """(x, y) of a chunk of grid points, each checked in grid order."""
+    if "x" in columns:
+        x, y = columns["x"], columns["y"]
+        for point in zip(x.tolist(), y.tolist()):
+            _map_domain(*point)
+        return x, y
+    # chain points keep the scalar closed form on math: numpy's cosh and sinh
+    # may differ from libm by an ulp, enough to move a 15-digit CSV cell
+    n = len(columns["a"])
+    points = zip(columns["a"].tolist(), columns["c"].tolist(),
+                 columns["beta"].tolist() if "beta" in columns else [1.0] * n,
+                 columns["D"].tolist() if "D" in columns else [0.5] * n)
+    x, y = np.array([_chain_point(*p) for p in points]).T
+    return x, y
+
+
+def _nash_profiles() -> list[str]:
+    """CSV spelling of the 16 profiles of the symmetric decider game, in
+    nash_mask order: semicolons between deciders, so that with pipes
+    between equilibria the sweep CSV stays naively splittable."""
+    labels = prisoners_dilemma().labels
+    moves = ["".join(labels[s] for s in strategy) for strategy in product((1, -1), repeat=2)]
+    return [f"{first};{second}" for first in moves for second in moves]
+
+
+def _sweep_text(spec: SweepSpec):
+    """The sweep CSV, one piece per chunk of grid points; the header comes
+    with the first piece.  Each chunk places its points on the regime map
+    and lists the pure equilibria of the decider games they induce; the
+    nash cell is empty where the game degenerates (y = 1/2, where commands
+    carry no influence to attribute)."""
     lead = tuple(n for n in spec.names if n not in ("x", "y"))
-    header = ",".join(lead + ("x", "y", "regime", "value", "nash"))
-    lines = [header]
-    for point, (x, y, regime, value, nash) in zip(points, results):
-        cells = [_fmt(point[n]) for n in lead]
-        cells += [_fmt(x), _fmt(y), regime, _fmt(value), nash]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    text = ",".join(lead + ("x", "y", "regime", "value", "nash")) + "\n"
+    profiles = _nash_profiles()
+    bits = 1 << np.arange(len(profiles))
+    for columns in spec.chunks():
+        x, y = _sweep_xy(columns)
+        code, value = regime_map(x, y)
+        payoffs, degenerate = symmetric_payoffs(x, y)
+        keys = (nash_mask(payoffs).reshape(len(x), -1) @ bits) * ~degenerate
+        nash = {key: "|".join(p for b, p in enumerate(profiles) if key >> b & 1)
+                for key in np.unique(keys).tolist()}
+        cells = zip(*[columns[n].tolist() for n in lead], x.tolist(), y.tolist())
+        text += "".join(
+            ",".join(map(_fmt, row)) + f",{REGIME_LABELS[c]},{_fmt(v)},{nash[k]}\n"
+            for row, c, v, k in zip(cells, code.tolist(), value.tolist(), keys.tolist()))
+        yield text
+        text = ""
 
 
 def cmd_sweep(args) -> int:
     spec = SweepSpec(tuple(args.vary), tuple(args.fix or []), args.out)
-    _emit(_sweep_rows(spec, args.workers), spec.out)
+    pieces = _sweep_text(spec)
+    # the first chunk is done before the output is opened, so a sweep that
+    # fails there leaves no file behind
+    first = next(pieces)
+    with (open(spec.out, "w", encoding="utf-8") if spec.out is not None
+          else contextlib.nullcontext(sys.stdout)) as fh:
+        fh.write(first)
+        for piece in pieces:
+            fh.write(piece)
     return EXIT_OK
 
 
@@ -450,7 +467,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="axis over a, c, beta, D, x or y; repeatable")
     p.add_argument("--fix", action="append", type=_fix_flag, metavar="NAME=VALUE")
     p.add_argument("--workers", type=int, default=1,
-                   help="parallel workers; rows stay in grid order")
+                   help="ignored: sweeps run in one process; deprecated and "
+                        "to be removed in the next release")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_sweep)
 

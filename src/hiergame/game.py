@@ -19,9 +19,10 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import GameFormatError
+from .errors import DegenerateInfluenceError, GameFormatError
 from .graph import HierarchyGraph, deciders as graph_deciders, executives as graph_executives
-from .payoff import InfluenceOracle, ShareMatrix, shapley_shares, shares_by_paths
+from .payoff import (DEGENERACY_TOL, InfluenceOracle, ShareMatrix, shapley_shares,
+                     shares_by_paths)
 from .vote import VoteParams, influence_oracle
 
 NASH_TOL = 1e-12
@@ -35,6 +36,16 @@ REGIME_BOUNDARY = "boundary"
 PD_V1_PROFILE = (("D", "C"), ("C", "D"))
 COOPERATION_PROFILE = (("C", "C"), ("C", "C"))
 PD_V2_PROFILE = (("C", "D"), ("D", "C"))
+
+# regime codes of regime_map: the three regions, then the lower and the
+# upper tipping line; the tuples below give each code's label and equilibria
+PD_V1, COOPERATION, PD_V2, LOWER_LINE, UPPER_LINE = range(5)
+REGIME_LABELS = (REGIME_PD_V1, REGIME_COOPERATION, REGIME_PD_V2,
+                 REGIME_BOUNDARY, REGIME_BOUNDARY)
+REGIME_NASH = ((PD_V1_PROFILE,), (COOPERATION_PROFILE,), (PD_V2_PROFILE,),
+               (PD_V1_PROFILE, COOPERATION_PROFILE), (COOPERATION_PROFILE, PD_V2_PROFILE))
+
+SYMMETRIC_DECIDERS = ("d1", "d2")
 
 
 @dataclass(frozen=True)
@@ -270,17 +281,76 @@ def transform_game(base: NormalFormGame, g: HierarchyGraph, params: VoteParams,
     return transform_from_tables(base, lam_order, tables, shares, provenance)
 
 
+def nash_mask(payoffs: np.ndarray, tol: float = NASH_TOL) -> np.ndarray:
+    """Pure-equilibrium mask of payoff tensors laid out like
+    `TransformedGame.payoffs`, over any leading batch axes.  A profile
+    survives when no unilateral deviation gains more than `tol`."""
+    m = payoffs.shape[-1]
+    mask = np.ones(payoffs.shape[:-1], dtype=bool)
+    for d in range(m):
+        own = payoffs[..., d]
+        mask &= own >= own.max(axis=d - m, keepdims=True) - tol
+    return mask
+
+
 def pure_nash(tg: TransformedGame, tol: float = NASH_TOL) -> tuple[tuple[int, ...], ...]:
     """All pure equilibria as profile index tuples (one strategy index per
     decider), sorted.  A profile survives when no unilateral deviation
     gains more than `tol`."""
-    m = len(tg.deciders)
-    mask = np.ones(tg.payoffs.shape[:-1], dtype=bool)
-    for d in range(m):
-        own = tg.payoffs[..., d]
-        best = own.max(axis=d, keepdims=True)
-        mask &= own >= best - tol
-    return tuple(sorted(tuple(int(v) for v in idx) for idx in np.argwhere(mask)))
+    return tuple(sorted(tuple(int(v) for v in idx)
+                        for idx in np.argwhere(nash_mask(tg.payoffs, tol))))
+
+
+def _two_decider_shapley(table: Mapping[tuple[int, int], np.ndarray]
+                         ) -> tuple[np.ndarray, np.ndarray]:
+    """Shapley shares of d1 and d2 in one executive's coalition game, from
+    its influence table: shapley_shares and coalition_value for two
+    deciders, operation for operation, so the shares agree bit for bit."""
+    span = 2.0 * table[(1, 1)] - 1.0
+    none = table[(-1, -1)]
+    z = {k: (table[k] - none) / span for k in ((-1, -1), (1, -1), (-1, 1), (1, 1))}
+    # the Shapley weights are both 1/2; 0.0 + starts the running total
+    first = 0.0 + 0.5 * (z[(1, -1)] - z[(-1, -1)]) + 0.5 * (z[(1, 1)] - z[(-1, 1)])
+    second = 0.0 + 0.5 * (z[(-1, 1)] - z[(-1, -1)]) + 0.5 * (z[(1, 1)] - z[(1, -1)])
+    return first, second
+
+
+def symmetric_payoffs(x, y, base: NormalFormGame | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Decider-game payoffs at symmetric influence points, and which points
+    are degenerate.
+
+    `x` and `y` are floats or arrays of one shape, a batch of points.  The
+    payoffs have shape ``np.shape(x) + (4, 4, 2)``, indexed like
+    `TransformedGame.payoffs` of `symmetric_transform`.  They are the
+    Shapley shares of `shapley_shares` and the tensor of
+    `transform_from_tables` for the tables of `symmetric_influence`, with
+    every floating-point operation in the same order, so each tensor equals
+    theirs bit for bit.  A point is degenerate when |2y - 1| is below
+    DEGENERACY_TOL: no share is defined there and its payoffs are
+    meaningless.
+    """
+    base = base if base is not None else prisoners_dilemma()
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    by_executive = symmetric_influence(x, y, SYMMETRIC_DECIDERS, base.players)
+    tables = [by_executive[i] for i in base.players]
+    strategies = tuple(product((1, -1), repeat=2))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        shares = [_two_decider_shapley(table) for table in tables]
+        # probs[k][..., a, b]: executive k's P(+1) when d1 plays strategy a
+        # and d2 plays strategy b
+        probs = [np.stack([table[(a[k], b[k])] for a in strategies for b in strategies],
+                          axis=-1).reshape(x.shape + (4, 4))
+                 for k, table in enumerate(tables)]
+        (p0, p1), (q0, q1) = probs, [1.0 - p for p in probs]
+        expected = [0.0, 0.0]
+        for s0, s1 in strategies:
+            w = (p0 if s0 == 1 else q0) * (p1 if s1 == 1 else q1)
+            for j, u in enumerate(base.payoffs[(s0, s1)]):
+                expected[j] = expected[j] + w * u
+        payoffs = np.stack([
+            sum(np.asarray(shares[j][d])[..., None, None] * expected[j] for j in range(2))
+            for d in range(2)], axis=-1)
+    return payoffs, abs(2.0 * y - 1.0) < DEGENERACY_TOL
 
 
 def symmetric_transform(x: float, y: float,
@@ -288,11 +358,13 @@ def symmetric_transform(x: float, y: float,
     """Decider game at a symmetric influence point (x, y) over the default
     two-decider, two-executive layout."""
     base = base if base is not None else prisoners_dilemma()
-    lam_order = ("d1", "d2")
-    tables = symmetric_influence(x, y, lam_order, base.players)
-    shares = shapley_shares(table_oracle(tables, lam_order), lam_order, base.players)
-    return transform_from_tables(base, lam_order, tables, shares,
-                                 {"mechanism": "shapley", "x": x, "y": y})
+    payoffs, degenerate = symmetric_payoffs(x, y, base)
+    if degenerate:
+        raise DegenerateInfluenceError(
+            f"unanimous commands leave executive {min(base.players)!r} undecided")
+    return TransformedGame(SYMMETRIC_DECIDERS, base.players,
+                           tuple(product((1, -1), repeat=2)), payoffs, dict(base.labels),
+                           {"mechanism": "shapley", "x": x, "y": y})
 
 
 @dataclass(frozen=True)
@@ -311,16 +383,44 @@ def tipping_points(y: float) -> tuple[float, float]:
     return (2.0 - y) / 3.0, (y + 1.0) / 3.0
 
 
+def _line_value(v1, v2, agree_tol: float):
+    return np.where(abs(v1 - v2) <= agree_tol, 0.5 * (v1 + v2), np.nan)
+
+
+def regime_map(x, y, boundary_tol: float = BOUNDARY_TOL,
+               agree_tol: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Regime code and first-decider equilibrium value at symmetric points,
+    elementwise over floats or arrays of (x, y).  Callers check the domain.
+
+    Regions in x at fixed y: below (2-y)/3 both deciders command defection
+    from their own executive (pd-v1, value -1+2x); between the lines
+    unanimous cooperation (-1+2y); above (y+1)/3 the mirrored dilemma
+    (pd-v2, 1-2x).  Points within `boundary_tol` of a line get the code
+    LOWER_LINE or UPPER_LINE; their value is the mean of the two adjacent
+    branches when those agree within `agree_tol` (default `boundary_tol`),
+    and nan where the equilibrium payoff jumps.  Codes index REGIME_LABELS
+    and REGIME_NASH.
+    """
+    agree_tol = boundary_tol if agree_tol is None else agree_tol
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    lower, upper = tipping_points(y)
+    v1, v_coop, v2 = -1.0 + 2.0 * x, -1.0 + 2.0 * y, 1.0 - 2.0 * x
+    where = [abs(x - lower) <= boundary_tol, abs(x - upper) <= boundary_tol,
+             x < lower, x < upper]
+    code = np.select(where, [LOWER_LINE, UPPER_LINE, PD_V1, COOPERATION], PD_V2)
+    value = np.select(where, [_line_value(v1, v_coop, agree_tol),
+                              _line_value(v_coop, v2, agree_tol), v1, v_coop], v2)
+    return code, value
+
+
 def classify_regime(x: float, y: float, x_bar: float | None = None,
                     y_bar: float | None = None,
                     boundary_tol: float = BOUNDARY_TOL) -> RegimeSummary:
     """Place a symmetric influence point in its equilibrium regime.
 
-    Regions in x at fixed y: below (2-y)/3 both deciders command defection
-    from their own executive (pd-v1); between the lines unanimous
-    cooperation; above (y+1)/3 the mirrored dilemma (pd-v2).  Points within
-    `boundary_tol` of a line are flagged "boundary" and carry both adjacent
-    equilibria.
+    The regions are those of `regime_map`.  Points within `boundary_tol` of
+    a line are flagged "boundary" and carry both adjacent equilibria; the
+    value there is nan unless the adjacent branches agree.
     """
     x_bar = x if x_bar is None else x_bar
     y_bar = y if y_bar is None else y_bar
@@ -332,25 +432,10 @@ def classify_regime(x: float, y: float, x_bar: float | None = None,
         raise ValueError(f"x must lie in [0, 1], got {x}")
     if not 0.5 < y <= 1.0:
         raise ValueError(f"y must lie in (1/2, 1], got {y}")
-    lower, upper = tipping_points(y)
-    if abs(x - lower) <= boundary_tol:
-        v1, v2 = -1.0 + 2.0 * x, -1.0 + 2.0 * y
-        value = 0.5 * (v1 + v2) if abs(v1 - v2) <= boundary_tol else math.nan
-        return RegimeSummary(x, y, x_bar, y_bar, REGIME_BOUNDARY,
-                             (PD_V1_PROFILE, COOPERATION_PROFILE), value)
-    if abs(x - upper) <= boundary_tol:
-        v1, v2 = -1.0 + 2.0 * y, 1.0 - 2.0 * x
-        value = 0.5 * (v1 + v2) if abs(v1 - v2) <= boundary_tol else math.nan
-        return RegimeSummary(x, y, x_bar, y_bar, REGIME_BOUNDARY,
-                             (COOPERATION_PROFILE, PD_V2_PROFILE), value)
-    if x < lower:
-        return RegimeSummary(x, y, x_bar, y_bar, REGIME_PD_V1,
-                             (PD_V1_PROFILE,), -1.0 + 2.0 * x)
-    if x < upper:
-        return RegimeSummary(x, y, x_bar, y_bar, REGIME_COOPERATION,
-                             (COOPERATION_PROFILE,), -1.0 + 2.0 * y)
-    return RegimeSummary(x, y, x_bar, y_bar, REGIME_PD_V2,
-                         (PD_V2_PROFILE,), 1.0 - 2.0 * x)
+    code, value = regime_map(x, y, boundary_tol)
+    code = int(code)
+    return RegimeSummary(x, y, x_bar, y_bar, REGIME_LABELS[code], REGIME_NASH[code],
+                         float(value))
 
 
 def game_value(x: float, y: float, boundary_tol: float = BOUNDARY_TOL) -> float:
@@ -365,19 +450,7 @@ def game_value(x: float, y: float, boundary_tol: float = BOUNDARY_TOL) -> float:
         raise ValueError(f"x must lie in [0, 1], got {x}")
     if not 0.5 <= y <= 1.0:
         raise ValueError(f"y must lie in [1/2, 1], got {y}")
-    lower, upper = tipping_points(y)
-    if abs(x - lower) <= boundary_tol:
-        v1, v2 = -1.0 + 2.0 * x, -1.0 + 2.0 * y
-        if abs(v1 - v2) <= max(boundary_tol, 1e-9):
-            return 0.5 * (v1 + v2)
+    _, value = regime_map(x, y, boundary_tol, max(boundary_tol, 1e-9))
+    if math.isnan(value):
         raise ValueError("equilibrium payoff jumps at this tipping point")
-    if abs(x - upper) <= boundary_tol:
-        v1, v2 = -1.0 + 2.0 * y, 1.0 - 2.0 * x
-        if abs(v1 - v2) <= max(boundary_tol, 1e-9):
-            return 0.5 * (v1 + v2)
-        raise ValueError("equilibrium payoff jumps at this tipping point")
-    if x < lower:
-        return -1.0 + 2.0 * x
-    if x < upper:
-        return -1.0 + 2.0 * y
-    return 1.0 - 2.0 * x
+    return float(value)

@@ -1,6 +1,8 @@
 """End-to-end command-line behavior: exit codes, files, determinism."""
 
+import hashlib
 import json
+import time
 
 import pytest
 
@@ -219,6 +221,46 @@ def test_sweep_reruns_byte_identical(tmp_path):
     header = first.read_text().splitlines()[0]
     assert header == "x,y,regime,value,nash"
     assert len(first.read_text().splitlines()) == 1 + 7 * 4
+
+
+def test_sweep_degenerate_height_has_empty_nash(tmp_path):
+    out = tmp_path / "sweep.csv"
+    code = main(["sweep", "--vary", "x=0.1:0.9:9", "--fix", "y=0.5000000000001",
+                 "--out", str(out)])
+    assert code == EXIT_OK
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert len(rows) == 9
+    assert all(row[4] == "" for row in rows)
+
+
+@pytest.mark.parametrize("flags, digest", [
+    (["--vary", "y=0.505:0.995:99", "--vary", "x=0.005:0.995:199"],
+     "203ac2ae6e7692567db6b6cb1febc03fa29b8f1da9fe44dd79ffbdac8f17ef34"),
+    (["--vary", "beta=0.5:2:4", "--fix", "a=2", "--fix", "c=3"],
+     "747bff5997d9cdf1b0a487c639528185392088032849b6825da0d26f40d02d07"),
+])
+def test_sweep_readme_csvs_are_pinned(tmp_path, flags, digest):
+    # the two README sweeps, pinned byte for byte
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep"] + flags + ["--out", str(out)]) == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_sweep_grid_bound(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    t0 = time.perf_counter()
+    code = main(["sweep", "--vary", "x=0.1:0.9:1000000000", "--fix", "y=0.8",
+                 "--out", str(out)])
+    assert code == EXIT_INVARIANT
+    assert time.perf_counter() - t0 < 1.0
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "ValueError"
+    assert not out.exists()
+    # a failure in the first chunk of points also leaves no file
+    assert main(["sweep", "--vary", "x=0.1:0.9:5", "--fix", "y=0.3",
+                 "--out", str(out)]) == EXIT_INVARIANT
+    assert not out.exists()
 
 
 def test_sweep_spec_violations():

@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 import hiergame as hg
-from hiergame.game import (NormalFormGame, TransformedGame, pre_payoff,
-                           symmetric_influence, table_oracle,
-                           transform_from_tables)
+from hiergame.game import (REGIME_LABELS, NormalFormGame, TransformedGame,
+                           nash_mask, pre_payoff, regime_map, symmetric_influence,
+                           symmetric_payoffs, table_oracle, transform_from_tables)
 from hiergame.payoff import ShareMatrix
 
 
@@ -210,6 +210,49 @@ def test_pure_nash_ties():
                          tuple(product((1, -1), repeat=2)), payoffs,
                          {1: "C", -1: "D"})
     assert len(hg.pure_nash(tg)) == 16
+
+
+def _shapley_tensor(x, y):
+    # the general path: Shapley shares through a table oracle, then the
+    # tensor assembled from explicit tables
+    pd = hg.prisoners_dilemma()
+    lam = ("d1", "d2")
+    tables = symmetric_influence(x, y, lam, pd.players)
+    shares = hg.shapley_shares(table_oracle(tables, lam), lam, pd.players)
+    return transform_from_tables(pd, lam, tables, shares).payoffs
+
+
+def test_batched_symmetric_pipeline_is_exact():
+    # both exact tipping lines, both band edges, interior points, and a
+    # height where |2y - 1| < 1e-12 leaves no share defined
+    degenerate_y = 0.5 + 1e-13
+    points = []
+    for y in (degenerate_y, 0.51, 0.6, 0.75, 0.9, 0.99):
+        lower, upper = hg.tipping_points(y)
+        points += [(x, y) for x in (lower, upper, 1.0 - y, y, 0.05, 0.3, 0.5, 0.7, 0.95)]
+    x, y = (np.array(v) for v in zip(*points))
+    payoffs, degenerate = symmetric_payoffs(x, y)
+    mask = nash_mask(payoffs)
+    codes, values = regime_map(x, y)
+    assert payoffs.shape == (len(points), 4, 4, 2)
+    assert mask.shape == (len(points), 4, 4)
+    ties = 0
+    for k, (xk, yk) in enumerate(points):
+        assert degenerate[k] == (yk == degenerate_y)
+        if degenerate[k]:
+            with pytest.raises(hg.DegenerateInfluenceError):
+                hg.symmetric_transform(xk, yk)
+            continue
+        tg = hg.symmetric_transform(xk, yk)
+        assert np.array_equal(payoffs[k], tg.payoffs)
+        assert np.array_equal(payoffs[k], _shapley_tensor(xk, yk))
+        eqs = tuple(tuple(int(v) for v in idx) for idx in np.argwhere(mask[k]))
+        assert eqs == hg.pure_nash(tg)
+        ties += len(eqs) > 1
+        summary = hg.classify_regime(xk, yk)
+        assert REGIME_LABELS[codes[k]] == summary.regime
+        assert values[k] == summary.value or math.isnan(values[k]) and math.isnan(summary.value)
+    assert ties > 0
 
 
 def test_profile_index_round_trip():
