@@ -466,9 +466,6 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="NAME=LO:HI:STEPS",
                    help="axis over a, c, beta, D, x or y; repeatable")
     p.add_argument("--fix", action="append", type=_fix_flag, metavar="NAME=VALUE")
-    p.add_argument("--workers", type=int, default=1,
-                   help="ignored: sweeps run in one process; deprecated and "
-                        "to be removed in the next release")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_sweep)
 

@@ -267,7 +267,7 @@ def transform_game(base: NormalFormGame, g: HierarchyGraph, params: VoteParams,
         raise ValueError("game players must match the graph's executives")
     tables = influence_tables(g, params, lam_order, base.players, cap)
     if mechanism == "shapley":
-        shares = shapley_shares(influence_oracle(g, params, cap), lam_order, base.players)
+        shares = shapley_shares(table_oracle(tables, lam_order), lam_order, base.players)
     elif mechanism == "shares":
         shares = shares_by_paths(g, base.players)
     else:

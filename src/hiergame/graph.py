@@ -227,6 +227,22 @@ def _reach(sources: set[str], adj: Mapping[str, frozenset[str]],
     return seen
 
 
+def _components(adj: Mapping[str, frozenset[str]],
+                zone: Iterable[str]) -> list[tuple[str, ...]]:
+    """Connected components of the subgraph induced on `zone`, each sorted,
+    in the order of their smallest vertex."""
+    zone = frozenset(zone)
+    outside = frozenset(adj) - zone
+    seen: set[str] = set()
+    out = []
+    for v in sorted(zone):
+        if v not in seen:
+            comp = _reach({v}, adj, removed=outside)
+            seen |= comp
+            out.append(tuple(sorted(comp)))
+    return out
+
+
 def nodes_between_adjacency(adj: Mapping[str, frozenset[str]],
                             a: frozenset[str], b: frozenset[str]) -> frozenset[str]:
     """Interior of the A-to-B corridor on an undirected adjacency map.
@@ -267,14 +283,7 @@ def is_locally_tree(g: HierarchyGraph,
     for i in execs:
         zone = nodes_between(g, lam, {i}) | lam | {i}
         edge_count = sum(1 for v in zone for w in adj[v] if w in zone) // 2
-        comp_count = 0
-        unseen = set(zone)
-        while unseen:
-            v = unseen.pop()
-            comp = _reach({v}, adj, removed=frozenset(set(adj) - zone))
-            unseen -= comp
-            comp_count += 1
-        if edge_count != len(zone) - comp_count:
+        if edge_count != len(zone) - len(_components(adj, zone)):
             return False
     return True
 

@@ -4,7 +4,9 @@ Each directed edge v->w of weight f becomes an undirected coupling
 J_vw = f (1-D)/D, and the vote noise width sets the inverse temperature
 beta = sqrt(2 / (pi sigma^2)).  Boundary-conditioned sums run over the
 corridor between the conditioned set and the queried set; everything
-hanging beyond either set drops out of normalized ratios.
+hanging beyond either set drops out of normalized ratios.  With the
+boundary fixed, the corridor splits into independent components, and its
+sum is the product of theirs.
 """
 
 from __future__ import annotations
@@ -17,10 +19,8 @@ from typing import Mapping
 import numpy as np
 
 from .errors import EnumerationCapError, MultiEdgeError
-from .graph import HierarchyGraph, nodes_between_adjacency
-from .vote import _SQRT_2_OVER_PI, default_cap
-
-_BLOCK_BITS = 14
+from .graph import HierarchyGraph, _components, nodes_between_adjacency
+from .vote import _SQRT_2_OVER_PI, _spin_blocks, default_cap
 
 
 @dataclass(frozen=True)
@@ -125,7 +125,7 @@ def _check_cap(n_free: int, cap: int | None) -> None:
     limit = default_cap() if cap is None else cap
     if n_free > limit:
         raise EnumerationCapError(
-            f"corridor has {n_free} free vertices, above the enumeration cap {limit}"
+            f"corridor component has {n_free} free vertices, above the enumeration cap {limit}"
         )
 
 
@@ -135,54 +135,56 @@ def k_point(model: IsingModel, query: KPointQuery, cap: int | None = None) -> fl
     Sums exp(beta * sum of J s s') over all spin patterns of the corridor
     between the conditioned and target sets, with both boundaries held
     fixed.  Every coupling inside corridor-plus-boundary contributes,
-    including boundary-boundary pairs.
+    including boundary-boundary pairs.  The couplings among free vertices
+    split the interior into components that the boundary leaves
+    independent, so the sum is exp(beta * boundary energy) times one sum
+    per component, and the cap bounds the largest component.
     """
     a = frozenset(query.condition)
     b = frozenset(query.target)
     for v in a | b:
         if v not in model.adjacency:
             raise ValueError(f"unknown vertex id {v!r}")
-    interior = sorted(nodes_between_adjacency(model.adjacency, a, b))
-    _check_cap(len(interior), cap)
+    interior = nodes_between_adjacency(model.adjacency, a, b)
+    comps = _components(model.adjacency, interior)
+    _check_cap(max(map(len, comps), default=0), cap)
 
     fixed: dict[str, float] = {}
     fixed.update({v: float(s) for v, s in query.condition.items()})
     fixed.update({v: float(s) for v, s in query.target.items()})
-    zone = set(interior) | set(fixed)
-    index = {v: k for k, v in enumerate(interior)}
+    zone = interior | set(fixed)
+    # vertex -> (its component, its column there)
+    where = {v: (c, k) for c, comp in enumerate(comps) for k, v in enumerate(comp)}
 
     const = 0.0
-    fields = np.zeros(len(interior))
-    pair_terms: list[tuple[int, int, float]] = []
+    fields = [np.zeros(len(comp)) for comp in comps]
+    pair_terms: list[list[tuple[int, int, float]]] = [[] for _ in comps]
     for u, v, j in model.couplings:
         if u not in zone or v not in zone:
             continue
-        u_free, v_free = u in index, v in index
+        u_free, v_free = u in where, v in where
         if u_free and v_free:
-            pair_terms.append((index[u], index[v], j))
+            c, iu = where[u]
+            pair_terms[c].append((iu, where[v][1], j))
         elif u_free:
-            fields[index[u]] += j * fixed[v]
+            c, iu = where[u]
+            fields[c][iu] += j * fixed[v]
         elif v_free:
-            fields[index[v]] += j * fixed[u]
+            c, iv = where[v]
+            fields[c][iv] += j * fixed[u]
         else:
             const += j * fixed[u] * fixed[v]
 
-    k = len(interior)
     beta = model.beta
-    total = 0.0
-    block_bits = min(k, _BLOCK_BITS)
-    block_rows = 1 << block_bits
-    shifts = np.arange(k, dtype=np.uint64)
-    for start in range(0, 1 << k, block_rows):
-        codes = np.arange(start, start + block_rows, dtype=np.uint64)
-        bits = (codes[:, None] >> shifts[None, :]) & np.uint64(1)
-        spins = 2.0 * bits.astype(np.float64) - 1.0
-        energy = np.full(block_rows, const)
-        if k:
-            energy += spins @ fields
-        for iu, iv, j in pair_terms:
-            energy += j * spins[:, iu] * spins[:, iv]
-        total += float(np.exp(beta * energy).sum())
+    total = math.exp(beta * const)
+    for comp_fields, comp_pairs in zip(fields, pair_terms):
+        comp_sum = 0.0
+        for spins in _spin_blocks(len(comp_fields)):
+            energy = spins @ comp_fields
+            for iu, iv, j in comp_pairs:
+                energy += j * spins[:, iu] * spins[:, iv]
+            comp_sum += float(np.exp(beta * energy).sum())
+        total *= comp_sum
     return total
 
 
@@ -223,8 +225,16 @@ def chain_xy(a: int, c: int, beta: float) -> tuple[float, float]:
         raise ValueError("chain lengths must be at least one edge")
     if beta <= 0.0:
         raise ValueError("beta must be positive")
-    x_num = _mu(-1, a, beta) * _mu(+1, c, beta)
-    x_den = x_num + _mu(+1, a, beta) * _mu(-1, c, beta)
-    y_num = _mu(+1, a, beta) * _mu(+1, c, beta)
-    y_den = y_num + _mu(-1, a, beta) * _mu(-1, c, beta)
+    # at large beta the mu(-1, ...) terms cancel to zero and the mu(+1, ...)
+    # products overflow, leaving 0/0, inf/inf or an OverflowError
+    try:
+        x_num = _mu(-1, a, beta) * _mu(+1, c, beta)
+        x_den = x_num + _mu(+1, a, beta) * _mu(-1, c, beta)
+        y_num = _mu(+1, a, beta) * _mu(+1, c, beta)
+        y_den = y_num + _mu(-1, a, beta) * _mu(-1, c, beta)
+    except OverflowError:
+        x_den = y_den = math.inf
+    if not all(math.isfinite(d) and d != 0.0 for d in (x_den, y_den)):
+        raise ValueError(f"chain closed form is not representable at beta={beta!r} "
+                         f"(a={a}, c={c}): a denominator is zero or not finite")
     return x_num / x_den, y_num / y_den

@@ -16,6 +16,7 @@ from typing import Callable, Iterable, Mapping
 
 from .errors import CyclicGraphError, DegenerateInfluenceError
 from .graph import HierarchyGraph, deciders, executives, has_directed_cycle
+from .vote import _topological_order
 
 InfluenceOracle = Callable[[str, Mapping[str, int]], float]
 
@@ -118,22 +119,24 @@ def shapley_shares(oracle: InfluenceOracle, lam: Iterable[str],
 def shares_by_paths(g: HierarchyGraph,
                     execs: Iterable[str] | None = None) -> ShareMatrix:
     """Structural alternative: share = sum over directed decider-to-executive
-    paths of the product of edge weights.  Acyclic graphs only."""
+    paths of the product of edge weights.  Acyclic graphs only.
+
+    One pass in reverse topological order carries, for every vertex, the
+    path sums from it to each executive; a path ends at its executive."""
     if has_directed_cycle(g):
         raise CyclicGraphError("path shares need an acyclic hierarchy")
     lam = tuple(sorted(deciders(g)))
     execs = tuple(sorted(execs if execs is not None else executives(g)))
     for i in execs:
         g.require_vertex(i)
-    values: dict[tuple[str, str], float] = {}
-    for i in execs:
-        memo: dict[str, float] = {i: 1.0}
-
-        def downstream(v: str) -> float:
-            if v not in memo:
-                memo[v] = sum(w * downstream(nxt) for nxt, w in g.succ_map[v])
-            return memo[v]
-
-        for member in lam:
-            values[(member, i)] = downstream(member)
+    column = {i: k for k, i in enumerate(execs)}
+    downstream: dict[str, list[float]] = {}
+    for v in reversed(_topological_order(g)):
+        sums = [0.0] * len(execs)
+        for nxt, w in g.succ_map[v]:
+            sums = [s + w * d for s, d in zip(sums, downstream[nxt])]
+        if v in column:
+            sums[column[v]] = 1.0
+        downstream[v] = sums
+    values = {(member, i): downstream[member][column[i]] for i in execs for member in lam}
     return ShareMatrix(lam, execs, values)

@@ -5,7 +5,8 @@ weighted sum of its predecessors' spins, scaled by (1-D)/D for free float
 D, against zero-mean Gaussian noise of width sigma.  Two response curves
 are supported: the exact Gaussian tail ("gaussian") and its logistic
 approximation ("tanh", the default).  Conditional distributions are exact
-sums over all spin configurations, so graph size is capped.
+sums over the spin configurations of every vertex that can change them,
+so the number of those free vertices is capped.
 """
 
 from __future__ import annotations
@@ -87,12 +88,53 @@ def default_cap() -> int:
     return value
 
 
-def _check_cap(n_vertices: int, cap: int | None) -> None:
+def _check_cap(n_free: int, cap: int | None) -> None:
     limit = default_cap() if cap is None else cap
-    if n_vertices > limit:
+    if n_free > limit:
         raise EnumerationCapError(
-            f"graph has {n_vertices} vertices, above the enumeration cap {limit}"
+            f"exact sum has {n_free} free vertices, above the enumeration cap {limit}"
         )
+
+
+def _spin_blocks(k: int) -> Iterator[np.ndarray]:
+    """All 2**k patterns of k spins as rows of +-1 floats, in blocks of at
+    most 2**_BLOCK_BITS rows; bit j of a row's number is spin j."""
+    rows = 1 << min(k, _BLOCK_BITS)
+    shifts = np.arange(k, dtype=np.uint64)
+    for start in range(0, 1 << k, rows):
+        # no block-sized temporary stays alive while the caller holds a block
+        codes = np.arange(start, start + rows, dtype=np.uint64)[:, None]
+        yield 2.0 * ((codes >> shifts) & np.uint64(1)).astype(np.float64) - 1.0
+
+
+def _prune_barren(g: HierarchyGraph, keep: frozenset[str]) -> tuple[HierarchyGraph, int]:
+    """Drop, until none is left, every vertex outside `keep` that has no
+    remaining successor.
+
+    Such a vertex is free and untargeted, and its vote factor sums to 1 over
+    its own spin, so dropping it leaves every sum over the rest unchanged,
+    on cycles too.  A dropped vertex without predecessors carries no factor
+    and sums to 2 instead; their number comes back with the graph induced
+    on the kept vertices, which is `g` itself when nothing is dropped.  The
+    kept set is closed under predecessors, so weights stay normalized.
+    """
+    succ_left = {v: len(out) for v, out in g.succ_map.items()}
+    stack = [v for v, n in succ_left.items() if n == 0 and v not in keep]
+    dropped: set[str] = set()
+    while stack:
+        v = stack.pop()
+        dropped.add(v)
+        for u, _ in g.pred_map[v]:
+            succ_left[u] -= 1
+            if succ_left[u] == 0 and u not in keep:
+                stack.append(u)
+    if not dropped:
+        return g, 0
+    roots = sum(1 for v in dropped if not g.pred_map[v])
+    kept = HierarchyGraph(tuple(v for v in g.vertices if v.id not in dropped),
+                          tuple(e for e in g.edges if e.dst not in dropped),
+                          g.free_float, g.noise_sigma)
+    return kept, roots
 
 
 def outcome_probability(spin, field, params: VoteParams):
@@ -162,9 +204,15 @@ class ConditionalDistribution:
             yield dict(zip(self.vertices, key)), p
 
 
-def _enumeration_setup(g: HierarchyGraph, conditioned: frozenset[str],
-                       params: VoteParams):
-    """Shared scaffolding: vertex indexing, weight matrix, factor columns."""
+def _iter_weight_blocks(g: HierarchyGraph, condition: Mapping[str, int],
+                        params: VoteParams):
+    """Yield (order, spins_block, weights_block) over all free-spin
+    configurations.
+
+    spins_block is (m, n) of +-1 floats in vertex order; weights_block is the
+    product of single-vote factors for each row.  Conditioned vertices hold
+    their fixed spins in every row.
+    """
     order = tuple(sorted(g.vertex_ids))
     index = {v: k for k, v in enumerate(order)}
     n = len(order)
@@ -175,41 +223,21 @@ def _enumeration_setup(g: HierarchyGraph, conditioned: frozenset[str],
             factor_cols.append(index[v])
             for u, w in preds:
                 wmat[index[u], index[v]] = w
-    free = [v for v in order if v not in conditioned]
-    return order, index, n, wmat, sorted(factor_cols), free
-
-
-def _iter_weight_blocks(g: HierarchyGraph, condition: Mapping[str, int],
-                        params: VoteParams):
-    """Yield (spins_block, weights_block) over all free-spin configurations.
-
-    spins_block is (m, n) of +-1 floats in vertex order; weights_block is the
-    product of single-vote factors for each row.  Conditioned vertices hold
-    their fixed spins in every row.
-    """
-    conditioned = frozenset(condition)
-    order, index, n, wmat, factor_cols, free = _enumeration_setup(g, conditioned, params)
-    k = len(free)
-    free_idx = np.array([index[v] for v in free], dtype=np.intp)
+    factor_cols.sort()
+    free_idx = np.array([index[v] for v in order if v not in condition], dtype=np.intp)
     scale = params.command_scale
-    block_bits = min(k, _BLOCK_BITS)
-    block_rows = 1 << block_bits
-    shifts = np.arange(k, dtype=np.uint64)
     base = np.zeros(n)
     for v, s in condition.items():
         base[index[v]] = float(s)
-    for start in range(0, 1 << k, block_rows):
-        codes = np.arange(start, start + block_rows, dtype=np.uint64)
-        bits = (codes[:, None] >> shifts[None, :]) & np.uint64(1)
-        spins = np.broadcast_to(base, (block_rows, n)).copy()
-        if k:
-            spins[:, free_idx] = 2.0 * bits.astype(np.float64) - 1.0
+    for free_spins in _spin_blocks(len(free_idx)):
+        spins = np.broadcast_to(base, (len(free_spins), n)).copy()
+        spins[:, free_idx] = free_spins
         fields = scale * (spins @ wmat)
         if factor_cols:
             probs = outcome_probability(spins[:, factor_cols], fields[:, factor_cols], params)
             weights = np.prod(probs, axis=1)
         else:
-            weights = np.ones(block_rows)
+            weights = np.ones(len(spins))
         yield order, spins, weights
 
 
@@ -224,6 +252,8 @@ def conditional_influence(g: HierarchyGraph, a: frozenset[str] | set[str],
     the unconditioned vertices and normalizes.  On an acyclic graph with A
     equal to the decider set this reproduces the forward pass exactly; with
     other conditioning sets (or cycles) it is the normalized-sum semantics.
+    Barren vertices are pruned first (see `_prune_barren`), and the cap
+    bounds the free vertices left.
     """
     a = frozenset(a)
     b = frozenset(b)
@@ -234,7 +264,8 @@ def conditional_influence(g: HierarchyGraph, a: frozenset[str] | set[str],
     if not b:
         raise ValueError("target set is empty")
     _validate_assignment(condition, a, "condition")
-    _check_cap(len(g.vertices), cap)
+    kept, roots = _prune_barren(g, a | b)
+    _check_cap(len(kept.vertices) - len(a), cap)
 
     notes: tuple[str, ...] = ()
     if not has_directed_cycle(g) and not a >= deciders(g):
@@ -249,7 +280,7 @@ def conditional_influence(g: HierarchyGraph, a: frozenset[str] | set[str],
     b_order = tuple(sorted(b))
     nb = len(b_order)
     sums = np.zeros(1 << nb)
-    for order, spins, weights in _iter_weight_blocks(g, work, params):
+    for order, spins, weights in _iter_weight_blocks(kept, work, params):
         index = {v: kk for kk, v in enumerate(order)}
         b_idx = [index[v] for v in b_order]
         keys = np.zeros(spins.shape[0], dtype=np.int64)
@@ -268,7 +299,7 @@ def conditional_influence(g: HierarchyGraph, a: frozenset[str] | set[str],
     for code in range(1 << nb):
         key = tuple(1 if (code >> j) & 1 else -1 for j in range(nb))
         table[key] = float(sums[code]) / z
-    return ConditionalDistribution(dict(condition), b_order, table, z, notes)
+    return ConditionalDistribution(dict(condition), b_order, table, z * 2.0 ** roots, notes)
 
 
 def partition_function(g: HierarchyGraph, a: frozenset[str] | set[str],
@@ -278,17 +309,19 @@ def partition_function(g: HierarchyGraph, a: frozenset[str] | set[str],
 
     Equals exactly 1 on an acyclic graph conditioned on all deciders, and
     2**(number of free deciders) when some deciders are left free; on cyclic
-    graphs it is a genuine normalizer with no closed form.
+    graphs it is a genuine normalizer with no closed form.  Barren vertices
+    are pruned first, and the cap bounds the free vertices left.
     """
     a = frozenset(a)
     for v in a:
         g.require_vertex(v)
     _validate_assignment(condition, a, "condition")
-    _check_cap(len(g.vertices), cap)
+    kept, roots = _prune_barren(g, a)
+    _check_cap(len(kept.vertices) - len(a), cap)
     total = 0.0
-    for _, _, weights in _iter_weight_blocks(g, condition, params):
+    for _, _, weights in _iter_weight_blocks(kept, condition, params):
         total += float(weights.sum())
-    return total
+    return total * 2.0 ** roots
 
 
 def sample_many(g: HierarchyGraph, condition: Mapping[str, int],

@@ -48,6 +48,23 @@ def brute_vote_conditional(g: HierarchyGraph, target: str, condition: dict,
     return num / den
 
 
+def brute_vote_joint(g: HierarchyGraph, targets: list, condition: dict,
+                     mode: str = "tanh") -> dict:
+    """P(spins on `targets` | condition) for every target pattern, keyed by
+    the tuple of target spins in the order given."""
+    free = [v for v in sorted(g.vertex_ids) if v not in condition]
+    sums = {}
+    den = 0.0
+    for combo in itertools.product((1, -1), repeat=len(free)):
+        spins = dict(condition)
+        spins.update(zip(free, combo))
+        w = product_weight(g, spins, mode)
+        den += w
+        key = tuple(spins[v] for v in targets)
+        sums[key] = sums.get(key, 0.0) + w
+    return {key: num / den for key, num in sums.items()}
+
+
 def brute_vote_partition(g: HierarchyGraph, condition: dict, mode: str = "tanh") -> float:
     free = [v for v in sorted(g.vertex_ids) if v not in condition]
     total = 0.0
@@ -173,4 +190,30 @@ def random_dag(rng: random.Random, n: int, extra: int = 2,
         seen.add((a, b))
         directed.append((f"v{a}", f"v{b}"))
         extra -= 1
+    return _assemble(n, directed, rng, free_float, noise_sigma)
+
+
+def random_digraph(rng: random.Random, n: int, extra: int = 3,
+                   free_float: float | None = None,
+                   noise_sigma: float | None = None) -> HierarchyGraph:
+    """Connected random digraph: randomly oriented tree plus a few extra
+    edges in either direction, so directed cycles appear regularly."""
+    assert n >= 3
+    if free_float is None:
+        free_float = rng.uniform(0.1, 0.9)
+    if noise_sigma is None:
+        noise_sigma = math.sqrt(2.0 / math.pi) / rng.uniform(0.4, 1.6)
+    pairs = set()
+    for k in range(1, n):
+        p = rng.randrange(k)
+        pairs.add((p, k) if rng.random() < 0.5 else (k, p))
+    tries = 0
+    while extra > 0 and tries < 50 * extra:
+        tries += 1
+        i, j = rng.sample(range(n), 2)
+        if (i, j) in pairs or (j, i) in pairs:
+            continue
+        pairs.add((i, j))
+        extra -= 1
+    directed = [(f"v{a}", f"v{b}") for a, b in sorted(pairs)]
     return _assemble(n, directed, rng, free_float, noise_sigma)

@@ -212,15 +212,26 @@ def test_sweep_chain_mode(tmp_path):
 
 
 def test_sweep_reruns_byte_identical(tmp_path):
-    first, second, parallel = (tmp_path / n for n in ("a.csv", "b.csv", "c.csv"))
+    first, second = tmp_path / "a.csv", tmp_path / "b.csv"
     flags = ["sweep", "--vary", "x=0.2:0.8:7", "--vary", "y=0.6:0.9:4"]
     assert main(flags + ["--out", str(first)]) == EXIT_OK
     assert main(flags + ["--out", str(second)]) == EXIT_OK
-    assert main(flags + ["--workers", "2", "--out", str(parallel)]) == EXIT_OK
-    assert first.read_bytes() == second.read_bytes() == parallel.read_bytes()
+    assert first.read_bytes() == second.read_bytes()
     header = first.read_text().splitlines()[0]
     assert header == "x,y,regime,value,nash"
     assert len(first.read_text().splitlines()) == 1 + 7 * 4
+
+
+def test_sweep_chain_beyond_float_range_exits_invariant(capsys):
+    code = main(["sweep", "--vary", "beta=0.5:400:5", "--fix", "a=2", "--fix", "c=2"])
+    assert code == EXIT_INVARIANT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "ValueError"
+    assert "beta" in err["message"]
 
 
 def test_sweep_degenerate_height_has_empty_nash(tmp_path):

@@ -148,6 +148,22 @@ def test_transform_mechanisms_agree_only_under_symmetry():
         hg.transform_game(pd, g, params, mechanism="split")
 
 
+def test_shapley_transform_runs_each_conditional_once(monkeypatch):
+    # the Shapley shares read the influence tables: 2 executives x 4 patterns
+    original = hg.vote.conditional_influence
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(hg.vote, "conditional_influence", counted)
+    g = hg.crossed_chains(3, 3, 3, 3)
+    hg.transform_game(hg.prisoners_dilemma(), g, hg.VoteParams.from_graph(g),
+                      mechanism="shapley")
+    assert len(calls) == 8
+
+
 def test_transform_player_mismatch():
     base = hg.prisoners_dilemma(("left", "right"))
     g = hg.crossed_chains()

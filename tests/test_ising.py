@@ -1,5 +1,6 @@
 """Boundary-conditioned coupling sums and the chain closed forms."""
 
+import itertools
 import math
 import random
 
@@ -107,6 +108,50 @@ def test_ising_conditional_matches_full_enumeration():
         assert p == pytest.approx(brute, abs=1e-12)
 
 
+def _corridor_sum(model, condition, target):
+    """k_point by plain enumeration of the whole corridor interior."""
+    fixed = {**condition, **target}
+    interior = sorted(hg.graph.nodes_between_adjacency(
+        model.adjacency, frozenset(condition), frozenset(target)))
+    zone = set(interior) | set(fixed)
+    terms = [(u, v, j) for u, v, j in model.couplings if u in zone and v in zone]
+    total = 0.0
+    for combo in itertools.product((1, -1), repeat=len(interior)):
+        spins = dict(fixed)
+        spins.update(zip(interior, combo))
+        total += math.exp(model.beta * sum(j * spins[u] * spins[v] for u, v, j in terms))
+    return total
+
+
+def test_corridor_components_match_full_enumeration():
+    # both deciders fixed: the arms into an executive are independent
+    # components of its corridor; on a tree with every leaf fixed, each
+    # branch at the target vertex with a free vertex in it is one
+    rng = random.Random(31)
+    cases = [(hg.crossed_chains(3, 2, 2, 3), {"d1": s, "d2": t}, "1")
+             for s, t in ((1, 1), (1, -1), (-1, 1))]
+    for _ in range(8):
+        g = helpers.random_tree(rng, rng.randint(6, 11))
+        adj = g.undirected_adjacency
+        leaves = sorted(v for v in adj if len(adj[v]) == 1)
+        target = max(sorted(adj), key=lambda v: len(adj[v]))
+        cases.append((g, {v: rng.choice((1, -1)) for v in leaves}, target))
+    split = 0
+    for g, condition, target in cases:
+        model = hg.coupling_from_hierarchy(g)
+        interior = hg.graph.nodes_between_adjacency(
+            model.adjacency, frozenset(condition), frozenset({target}))
+        split += len(hg.graph._components(model.adjacency, interior)) >= 2
+        for spin in (1, -1):
+            assert hg.k_point(model, KPointQuery(condition, {target: spin})) == \
+                pytest.approx(_corridor_sum(model, condition, {target: spin}), rel=1e-12)
+        p = hg.ising_conditional(model, target, condition)
+        brute = helpers.brute_ising_conditional(model.couplings, model.beta,
+                                                target, condition)
+        assert p == pytest.approx(brute, abs=1e-12)
+    assert split >= len(cases) // 2
+
+
 def test_chain_conditional_matches_enumeration():
     j = 0.7
     for distance in range(1, 13):
@@ -169,6 +214,10 @@ def test_chain_xy_domain():
     for bad in ((0, 2, 1.0), (2, 0, 1.0), (2, 2, 0.0), (2, 2, -1.0)):
         with pytest.raises(ValueError):
             hg.chain_xy(*bad)
+    # at large beta a denominator cancels to 0/0, goes inf/inf or overflows
+    for a, c, beta in ((2, 2, 50.0), (2, 2, 400.0), (5, 2, 400.0)):
+        with pytest.raises(ValueError, match="beta"):
+            hg.chain_xy(a, c, beta)
 
 
 def test_coupling_from_hierarchy_values():

@@ -138,6 +138,28 @@ def test_path_shares_examples():
     assert hg.shares_by_paths(g).share("d1", "e") == 1.0
 
 
+def test_path_shares_long_chain():
+    shares = hg.shares_by_paths(hg.single_chain(3000))
+    assert shares.values == {("d1", "1"): 1.0}
+
+
+def _path_sum(g, v, target):
+    """Sum over directed v-to-target paths of the weight product, each path
+    ending at its first visit to the target."""
+    if v == target:
+        return 1.0
+    return sum(w * _path_sum(g, nxt, target) for nxt, w in g.succ_map[v])
+
+
+def test_path_shares_match_path_enumeration():
+    rng = random.Random(5)
+    for _ in range(10):
+        g = helpers.random_dag(rng, rng.randint(3, 12), extra=rng.randint(0, 6))
+        shares = hg.shares_by_paths(g)
+        for (member, i), value in shares.values.items():
+            assert value == pytest.approx(_path_sum(g, member, i), abs=1e-12)
+
+
 def test_path_shares_need_acyclic():
     vertices = (Vertex("d", "decider"), Vertex("m", "agent"),
                 Vertex("e", "executive"))

@@ -9,6 +9,7 @@ import pytest
 
 import hiergame as hg
 from hiergame import HierarchyGraph, Vertex, Edge, VoteParams
+from hiergame.vote import _prune_barren
 
 import helpers
 
@@ -303,21 +304,69 @@ def test_mid_graph_conditional_uses_normalized_sum():
     assert dist.plus_prob("1") == pytest.approx(expected, abs=1e-12)
 
 
+def test_pruned_conditional_matches_brute_force():
+    # trees, DAGs and cyclic digraphs under decider, mid-graph and empty
+    # conditions, with single and joint targets
+    rng = random.Random(2024)
+    pruned = 0
+    for k in range(24):
+        make = (helpers.random_tree, helpers.random_dag, helpers.random_digraph)[k % 3]
+        g = make(rng, rng.randint(5, 10))
+        mode = rng.choice(["tanh", "gaussian"])
+        params = VoteParams.from_graph(g, mode=mode)
+        ids = sorted(g.vertex_ids)
+        kind = k // 3 % 3  # every family meets every kind of condition
+        a = (sorted(hg.deciders(g)) if kind == 0
+             else rng.sample(ids, rng.randint(1, 3)) if kind == 1 else [])
+        rest = [v for v in ids if v not in a]
+        b = rng.sample(rest, 1 + k % 2)
+        condition = {v: rng.choice((1, -1)) for v in a}
+        dist = hg.conditional_influence(g, set(a), set(b), condition, params)
+        expected = helpers.brute_vote_joint(g, list(dist.vertices), condition, mode)
+        for key, prob in expected.items():
+            assert dist.table[key] == pytest.approx(prob, abs=1e-12)
+        kept, _ = _prune_barren(g, frozenset(a) | frozenset(b))
+        pruned += len(kept.vertices) < len(g.vertices)
+    assert pruned >= 12
+
+
+def test_pruned_partition_counts_free_deciders():
+    # free deciders that get pruned carry no factor and sum to 2 each
+    rng = random.Random(77)
+    free_roots = 0
+    for k in range(12):
+        make = (helpers.random_dag, helpers.random_digraph)[k % 2]
+        g = make(rng, rng.randint(4, 9))
+        mode = rng.choice(["tanh", "gaussian"])
+        params = VoteParams.from_graph(g, mode=mode)
+        a = rng.sample(sorted(g.vertex_ids), rng.randint(0, 3))
+        condition = {v: rng.choice((1, -1)) for v in a}
+        z = hg.partition_function(g, set(a), condition, params)
+        assert z == pytest.approx(helpers.brute_vote_partition(g, condition, mode), rel=1e-12)
+        free_roots += _prune_barren(g, frozenset(a))[1]
+    assert free_roots > 0
+    g = helpers.random_dag(rng, 9)
+    assert hg.partition_function(g, set(), {}, VoteParams.from_graph(g)) == \
+        2.0 ** len(hg.deciders(g))
+
+
 def test_enumeration_cap(monkeypatch):
-    g = hg.crossed_chains()  # 16 vertices
+    # the joint target keeps all four arms: 14 free vertices after pruning
+    g = hg.crossed_chains()
     params = VoteParams.from_graph(g)
+    cond = {"d1": 1, "d2": 1}
     with pytest.raises(hg.EnumerationCapError):
-        hg.conditional_influence(g, {"d1", "d2"}, {"1"},
-                                 {"d1": 1, "d2": 1}, params, cap=10)
+        hg.conditional_influence(g, {"d1", "d2"}, {"1", "2"}, cond, params, cap=10)
+    # executive "1" alone: executive "2" goes, then the two arms into it
+    hg.conditional_influence(g, {"d1", "d2"}, {"1"}, cond, params, cap=7)
     monkeypatch.setenv("HIERGAME_CAP", "10")
     with pytest.raises(hg.EnumerationCapError):
-        hg.conditional_influence(g, {"d1", "d2"}, {"1"},
-                                 {"d1": 1, "d2": 1}, params)
-    monkeypatch.setenv("HIERGAME_CAP", "16")
-    hg.conditional_influence(g, {"d1", "d2"}, {"1"}, {"d1": 1, "d2": 1}, params)
+        hg.conditional_influence(g, {"d1", "d2"}, {"1", "2"}, cond, params)
+    monkeypatch.setenv("HIERGAME_CAP", "14")
+    hg.conditional_influence(g, {"d1", "d2"}, {"1", "2"}, cond, params)
     monkeypatch.setenv("HIERGAME_CAP", "soft")
     with pytest.raises(ValueError):
-        hg.conditional_influence(g, {"d1", "d2"}, {"1"}, {"d1": 1, "d2": 1}, params)
+        hg.conditional_influence(g, {"d1", "d2"}, {"1", "2"}, cond, params)
 
 
 def test_argument_validation():
