@@ -126,6 +126,19 @@ def _condition_dict(pairs) -> dict[str, int]:
     return condition
 
 
+def _decider_condition(g, pairs) -> dict[str, int]:
+    """The --condition spins, which must assign every decider exactly, in
+    sorted decider order."""
+    condition = _condition_dict(pairs)
+    lam = sorted(deciders(g))
+    if set(condition) != set(lam):
+        missing = sorted(set(lam) - set(condition))
+        extra = sorted(set(condition) - set(lam))
+        raise ValueError(
+            f"condition must assign every decider exactly; missing={missing} extra={extra}")
+    return {k: condition[k] for k in lam}
+
+
 def cmd_validate(args) -> int:
     g = load_graph(args.graph, validate=False)
     report = validate_graph(g)
@@ -140,17 +153,11 @@ def cmd_validate(args) -> int:
 def cmd_influence(args) -> int:
     g = load_graph(args.graph)
     params = _params_from_args(g, args)
-    condition = _condition_dict(args.condition)
-    lam = sorted(deciders(g))
-    if set(condition) != set(lam):
-        missing = sorted(set(lam) - set(condition))
-        extra = sorted(set(condition) - set(lam))
-        raise ValueError(
-            f"condition must assign every decider exactly; missing={missing} extra={extra}")
+    condition = _decider_condition(g, args.condition)
     oracle = influence_oracle(g, params, args.cap)
     table = {i: oracle(i, condition) for i in sorted(executives(g))}
     _emit_json({
-        "condition": {k: condition[k] for k in lam},
+        "condition": condition,
         "mode": params.mode,
         "prob_plus": table,
     }, args.out)
@@ -239,16 +246,13 @@ def cmd_nash(args) -> int:
 def cmd_sample(args) -> int:
     g = load_graph(args.graph)
     params = _params_from_args(g, args)
-    condition = _condition_dict(args.condition)
-    lam = sorted(deciders(g))
-    if set(condition) != set(lam):
-        raise ValueError("condition must assign every decider exactly")
+    condition = _decider_condition(g, args.condition)
     draws = sample_many(g, condition, params, args.samples, args.seed)
     freq = {i: float(np.mean(draws[i] == 1)) for i in sorted(executives(g))}
     _emit_json({
         "samples": args.samples,
         "seed": args.seed,
-        "condition": {k: condition[k] for k in lam},
+        "condition": condition,
         "mode": params.mode,
         "freq_plus": freq,
     }, args.out)

@@ -233,23 +233,12 @@ def transform_from_tables(base: NormalFormGame, lam_order: tuple[str, ...],
     m = len(lam_order)
     strategies = tuple(product((1, -1), repeat=n))
     n_strat = len(strategies)
-    outcome_list = list(product((1, -1), repeat=n))
-    u_rows = [base.payoffs[s] for s in outcome_list]
     share_rows = [[shares.share(lam, i) for i in base.players] for lam in lam_order]
 
     payoffs = np.zeros((n_strat,) * m + (m,))
     for idx in product(range(n_strat), repeat=m):
-        probs = []
-        for k, i in enumerate(base.players):
-            pattern = tuple(strategies[idx[d]][k] for d in range(m))
-            probs.append(tables[i][pattern])
-        expected = [0.0] * n
-        for s, u in zip(outcome_list, u_rows):
-            w = 1.0
-            for p, spin in zip(probs, s):
-                w *= p if spin == 1 else 1.0 - p
-            for j in range(n):
-                expected[j] += w * u[j]
+        profile = {lam: dict(zip(base.players, strategies[j])) for lam, j in zip(lam_order, idx)}
+        expected = pre_payoff(base, lam_order, tables, profile)
         for d in range(m):
             row = share_rows[d]
             payoffs[idx + (d,)] = sum(row[j] * expected[j] for j in range(n))

@@ -9,6 +9,7 @@ game), or "agent" (everything in between).
 
 from __future__ import annotations
 
+import heapq
 import json
 from collections import deque
 from dataclasses import dataclass, field
@@ -65,6 +66,24 @@ class HierarchyGraph:
             if e.dst in out:
                 out[e.dst].append((e.src, e.weight))
         return {k: tuple(v) for k, v in out.items()}
+
+    @cached_property
+    def topological_order(self) -> tuple[str, ...] | None:
+        """Vertex ids by Kahn's algorithm, always taking the smallest ready
+        id, so the order (and hence sampling randomness) is reproducible;
+        None when the graph has a directed cycle."""
+        indeg = {v: len(preds) for v, preds in self.pred_map.items()}
+        ready = [v for v, d in indeg.items() if d == 0]
+        heapq.heapify(ready)
+        out = []
+        while ready:
+            v = heapq.heappop(ready)
+            out.append(v)
+            for w, _ in self.succ_map[v]:
+                indeg[w] -= 1
+                if indeg[w] == 0:
+                    heapq.heappush(ready, w)
+        return tuple(out) if len(out) == len(indeg) else None
 
     @cached_property
     def succ_map(self) -> dict[str, tuple[tuple[str, float], ...]]:
@@ -187,29 +206,7 @@ def successors(g: HierarchyGraph, vertex: str) -> dict[str, float]:
 
 
 def has_directed_cycle(g: HierarchyGraph) -> bool:
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {v: WHITE for v in g.vertex_ids}
-    succ = g.succ_map
-    for root in g.vertex_ids:
-        if color[root] != WHITE:
-            continue
-        stack: list[tuple[str, Iterable[str]]] = [(root, iter([w for w, _ in succ[root]]))]
-        color[root] = GRAY
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if color[nxt] == GRAY:
-                    return True
-                if color[nxt] == WHITE:
-                    color[nxt] = GRAY
-                    stack.append((nxt, iter([w for w, _ in succ[nxt]])))
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = BLACK
-                stack.pop()
-    return False
+    return g.topological_order is None
 
 
 def _reach(sources: set[str], adj: Mapping[str, frozenset[str]],

@@ -14,13 +14,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
-from .errors import EnumerationCapError, MultiEdgeError
-from .graph import HierarchyGraph, _components, nodes_between_adjacency
-from .vote import _SQRT_2_OVER_PI, _spin_blocks, default_cap
+from .errors import MultiEdgeError
+from .graph import HierarchyGraph, _components, _reach, nodes_between_adjacency
+from .vote import _SQRT_2_OVER_PI, _check_cap, _exact_sum, _spin_blocks
 
 
 @dataclass(frozen=True)
@@ -48,21 +48,9 @@ class IsingModel:
             if (u, v) in seen:
                 raise ValueError(f"duplicate coupling for pair ({u!r}, {v!r})")
             seen.add((u, v))
-        if self.vertices and len(self._reach_all()) != len(self.vertices):
+        if self.vertices and len(_reach({self.vertices[0]}, self.adjacency,
+                                        removed=frozenset())) != len(self.vertices):
             raise ValueError("coupling graph is not connected")
-
-    def _reach_all(self) -> set[str]:
-        adj = self.adjacency
-        start = self.vertices[0]
-        seen = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return seen
 
     @cached_property
     def adjacency(self) -> dict[str, frozenset[str]]:
@@ -121,12 +109,15 @@ class KPointQuery:
                     raise ValueError(f"{name} spin for {v!r} must be +1 or -1")
 
 
-def _check_cap(n_free: int, cap: int | None) -> None:
-    limit = default_cap() if cap is None else cap
-    if n_free > limit:
-        raise EnumerationCapError(
-            f"corridor component has {n_free} free vertices, above the enumeration cap {limit}"
-        )
+def _boltzmann_blocks(fields: np.ndarray, pairs: list[tuple[int, int, float]],
+                      beta: float) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield (spins, exp(beta * energy)) blocks over every spin pattern of
+    one corridor component, from its boundary fields and internal pairs."""
+    for spins in _spin_blocks(len(fields)):
+        energy = spins @ fields
+        for iu, iv, j in pairs:
+            energy += j * spins[:, iu] * spins[:, iv]
+        yield spins, np.exp(beta * energy)
 
 
 def k_point(model: IsingModel, query: KPointQuery, cap: int | None = None) -> float:
@@ -175,16 +166,9 @@ def k_point(model: IsingModel, query: KPointQuery, cap: int | None = None) -> fl
         else:
             const += j * fixed[u] * fixed[v]
 
-    beta = model.beta
-    total = math.exp(beta * const)
+    total = math.exp(model.beta * const)
     for comp_fields, comp_pairs in zip(fields, pair_terms):
-        comp_sum = 0.0
-        for spins in _spin_blocks(len(comp_fields)):
-            energy = spins @ comp_fields
-            for iu, iv, j in comp_pairs:
-                energy += j * spins[:, iu] * spins[:, iv]
-            comp_sum += float(np.exp(beta * energy).sum())
-        total *= comp_sum
+        total *= float(_exact_sum(_boltzmann_blocks(comp_fields, comp_pairs, model.beta))[0])
     return total
 
 

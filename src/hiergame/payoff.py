@@ -15,8 +15,7 @@ from itertools import combinations
 from typing import Callable, Iterable, Mapping
 
 from .errors import CyclicGraphError, DegenerateInfluenceError
-from .graph import HierarchyGraph, deciders, executives, has_directed_cycle
-from .vote import _topological_order
+from .graph import HierarchyGraph, deciders, executives
 
 InfluenceOracle = Callable[[str, Mapping[str, int]], float]
 
@@ -123,7 +122,8 @@ def shares_by_paths(g: HierarchyGraph,
 
     One pass in reverse topological order carries, for every vertex, the
     path sums from it to each executive; a path ends at its executive."""
-    if has_directed_cycle(g):
+    order = g.topological_order
+    if order is None:
         raise CyclicGraphError("path shares need an acyclic hierarchy")
     lam = tuple(sorted(deciders(g)))
     execs = tuple(sorted(execs if execs is not None else executives(g)))
@@ -131,7 +131,7 @@ def shares_by_paths(g: HierarchyGraph,
         g.require_vertex(i)
     column = {i: k for k, i in enumerate(execs)}
     downstream: dict[str, list[float]] = {}
-    for v in reversed(_topological_order(g)):
+    for v in reversed(order):
         sums = [0.0] * len(execs)
         for nxt, w in g.succ_map[v]:
             sums = [s + w * d for s, d in zip(sums, downstream[nxt])]

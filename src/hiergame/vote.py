@@ -14,13 +14,13 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 from scipy.special import erf as _erf
 
 from .errors import CyclicGraphError, EnumerationCapError
-from .graph import HierarchyGraph, deciders, has_directed_cycle
+from .graph import HierarchyGraph, deciders
 
 MODE_TANH = "tanh"
 MODE_GAUSSIAN = "gaussian"
@@ -205,13 +205,12 @@ class ConditionalDistribution:
 
 
 def _iter_weight_blocks(g: HierarchyGraph, condition: Mapping[str, int],
-                        params: VoteParams):
-    """Yield (order, spins_block, weights_block) over all free-spin
-    configurations.
+                        params: VoteParams) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield (free spins, weights) blocks over every pattern of the vertices
+    outside the condition, taken in sorted id order.
 
-    spins_block is (m, n) of +-1 floats in vertex order; weights_block is the
-    product of single-vote factors for each row.  Conditioned vertices hold
-    their fixed spins in every row.
+    A weight is the product of single-vote factors of its row, with the
+    conditioned vertices holding their fixed spins.
     """
     order = tuple(sorted(g.vertex_ids))
     index = {v: k for k, v in enumerate(order)}
@@ -238,7 +237,31 @@ def _iter_weight_blocks(g: HierarchyGraph, condition: Mapping[str, int],
             weights = np.prod(probs, axis=1)
         else:
             weights = np.ones(len(spins))
-        yield order, spins, weights
+        yield free_spins, weights
+
+
+def _exact_sum(blocks: Iterable[tuple[np.ndarray, np.ndarray]],
+               keys: Sequence[int] = ()) -> np.ndarray:
+    """Summed weight per pattern of the free-spin columns `keys`.
+
+    `blocks` yields (free spins, weights) pairs that together cover every
+    free pattern once.  Entry c of the result sums the rows whose key
+    column j is +1 exactly where bit j of c is set; with no keys the one
+    entry is the total.  Blocks are pulled one at a time, so a producer's
+    block arrays are freed as the next block is made.
+    """
+    if not keys:
+        total = 0.0
+        for _, weights in blocks:
+            total += float(weights.sum())
+        return np.array([total])
+    sums = np.zeros(1 << len(keys))
+    for spins, weights in blocks:
+        codes = np.zeros(len(weights), dtype=np.int64)
+        for j, col in enumerate(keys):
+            codes |= (spins[:, col] > 0).astype(np.int64) << j
+        sums += np.bincount(codes, weights=weights, minlength=len(sums))
+    return sums
 
 
 def conditional_influence(g: HierarchyGraph, a: frozenset[str] | set[str],
@@ -268,7 +291,7 @@ def conditional_influence(g: HierarchyGraph, a: frozenset[str] | set[str],
     _check_cap(len(kept.vertices) - len(a), cap)
 
     notes: tuple[str, ...] = ()
-    if not has_directed_cycle(g) and not a >= deciders(g):
+    if g.topological_order is not None and not a >= deciders(g):
         notes = ("mid-graph conditioning: condition set does not cover all deciders",)
 
     # A configuration and its global spin flip carry bitwise-identical weight
@@ -279,14 +302,9 @@ def conditional_influence(g: HierarchyGraph, a: frozenset[str] | set[str],
 
     b_order = tuple(sorted(b))
     nb = len(b_order)
-    sums = np.zeros(1 << nb)
-    for order, spins, weights in _iter_weight_blocks(kept, work, params):
-        index = {v: kk for kk, v in enumerate(order)}
-        b_idx = [index[v] for v in b_order]
-        keys = np.zeros(spins.shape[0], dtype=np.int64)
-        for j, col in enumerate(b_idx):
-            keys |= ((spins[:, col] > 0).astype(np.int64)) << j
-        sums += np.bincount(keys, weights=weights, minlength=1 << nb)
+    free = [v for v in sorted(kept.vertex_ids) if v not in a]
+    sums = _exact_sum(_iter_weight_blocks(kept, work, params),
+                      [free.index(v) for v in b_order])
     z = float(sums.sum())
     complement = np.arange(1 << nb)[::-1]
     if flipped:
@@ -318,10 +336,8 @@ def partition_function(g: HierarchyGraph, a: frozenset[str] | set[str],
     _validate_assignment(condition, a, "condition")
     kept, roots = _prune_barren(g, a)
     _check_cap(len(kept.vertices) - len(a), cap)
-    total = 0.0
-    for _, _, weights in _iter_weight_blocks(kept, condition, params):
-        total += float(weights.sum())
-    return total * 2.0 ** roots
+    total = _exact_sum(_iter_weight_blocks(kept, condition, params))
+    return float(total[0]) * 2.0 ** roots
 
 
 def sample_many(g: HierarchyGraph, condition: Mapping[str, int],
@@ -331,14 +347,14 @@ def sample_many(g: HierarchyGraph, condition: Mapping[str, int],
     Requires an acyclic graph conditioned on exactly the decider set.
     Returns an int8 array of +-1 per vertex; deterministic in `seed`.
     """
-    if has_directed_cycle(g):
+    order = g.topological_order
+    if order is None:
         raise CyclicGraphError("forward sampling needs an acyclic hierarchy")
     lam = deciders(g)
     _validate_assignment(condition, lam, "condition")
     if n < 1:
         raise ValueError("need at least one sample")
 
-    order = _topological_order(g)
     rng = np.random.default_rng(seed)
     scale = params.command_scale
     spins: dict[str, np.ndarray] = {}
@@ -361,28 +377,6 @@ def sample_outcome(g: HierarchyGraph, condition: Mapping[str, int],
     """One full spin assignment drawn by ancestral sampling."""
     draws = sample_many(g, condition, params, 1, seed)
     return {v: int(arr[0]) for v, arr in draws.items()}
-
-
-def _topological_order(g: HierarchyGraph) -> list[str]:
-    """Kahn's algorithm with sorted tie-breaking, so the order (and hence
-    sampling randomness) is reproducible."""
-    indeg = {v: len(g.pred_map[v]) for v in g.vertex_ids}
-    ready = sorted(v for v, d in indeg.items() if d == 0)
-    out: list[str] = []
-    while ready:
-        v = ready.pop(0)
-        out.append(v)
-        changed = False
-        for w, _ in g.succ_map[v]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                ready.append(w)
-                changed = True
-        if changed:
-            ready.sort()
-    if len(out) != len(g.vertex_ids):
-        raise CyclicGraphError("graph has a directed cycle")
-    return out
 
 
 def influence_oracle(g: HierarchyGraph, params: VoteParams,

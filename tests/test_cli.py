@@ -82,13 +82,18 @@ def test_influence_matches_closed_form(tmp_path):
     assert _read_json(out)["mode"] == "gaussian"
 
 
-def test_influence_requires_full_condition(tmp_path):
+def test_influence_requires_full_condition(tmp_path, capsys):
     graph = _write_graph(tmp_path, hg.crossed_chains())
-    assert main(["influence", "--graph", graph,
-                 "--condition", "d1=+1"]) == EXIT_INVARIANT
-    assert main(["influence", "--graph", graph, "--condition", "d1=+1",
-                 "--condition", "d1=-1",
-                 "--condition", "d2=+1"]) == EXIT_INVARIANT
+    for command in ("influence", "sample"):
+        assert main([command, "--graph", graph,
+                     "--condition", "d1=+1"]) == EXIT_INVARIANT
+        assert "missing=['d2'] extra=[]" in capsys.readouterr().err
+        assert main([command, "--graph", graph, "--condition", "d1=+1",
+                     "--condition", "d2=+1", "--condition", "u=-1"]) == EXIT_INVARIANT
+        assert "missing=[] extra=['u']" in capsys.readouterr().err
+        assert main([command, "--graph", graph, "--condition", "d1=+1",
+                     "--condition", "d1=-1",
+                     "--condition", "d2=+1"]) == EXIT_INVARIANT
 
 
 def test_ising_command(tmp_path):

@@ -3,6 +3,7 @@
 import json
 import random
 
+import networkx
 import pytest
 
 import hiergame as hg
@@ -141,8 +142,26 @@ def test_directed_cycle_detection():
         (Edge("a", "b", 1.0), Edge("b", "c", 1.0), Edge("c", "a", 1.0)),
         0.5, 1.0)
     assert hg.has_directed_cycle(g)
+    assert g.topological_order is None
     assert hg.validate_graph(g).ok
     assert not hg.has_directed_cycle(hg.single_chain(4))
+
+    # Kahn's order taking the smallest ready id first is the lexicographic
+    # topological sort; it exists exactly on the acyclic graphs
+    rng = random.Random(41)
+    for maker in (helpers.random_dag, helpers.random_digraph):
+        for _ in range(40):
+            g = maker(rng, rng.randint(3, 12))
+            nx_graph = networkx.DiGraph()
+            nx_graph.add_nodes_from(g.vertex_ids)
+            nx_graph.add_edges_from((e.src, e.dst) for e in g.edges)
+            if networkx.is_directed_acyclic_graph(nx_graph):
+                assert g.topological_order == tuple(
+                    networkx.lexicographical_topological_sort(nx_graph))
+                assert not hg.has_directed_cycle(g)
+            else:
+                assert g.topological_order is None
+                assert hg.has_directed_cycle(g)
 
 
 def test_nodes_between_on_benchmark():

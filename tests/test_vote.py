@@ -1,5 +1,6 @@
 """Single-vote curves, exact conditionals, partition sums, and the sampler."""
 
+import hashlib
 import itertools
 import math
 import random
@@ -398,6 +399,22 @@ def test_sampler_is_deterministic():
     assert set(single) == set(g.vertex_ids)
     assert all(s in (1, -1) for s in single.values())
     assert single["d1"] == 1 and single["d2"] == -1
+
+
+@pytest.mark.parametrize("mode, digest", [
+    ("tanh", "fc6bda8bb968a183bd0ab2451782aba2256ae99b69dcf5f3a3348e50632c4d4e"),
+    ("gaussian", "a48637a5eb90e3d5809e8c67368438643340008a5a50d818904245a99a22f9d4"),
+])
+def test_sampler_draws_are_pinned(mode, digest):
+    # the sampler draws vertex by vertex in topological order, so any change
+    # to that order (or to the draws) changes the samples of a fixed seed
+    g = hg.crossed_chains()
+    draws = hg.sample_many(g, {"d1": 1, "d2": -1}, VoteParams.from_graph(g, mode), 1000, seed=5)
+    h = hashlib.sha256()
+    for v in sorted(draws):
+        h.update(v.encode())
+        h.update(draws[v].tobytes())
+    assert h.hexdigest() == digest
 
 
 def test_sampler_rejects_cycles_and_partial_conditions():
