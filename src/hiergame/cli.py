@@ -4,15 +4,16 @@ Subcommands cover the pipeline end to end: validate graph files, query
 vote and Ising conditionals, dump transformed-game tensors, solve for
 pure equilibria, draw forward samples, and sweep parameter grids to CSV.
 
-Exit codes: 0 success, 2 unreadable or malformed input, 3 invariant
-violation, 4 enumeration cap exceeded, 5 degenerate influence.  Failures
-print one JSON line on stderr with the error class and message.
+Exit codes: 0 success, 1 internal error, 2 unreadable or malformed input,
+3 invariant violation, 4 enumeration cap exceeded, 5 degenerate influence.
+Failures print one JSON line on stderr with the error class and message.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import sys
@@ -42,9 +43,10 @@ from .game import (
 )
 from .graph import deciders, executives, load_graph, validate_graph
 from .ising import chain_xy, coupling_from_hierarchy, ising_conditional
-from .vote import VoteParams, influence_oracle, sample_many
+from .vote import CAP_ENV_VAR, DEFAULT_CAP, VoteParams, influence_oracle, sample_many
 
 EXIT_OK = 0
+EXIT_INTERNAL = 1
 EXIT_PARSE = 2
 EXIT_INVARIANT = 3
 EXIT_CAP = 4
@@ -53,6 +55,8 @@ EXIT_DEGENERATE = 5
 SWEEP_PARAMS = ("a", "c", "beta", "D", "x", "y")
 MAX_SWEEP_POINTS = 10**7
 SWEEP_CHUNK = 4096  # grid points evaluated and written at a time
+CAP_HELP = ("enumeration cap: log2 of the largest table an exact sum may build "
+            f"(default {DEFAULT_CAP}, or the {CAP_ENV_VAR} environment variable)")
 
 
 def _fmt(value: float) -> str:
@@ -420,8 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
         if game:
             p.add_argument("--game", required=True, help="base game JSON file")
         p.add_argument("--mode", choices=("tanh", "gaussian"), default="tanh")
-        p.add_argument("--cap", type=int, default=None,
-                       help="enumeration cap on free vertices")
+        p.add_argument("--cap", type=int, default=None, help=CAP_HELP)
         p.add_argument("--out", default=None, help="write output to this file")
 
     p = sub.add_parser("validate", help="check a graph file against all invariants")
@@ -453,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--game", default=None)
     p.add_argument("--mechanism", choices=("shapley", "shares"), default="shapley")
     p.add_argument("--mode", choices=("tanh", "gaussian"), default="tanh")
-    p.add_argument("--cap", type=int, default=None)
+    p.add_argument("--cap", type=int, default=None, help=CAP_HELP)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_nash)
 
@@ -476,9 +479,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` uses, built on its first call; parsing leaves it
+    unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (GraphFormatError, GameFormatError) as exc:
@@ -489,6 +498,8 @@ def main(argv=None) -> int:
         return _fail(exc, EXIT_DEGENERATE)
     except (CyclicGraphError, MultiEdgeError, ValueError) as exc:
         return _fail(exc, EXIT_INVARIANT)
+    except Exception as exc:  # a fault of hiergame itself: still one JSON line
+        return _fail(exc, EXIT_INTERNAL)
 
 
 def _fail(exc: Exception, code: int) -> int:

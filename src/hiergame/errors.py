@@ -18,7 +18,8 @@ class CyclicGraphError(HierGameError):
 
 
 class EnumerationCapError(HierGameError):
-    """Exact enumeration would exceed the configured vertex cap."""
+    """An exact sum would need a table larger than the configured cap
+    allows (the cap bounds log2 of its entries)."""
 
 
 class MultiEdgeError(HierGameError):

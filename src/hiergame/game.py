@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 from itertools import product
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -174,19 +174,15 @@ def table_oracle(tables: ConditionalTables,
     return oracle
 
 
-def pre_payoff(g: NormalFormGame, lam_order: tuple[str, ...],
-               tables: ConditionalTables,
-               profile: Mapping[str, Mapping[str, int]]) -> tuple[float, ...]:
-    """Expected base payoffs under a command profile.
+def pre_payoff(g: NormalFormGame, probs: Sequence[float]) -> tuple[float, ...]:
+    """Expected base payoffs when executive k (in player order) plays +1
+    with probability probs[k].
 
-    Executives act independently: each plays +1 with the probability its
-    own coordinate's conditional gives, and expected payoffs multiply out
-    over the product distribution.
+    Executives act independently, so expected payoffs multiply out over
+    the product distribution.
     """
-    probs = []
-    for i in g.players:
-        pattern = tuple(profile[lam][i] for lam in lam_order)
-        probs.append(tables[i][pattern])
+    if len(probs) != len(g.players):
+        raise ValueError(f"need one probability per player, got {len(probs)}")
     totals = [0.0] * len(g.players)
     for spins in product((1, -1), repeat=len(g.players)):
         w = 1.0
@@ -237,8 +233,9 @@ def transform_from_tables(base: NormalFormGame, lam_order: tuple[str, ...],
 
     payoffs = np.zeros((n_strat,) * m + (m,))
     for idx in product(range(n_strat), repeat=m):
-        profile = {lam: dict(zip(base.players, strategies[j])) for lam, j in zip(lam_order, idx)}
-        expected = pre_payoff(base, lam_order, tables, profile)
+        # executive k reads the k-th command of each decider's strategy
+        expected = pre_payoff(base, [tables[i][tuple(strategies[j][k] for j in idx)]
+                                     for k, i in enumerate(base.players)])
         for d in range(m):
             row = share_rows[d]
             payoffs[idx + (d,)] = sum(row[j] * expected[j] for j in range(n))

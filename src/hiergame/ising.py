@@ -4,9 +4,7 @@ Each directed edge v->w of weight f becomes an undirected coupling
 J_vw = f (1-D)/D, and the vote noise width sets the inverse temperature
 beta = sqrt(2 / (pi sigma^2)).  Boundary-conditioned sums run over the
 corridor between the conditioned set and the queried set; everything
-hanging beyond either set drops out of normalized ratios.  With the
-boundary fixed, the corridor splits into independent components, and its
-sum is the product of theirs.
+hanging beyond either set drops out of normalized ratios.
 """
 
 from __future__ import annotations
@@ -14,13 +12,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Mapping
+from typing import Mapping
 
 import numpy as np
 
 from .errors import MultiEdgeError
-from .graph import HierarchyGraph, _components, _reach, nodes_between_adjacency
-from .vote import _SQRT_2_OVER_PI, _check_cap, _exact_sum, _spin_blocks
+from .graph import HierarchyGraph, _reach, nodes_between_adjacency
+from .vote import _SQRT_2_OVER_PI, _sum_product
 
 
 @dataclass(frozen=True)
@@ -109,27 +107,17 @@ class KPointQuery:
                     raise ValueError(f"{name} spin for {v!r} must be +1 or -1")
 
 
-def _boltzmann_blocks(fields: np.ndarray, pairs: list[tuple[int, int, float]],
-                      beta: float) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield (spins, exp(beta * energy)) blocks over every spin pattern of
-    one corridor component, from its boundary fields and internal pairs."""
-    for spins in _spin_blocks(len(fields)):
-        energy = spins @ fields
-        for iu, iv, j in pairs:
-            energy += j * spins[:, iu] * spins[:, iv]
-        yield spins, np.exp(beta * energy)
-
-
 def k_point(model: IsingModel, query: KPointQuery, cap: int | None = None) -> float:
     """Boundary-conditioned partition sum over the corridor interior.
 
     Sums exp(beta * sum of J s s') over all spin patterns of the corridor
     between the conditioned and target sets, with both boundaries held
     fixed.  Every coupling inside corridor-plus-boundary contributes,
-    including boundary-boundary pairs.  The couplings among free vertices
-    split the interior into components that the boundary leaves
-    independent, so the sum is exp(beta * boundary energy) times one sum
-    per component, and the cap bounds the largest component.
+    including boundary-boundary pairs.  The sum is exp(beta * boundary
+    energy) times a sum of products of one factor per free-free coupling
+    and one per free vertex coupled to the boundary (all of its pull from
+    there), taken by variable elimination; the cap bounds log2 of its
+    largest table.
     """
     a = frozenset(query.condition)
     b = frozenset(query.target)
@@ -137,39 +125,35 @@ def k_point(model: IsingModel, query: KPointQuery, cap: int | None = None) -> fl
         if v not in model.adjacency:
             raise ValueError(f"unknown vertex id {v!r}")
     interior = nodes_between_adjacency(model.adjacency, a, b)
-    comps = _components(model.adjacency, interior)
-    _check_cap(max(map(len, comps), default=0), cap)
 
     fixed: dict[str, float] = {}
     fixed.update({v: float(s) for v, s in query.condition.items()})
     fixed.update({v: float(s) for v, s in query.target.items()})
-    zone = interior | set(fixed)
-    # vertex -> (its component, its column there)
-    where = {v: (c, k) for c, comp in enumerate(comps) for k, v in enumerate(comp)}
-
     const = 0.0
-    fields = [np.zeros(len(comp)) for comp in comps]
-    pair_terms: list[list[tuple[int, int, float]]] = [[] for _ in comps]
+    fields: dict[str, float] = {}
+    pairs: list[tuple[str, str, float]] = []
     for u, v, j in model.couplings:
-        if u not in zone or v not in zone:
-            continue
-        u_free, v_free = u in where, v in where
-        if u_free and v_free:
-            c, iu = where[u]
-            pair_terms[c].append((iu, where[v][1], j))
-        elif u_free:
-            c, iu = where[u]
-            fields[c][iu] += j * fixed[v]
-        elif v_free:
-            c, iv = where[v]
-            fields[c][iv] += j * fixed[u]
-        else:
-            const += j * fixed[u] * fixed[v]
+        if u in interior:
+            if v in interior:
+                pairs.append((u, v, j))
+            elif v in fixed:
+                fields[u] = fields.get(u, 0.0) + j * fixed[v]
+        elif u in fixed:
+            if v in interior:
+                fields[v] = fields.get(v, 0.0) + j * fixed[u]
+            elif v in fixed:
+                const += j * fixed[u] * fixed[v]
 
-    total = math.exp(model.beta * const)
-    for comp_fields, comp_pairs in zip(fields, pair_terms):
-        total *= float(_exact_sum(_boltzmann_blocks(comp_fields, comp_pairs, model.beta))[0])
-    return total
+    def tables() -> list[np.ndarray]:
+        h = model.beta * np.array(list(fields.values()))
+        bj = model.beta * np.array([j for *_, j in pairs])
+        return (list(np.exp(np.stack((-h, h), axis=1)))
+                + list(np.exp(np.stack((bj, -bj, -bj, bj), axis=1)).reshape(-1, 2, 2)))
+
+    # every interior vertex couples to the boundary or to another interior
+    # vertex, so each one is in some factor
+    scopes = [(v,) for v in fields] + [(u, v) for u, v, _ in pairs]
+    return math.exp(model.beta * const) * float(_sum_product(scopes, tables, (), cap)[0])
 
 
 def ising_conditional(model: IsingModel, vertex: str,

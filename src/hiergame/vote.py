@@ -6,15 +6,17 @@ D, against zero-mean Gaussian noise of width sigma.  Two response curves
 are supported: the exact Gaussian tail ("gaussian") and its logistic
 approximation ("tanh", the default).  Conditional distributions are exact
 sums over the spin configurations of every vertex that can change them,
-so the number of those free vertices is capped.
+taken by variable elimination, so the size of its largest table is capped.
 """
 
 from __future__ import annotations
 
+import functools
+import heapq
 import math
 import os
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 from scipy.special import erf as _erf
@@ -28,7 +30,12 @@ MODE_GAUSSIAN = "gaussian"
 DEFAULT_CAP = 22
 CAP_ENV_VAR = "HIERGAME_CAP"
 
-_BLOCK_BITS = 14  # enumeration chunk size: 2**14 configurations per block
+# products that cost about as much as one einsum call: cheaper steps are joined
+_FUSE_PRODUCTS = 1 << 9
+# elimination plans kept for reuse, one per factor scopes, keys and cap
+_PLAN_CACHE = 64
+# steps spanning at least this many spins multiply their tables pairwise
+_PAIRWISE_SPINS = 12
 
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
@@ -88,35 +95,179 @@ def default_cap() -> int:
     return value
 
 
-def _check_cap(n_free: int, cap: int | None) -> None:
-    limit = default_cap() if cap is None else cap
-    if n_free > limit:
+def _check_cap(width: int, limit: int) -> None:
+    if width > limit:
         raise EnumerationCapError(
-            f"exact sum has {n_free} free vertices, above the enumeration cap {limit}"
+            f"exact sum needs a table over {width} spins, above the enumeration cap {limit}"
         )
 
 
-def _spin_blocks(k: int) -> Iterator[np.ndarray]:
-    """All 2**k patterns of k spins as rows of +-1 floats, in blocks of at
-    most 2**_BLOCK_BITS rows; bit j of a row's number is spin j."""
-    rows = 1 << min(k, _BLOCK_BITS)
-    shifts = np.arange(k, dtype=np.uint64)
-    for start in range(0, 1 << k, rows):
-        # no block-sized temporary stays alive while the caller holds a block
-        codes = np.arange(start, start + rows, dtype=np.uint64)[:, None]
-        yield 2.0 * ((codes >> shifts) & np.uint64(1)).astype(np.float64) - 1.0
+_Step = tuple[tuple[int, ...], tuple[tuple[int, ...], ...], str | bool]
 
 
-def _prune_barren(g: HierarchyGraph, keep: frozenset[str]) -> tuple[HierarchyGraph, int]:
+class _Plan(NamedTuple):
+    """How `_sum_product` sums one list of factor scopes.
+
+    Tables are numbered as `_sum_product` receives them, then one all-ones
+    table per key that no factor mentions, then one per step in order.  A
+    step is one einsum: the tables it consumes, its einsum sublists (one
+    per input, then the output's) and its `optimize` argument; None marks a
+    step that a later one took over.  `final` sums what is left onto the
+    keys, or is None when nothing is.
+    """
+
+    unheld: int
+    steps: tuple[_Step | None, ...]
+    final: _Step | None
+
+
+@functools.lru_cache(maxsize=_PLAN_CACHE)
+def _elimination_plan(scopes: tuple[tuple[str, ...], ...], keys: tuple[str, ...],
+                      limit: int) -> _Plan:
+    """Greedy variable elimination order over the factor scopes: the spin
+    with the fewest neighbours first (ties to the one in fewest factors,
+    then the smallest name), each step summing out one spin from the
+    product of the factors that mention it (Dechter 1999).
+
+    Raises EnumerationCapError as soon as an input factor, the keys or a
+    step span more than `limit` spins; the factors are checked before any
+    bookkeeping, which on a dense graph grows with the cube of its size.
+    A step whose input comes from an earlier step takes over that step's
+    inputs while the joint einsum costs less than one more call; the
+    tables made stay those of single-spin steps.
+    """
+    _check_cap(max(map(len, scopes), default=0), limit)
+    _check_cap(len(keys), limit)
+    scopes = list(scopes)
+    holding: dict[str, set[int]] = {}
+    for f, scope in enumerate(scopes):
+        for v in scope:
+            if v in holding:
+                holding[v].add(f)
+            else:
+                holding[v] = {f}
+    # a key that no factor mentions takes either spin freely
+    unheld = [k for k in keys if k not in holding]
+    for k in unheld:
+        holding[k] = {len(scopes)}
+        scopes.append((k,))
+    nbrs: dict[str, set[str]] = {}
+    for v, ids in holding.items():
+        around = set()
+        for f in ids:
+            around.update(scopes[f])
+        around.discard(v)
+        nbrs[v] = around
+
+    # open steps: [inputs, spins spanned, spins kept], None once taken over
+    steps: list[list | None] = []
+    made_by: dict[int, int] = {}
+
+    def absorb(ids: set[int], spins: set[str], out: tuple[str, ...]) -> list:
+        inputs: list[int] = []
+        for f in sorted(ids):
+            s = made_by.get(f)
+            if s is not None:
+                child_inputs, child_spins, _ = steps[s]
+                joint = spins | child_spins
+                if (len(ids) + len(child_inputs)) << len(joint) <= _FUSE_PRODUCTS:
+                    inputs += child_inputs
+                    spins = joint
+                    steps[s] = None
+                    continue
+            inputs.append(f)
+        return [inputs, spins, out]
+
+    key_set = frozenset(keys)
+    heap = [(len(nbrs[v]), len(ids), v) for v, ids in holding.items() if v not in key_set]
+    heapq.heapify(heap)
+    while heap:
+        degree, count, v = heapq.heappop(heap)
+        if v not in nbrs or (degree, count) != (len(nbrs[v]), len(holding[v])):
+            continue  # eliminated, or its entry is stale
+        around = nbrs.pop(v)
+        ids = holding.pop(v)
+        _check_cap(len(around) + 1, limit)
+        new = len(scopes)
+        scopes.append(tuple(sorted(around)))
+        made_by[new] = len(steps)
+        steps.append(absorb(ids, around | {v}, scopes[new]))
+        for u in around:
+            u_nbrs = nbrs[u]
+            u_nbrs |= around
+            u_nbrs.discard(u)
+            u_nbrs.discard(v)
+            u_ids = holding[u]
+            u_ids -= ids
+            u_ids.add(new)
+            if u not in key_set:
+                heapq.heappush(heap, (len(u_nbrs), len(u_ids), u))
+    # what no step consumed: the keys' factors and the constant ones
+    live = set().union(*holding.values()) | {f for f, scope in enumerate(scopes) if not scope}
+    final = absorb(live, set(keys), keys[::-1]) if live else None
+
+    def einsum_args(step: list | None) -> tuple | None:
+        if step is None:
+            return None
+        inputs, spins, out = step
+        label = {u: k for k, u in enumerate(sorted(spins))}
+        sublists = [tuple(label[u] for u in scopes[f]) for f in inputs]
+        # a big product of many tables is cheaper taken pairwise, in the
+        # order einsum's greedy path picks; its intermediates are never
+        # larger than the step's inputs or output
+        pairwise = len(spins) >= _PAIRWISE_SPINS and len(inputs) > 2
+        return (tuple(inputs), tuple(sublists) + (tuple(label[u] for u in out),),
+                "greedy" if pairwise else False)
+
+    return _Plan(len(unheld), tuple(map(einsum_args, steps)), einsum_args(final))
+
+
+def _sum_product(scopes: Sequence[tuple[str, ...]],
+                 tables: Callable[[], list[np.ndarray]],
+                 keys: Sequence[str] = (), cap: int | None = None) -> np.ndarray:
+    """Sum over every spin outside `keys` of a product of factors, per
+    pattern of the key spins, by variable elimination.
+
+    Factor f is a table over the spins named in ``scopes[f]``, one axis of
+    length 2 per spin in scope order, index 0 holding -1 and index 1 +1;
+    `tables()` builds them, in scope order, once the plan is known to fit
+    the cap.  The plan (see `_elimination_plan`) depends on the scopes,
+    keys and cap alone, so sums over the same structure share it.  The cap
+    bounds log2 of the largest table an elimination step sums over: the
+    eliminated spin and its neighbours.  Entry c of the result sums the
+    patterns whose key j is +1 exactly where bit j of c is set; with no
+    keys the one entry is the total.
+    """
+    limit = default_cap() if cap is None else cap
+    plan = _elimination_plan(tuple(scopes), tuple(keys), limit)
+    made: list[np.ndarray | None] = tables() + [np.ones(2)] * plan.unheld
+
+    def contract(inputs: tuple[int, ...], sublists: tuple[tuple[int, ...], ...],
+                 optimize: str | bool) -> np.ndarray:
+        operands: list = []
+        for f, sublist in zip(inputs, sublists):
+            operands += (made[f], sublist)
+            made[f] = None  # freed as soon as the step is done
+        operands.append(sublists[-1])
+        # a pairwise path may hand back a transposed view, which the next
+        # step would read far more slowly than a C-ordered table
+        return np.asarray(np.einsum(*operands, optimize=optimize), order="C")
+
+    for step in plan.steps:
+        made.append(None if step is None else contract(*step))
+    return np.ones(1) if plan.final is None else contract(*plan.final).reshape(-1)
+
+
+def _prune_barren(g: HierarchyGraph, keep: frozenset[str]) -> tuple[tuple[str, ...], int]:
     """Drop, until none is left, every vertex outside `keep` that has no
     remaining successor.
 
     Such a vertex is free and untargeted, and its vote factor sums to 1 over
     its own spin, so dropping it leaves every sum over the rest unchanged,
     on cycles too.  A dropped vertex without predecessors carries no factor
-    and sums to 2 instead; their number comes back with the graph induced
-    on the kept vertices, which is `g` itself when nothing is dropped.  The
-    kept set is closed under predecessors, so weights stay normalized.
+    and sums to 2 instead.  Returns the kept vertex ids in graph order and
+    the number of those roots.  The kept set is closed under predecessors,
+    so weights stay normalized.
     """
     succ_left = {v: len(out) for v, out in g.succ_map.items()}
     stack = [v for v, n in succ_left.items() if n == 0 and v not in keep]
@@ -128,21 +279,20 @@ def _prune_barren(g: HierarchyGraph, keep: frozenset[str]) -> tuple[HierarchyGra
             succ_left[u] -= 1
             if succ_left[u] == 0 and u not in keep:
                 stack.append(u)
-    if not dropped:
-        return g, 0
     roots = sum(1 for v in dropped if not g.pred_map[v])
-    kept = HierarchyGraph(tuple(v for v in g.vertices if v.id not in dropped),
-                          tuple(e for e in g.edges if e.dst not in dropped),
-                          g.free_float, g.noise_sigma)
-    return kept, roots
+    return tuple(v for v in g.vertex_ids if v not in dropped), roots
+
+
+def _odd_response(field, params: VoteParams):
+    """2 P(+1 | field) - 1, an odd function of the field."""
+    if params.mode == MODE_TANH:
+        return np.tanh(params.gain * field)
+    return _erf(field / (params.noise_sigma * math.sqrt(2.0)))
 
 
 def outcome_probability(spin, field, params: VoteParams):
     """P(vertex adopts `spin` | net command field), elementwise on arrays."""
-    if params.mode == MODE_TANH:
-        return 0.5 * (1.0 + np.tanh(params.gain * np.multiply(spin, field)))
-    z = np.multiply(spin, field) / (params.noise_sigma * math.sqrt(2.0))
-    return 0.5 * (1.0 + _erf(z))
+    return 0.5 * (1.0 + _odd_response(np.multiply(spin, field), params))
 
 
 def single_vote_prob(weights: Mapping[str, float], commands: Mapping[str, int],
@@ -204,64 +354,63 @@ class ConditionalDistribution:
             yield dict(zip(self.vertices, key)), p
 
 
-def _iter_weight_blocks(g: HierarchyGraph, condition: Mapping[str, int],
-                        params: VoteParams) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield (free spins, weights) blocks over every pattern of the vertices
-    outside the condition, taken in sorted id order.
+def _vote_sum(g: HierarchyGraph, kept: Sequence[str], condition: Mapping[str, int],
+              params: VoteParams, keys: Sequence[str] = (),
+              cap: int | None = None) -> np.ndarray:
+    """Summed vote weight over every pattern of the kept vertices outside
+    the condition, per pattern of `keys` (see `_sum_product`).
 
-    A weight is the product of single-vote factors of its row, with the
-    conditioned vertices holding their fixed spins.
+    Each kept vertex with predecessors contributes its vote factor, a table
+    over its free spin and its free predecessors' spins, with the
+    conditioned vertices holding their fixed spins.  Factors with the same
+    number of free predecessors are built together: their fields double
+    once per free predecessor, and one response call covers the group.
     """
-    order = tuple(sorted(g.vertex_ids))
-    index = {v: k for k, v in enumerate(order)}
-    n = len(order)
-    wmat = np.zeros((n, n))
-    factor_cols = []
-    for v, preds in g.pred_map.items():
-        if preds:
-            factor_cols.append(index[v])
-            for u, w in preds:
-                wmat[index[u], index[v]] = w
-    factor_cols.sort()
-    free_idx = np.array([index[v] for v in order if v not in condition], dtype=np.intp)
-    scale = params.command_scale
-    base = np.zeros(n)
-    for v, s in condition.items():
-        base[index[v]] = float(s)
-    for free_spins in _spin_blocks(len(free_idx)):
-        spins = np.broadcast_to(base, (len(free_spins), n)).copy()
-        spins[:, free_idx] = free_spins
-        fields = scale * (spins @ wmat)
-        if factor_cols:
-            probs = outcome_probability(spins[:, factor_cols], fields[:, factor_cols], params)
-            weights = np.prod(probs, axis=1)
-        else:
-            weights = np.ones(len(spins))
-        yield free_spins, weights
+    scopes: list[tuple[str, ...]] = []
+    # free predecessors -> (factor ids, vertices, fixed fields, free weights)
+    groups: dict[int, tuple[list[int], list[str], list[float], list[float]]] = {}
+    for v in kept:
+        preds = g.pred_map[v]
+        if not preds:
+            continue
+        fixed = 0.0
+        free, weights = [], []
+        for u, w in preds:
+            if u in condition:
+                fixed += w * condition[u]
+            else:
+                free.append(u)
+                weights.append(w)
+        group = groups.get(len(free))
+        if group is None:
+            group = groups[len(free)] = ([], [], [], [])
+        group[0].append(len(scopes))
+        group[1].append(v)
+        group[2].append(fixed)
+        group[3].extend(weights)
+        # the last predecessor doubled is the slowest-varying axis
+        scopes.append(((v,) if v not in condition else ()) + tuple(reversed(free)))
 
+    def tables() -> list[np.ndarray]:
+        out: list = [None] * len(scopes)
+        for n_free, (ids, names, fixed, weights) in groups.items():
+            field = np.array(fixed)[:, None]
+            w = np.array(weights).reshape(len(ids), n_free)
+            for j in range(n_free):
+                step = w[:, j:j + 1]
+                field = np.concatenate((field - step, field + step), axis=1)
+            odd = _odd_response(params.command_scale * field, params)
+            # row: P(-1) at each field, then P(+1)
+            probs = np.concatenate((1.0 - odd, 1.0 + odd), axis=1)
+            probs *= 0.5
+            half = field.shape[1]
+            for f, v, row in zip(ids, names, probs):
+                if v in condition:
+                    row = row[half:] if condition[v] == 1 else row[:half]
+                out[f] = row.reshape((2,) * len(scopes[f]))
+        return out
 
-def _exact_sum(blocks: Iterable[tuple[np.ndarray, np.ndarray]],
-               keys: Sequence[int] = ()) -> np.ndarray:
-    """Summed weight per pattern of the free-spin columns `keys`.
-
-    `blocks` yields (free spins, weights) pairs that together cover every
-    free pattern once.  Entry c of the result sums the rows whose key
-    column j is +1 exactly where bit j of c is set; with no keys the one
-    entry is the total.  Blocks are pulled one at a time, so a producer's
-    block arrays are freed as the next block is made.
-    """
-    if not keys:
-        total = 0.0
-        for _, weights in blocks:
-            total += float(weights.sum())
-        return np.array([total])
-    sums = np.zeros(1 << len(keys))
-    for spins, weights in blocks:
-        codes = np.zeros(len(weights), dtype=np.int64)
-        for j, col in enumerate(keys):
-            codes |= (spins[:, col] > 0).astype(np.int64) << j
-        sums += np.bincount(codes, weights=weights, minlength=len(sums))
-    return sums
+    return _sum_product(scopes, tables, keys, cap)
 
 
 def conditional_influence(g: HierarchyGraph, a: frozenset[str] | set[str],
@@ -275,8 +424,9 @@ def conditional_influence(g: HierarchyGraph, a: frozenset[str] | set[str],
     the unconditioned vertices and normalizes.  On an acyclic graph with A
     equal to the decider set this reproduces the forward pass exactly; with
     other conditioning sets (or cycles) it is the normalized-sum semantics.
-    Barren vertices are pruned first (see `_prune_barren`), and the cap
-    bounds the free vertices left.
+    Barren vertices are pruned first (see `_prune_barren`) and the rest is
+    summed by variable elimination, whose cap bounds log2 of the largest
+    table one step sums over (see `_sum_product`).
     """
     a = frozenset(a)
     b = frozenset(b)
@@ -288,7 +438,6 @@ def conditional_influence(g: HierarchyGraph, a: frozenset[str] | set[str],
         raise ValueError("target set is empty")
     _validate_assignment(condition, a, "condition")
     kept, roots = _prune_barren(g, a | b)
-    _check_cap(len(kept.vertices) - len(a), cap)
 
     notes: tuple[str, ...] = ()
     if g.topological_order is not None and not a >= deciders(g):
@@ -302,9 +451,7 @@ def conditional_influence(g: HierarchyGraph, a: frozenset[str] | set[str],
 
     b_order = tuple(sorted(b))
     nb = len(b_order)
-    free = [v for v in sorted(kept.vertex_ids) if v not in a]
-    sums = _exact_sum(_iter_weight_blocks(kept, work, params),
-                      [free.index(v) for v in b_order])
+    sums = _vote_sum(g, kept, work, params, b_order, cap)
     z = float(sums.sum())
     complement = np.arange(1 << nb)[::-1]
     if flipped:
@@ -327,17 +474,15 @@ def partition_function(g: HierarchyGraph, a: frozenset[str] | set[str],
 
     Equals exactly 1 on an acyclic graph conditioned on all deciders, and
     2**(number of free deciders) when some deciders are left free; on cyclic
-    graphs it is a genuine normalizer with no closed form.  Barren vertices
-    are pruned first, and the cap bounds the free vertices left.
+    graphs it is a genuine normalizer with no closed form.  Pruning, the
+    sum and the cap are those of `conditional_influence`.
     """
     a = frozenset(a)
     for v in a:
         g.require_vertex(v)
     _validate_assignment(condition, a, "condition")
     kept, roots = _prune_barren(g, a)
-    _check_cap(len(kept.vertices) - len(a), cap)
-    total = _exact_sum(_iter_weight_blocks(kept, condition, params))
-    return float(total[0]) * 2.0 ** roots
+    return float(_vote_sum(g, kept, condition, params, (), cap)[0]) * 2.0 ** roots
 
 
 def sample_many(g: HierarchyGraph, condition: Mapping[str, int],
@@ -382,15 +527,22 @@ def sample_outcome(g: HierarchyGraph, condition: Mapping[str, int],
 def influence_oracle(g: HierarchyGraph, params: VoteParams,
                      cap: int | None = None) -> Callable[[str, Mapping[str, int]], float]:
     """Callable (executive, commands) -> P(executive votes +1 | commands),
-    with commands giving one spin per decider.  Results are cached."""
+    with commands giving one spin per decider.
+
+    Results are cached by the sign-canonical command vector, the one whose
+    first decider says +1: P(+1 | -commands) is the canonical
+    distribution's P(-1), bit for bit what `conditional_influence` gives
+    for the flipped commands.
+    """
     lam = deciders(g)
-    cache: dict[tuple[str, tuple[tuple[str, int], ...]], float] = {}
+    cache: dict[tuple[str, tuple[tuple[str, int], ...]], ConditionalDistribution] = {}
 
     def oracle(executive: str, commands: Mapping[str, int]) -> float:
-        key = (executive, tuple(sorted(commands.items())))
+        flipped = bool(commands) and commands[min(commands)] == -1
+        canonical = {v: -s for v, s in commands.items()} if flipped else dict(commands)
+        key = (executive, tuple(sorted(canonical.items())))
         if key not in cache:
-            dist = conditional_influence(g, lam, {executive}, dict(commands), params, cap)
-            cache[key] = dist.plus_prob(executive)
-        return cache[key]
+            cache[key] = conditional_influence(g, lam, {executive}, canonical, params, cap)
+        return cache[key].prob({executive: -1 if flipped else 1})
 
     return oracle

@@ -217,3 +217,36 @@ def random_digraph(rng: random.Random, n: int, extra: int = 3,
         extra -= 1
     directed = [(f"v{a}", f"v{b}") for a, b in sorted(pairs)]
     return _assemble(n, directed, rng, free_float, noise_sigma)
+
+
+def complete_dag(n_free: int, n_deciders: int = 2, free_float: float = 0.5,
+                 noise_sigma: float = 1.0) -> HierarchyGraph:
+    """Deciders d0.. and free vertices v0..v{n_free-1}, where v_k listens
+    with equal weights to every decider and every earlier free vertex: the
+    densest hierarchy, whose exact sums need a table over every free vertex
+    at once."""
+    deciders = [f"d{k}" for k in range(n_deciders)]
+    free = [f"v{k}" for k in range(n_free)]
+    vertices = [Vertex(d, "decider") for d in deciders]
+    vertices += [Vertex(v, "executive" if k == n_free - 1 else "agent")
+                 for k, v in enumerate(free)]
+    edges = []
+    for k, v in enumerate(free):
+        preds = deciders + free[:k]
+        edges += [Edge(u, v, 1.0 / len(preds)) for u in preds]
+    return HierarchyGraph(tuple(vertices), tuple(edges), free_float, noise_sigma)
+
+
+def random_couplings(rng: random.Random, n: int, extra: int = 3) -> list:
+    """Connected random coupling graph on v00..: a random tree plus `extra`
+    further pairs, each pair (u, v, J) with u < v and J of either sign."""
+    names = [f"v{k:02d}" for k in range(n)]
+    pairs = {tuple(sorted((names[rng.randrange(k)], names[k]))) for k in range(1, n)}
+    tries = 0
+    while extra > 0 and tries < 50 * extra:
+        tries += 1
+        pair = tuple(sorted(rng.sample(names, 2)))
+        if pair not in pairs:
+            pairs.add(pair)
+            extra -= 1
+    return [(u, v, rng.uniform(-1.0, 1.0)) for u, v in sorted(pairs)]

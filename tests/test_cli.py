@@ -6,8 +6,11 @@ import time
 
 import pytest
 
+import helpers
 import hiergame as hg
-from hiergame.cli import EXIT_CAP, EXIT_DEGENERATE, EXIT_INVARIANT, EXIT_OK, EXIT_PARSE, main
+from hiergame import cli
+from hiergame.cli import (EXIT_CAP, EXIT_DEGENERATE, EXIT_INTERNAL, EXIT_INVARIANT, EXIT_OK,
+                          EXIT_PARSE, main)
 
 
 def _write_graph(tmp_path, g, name="graph.json"):
@@ -56,6 +59,31 @@ def test_parse_failure_exit(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] == "GraphFormatError"
     assert "JSON" in err["message"]
+
+
+def test_internal_error_exit(tmp_path, capsys, monkeypatch):
+    # a fault inside a subcommand ends as one JSON line and exit code 1
+    def broken(g):
+        raise RuntimeError("broken validator")
+
+    monkeypatch.setattr(cli, "validate_graph", broken)
+    graph = _write_graph(tmp_path, hg.single_chain(2))
+    assert main(["validate", "--graph", graph]) == EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert json.loads(err) == {"error": "RuntimeError", "message": "broken validator"}
+
+
+def test_parser_is_reused_without_carry_over(tmp_path, capsys):
+    graph = _write_graph(tmp_path, hg.crossed_chains())
+    assert cli._parser() is cli._parser()
+    assert main(["influence", "--graph", graph,
+                 "--condition", "d1=-1", "--condition", "d2=+1"]) == EXIT_OK
+    capsys.readouterr()
+    # the second run gives no --condition: nothing is left over from the first
+    assert main(["influence", "--graph", graph]) == EXIT_INVARIANT
+    err = json.loads(capsys.readouterr().err)
+    assert "missing=['d1', 'd2']" in err["message"]
 
 
 def test_unreadable_graph_everywhere(tmp_path):
@@ -155,9 +183,11 @@ def test_sample_determinism(tmp_path):
 
 
 def test_cap_exit(tmp_path):
-    graph = _write_graph(tmp_path, hg.crossed_chains())
-    assert main(["influence", "--graph", graph, "--cap", "5",
-                 "--condition", "d1=+1", "--condition", "d2=+1"]) == EXIT_CAP
+    # the last of 8 free vertices of a complete DAG needs a table over all 8
+    graph = _write_graph(tmp_path, helpers.complete_dag(8))
+    argv = ["influence", "--graph", graph, "--condition", "d0=+1", "--condition", "d1=+1"]
+    assert main(argv + ["--cap", "7"]) == EXIT_CAP
+    assert main(argv + ["--cap", "8"]) == EXIT_OK
 
 
 def test_degenerate_exit(tmp_path):

@@ -74,24 +74,32 @@ def _all_plus_profile():
     return {"d1": {"1": 1, "2": 1}, "d2": {"1": 1, "2": 1}}
 
 
+def _profile_payoff(pd, lam, tables, profile):
+    """pre_payoff under a command profile: each executive's probability
+    from its table at the commands it receives."""
+    return pre_payoff(pd, [tables[i][tuple(profile[d][i] for d in lam)] for i in pd.players])
+
+
 def test_pre_payoff_points():
     pd = hg.prisoners_dilemma()
     lam = ("d1", "d2")
     for y in (0.6, 0.85, 1.0):
         tables = symmetric_influence(0.3, y)
-        u = pre_payoff(pd, lam, tables, _all_plus_profile())
+        u = _profile_payoff(pd, lam, tables, _all_plus_profile())
         assert u[0] == pytest.approx(2.0 * y - 1.0, abs=1e-14)
         assert u[1] == pytest.approx(u[0], abs=1e-14)
     # coin-flip influence washes every command out
     tables = symmetric_influence(0.5, 0.5)
-    assert pre_payoff(pd, lam, tables, _all_plus_profile()) == \
+    assert _profile_payoff(pd, lam, tables, _all_plus_profile()) == \
         pytest.approx((0.0, 0.0), abs=1e-15)
     # deterministic influence recovers the commanded cell
     tables = symmetric_influence(0.0, 1.0)
     profile = {"d1": {"1": 1, "2": 1}, "d2": {"1": -1, "2": -1}}
     # each executive follows its own near decider at these corners
-    u = pre_payoff(pd, lam, tables, profile)
+    u = _profile_payoff(pd, lam, tables, profile)
     assert u == pytest.approx(pd.payoff((1, -1)), abs=1e-14)
+    with pytest.raises(ValueError, match="one probability per player"):
+        pre_payoff(pd, [0.5])
 
 
 def test_identity_tables_recover_base_dilemma():
@@ -149,7 +157,8 @@ def test_transform_mechanisms_agree_only_under_symmetry():
 
 
 def test_shapley_transform_runs_each_conditional_once(monkeypatch):
-    # the Shapley shares read the influence tables: 2 executives x 4 patterns
+    # the Shapley shares read the influence tables: 2 executives x 4 patterns,
+    # of which the oracle computes the 2 whose first decider says +1
     original = hg.vote.conditional_influence
     calls = []
 
@@ -161,7 +170,7 @@ def test_shapley_transform_runs_each_conditional_once(monkeypatch):
     g = hg.crossed_chains(3, 3, 3, 3)
     hg.transform_game(hg.prisoners_dilemma(), g, hg.VoteParams.from_graph(g),
                       mechanism="shapley")
-    assert len(calls) == 8
+    assert len(calls) == 4
 
 
 def test_transform_player_mismatch():

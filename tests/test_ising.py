@@ -275,13 +275,46 @@ def test_query_validation():
         hg.k_point(model, KPointQuery({"a": 1}, {"zz": 1}))
 
 
+def test_k_point_matches_enumeration_on_random_coupling_graphs():
+    # couplings of either sign on random graphs of 8 to 12 vertices with
+    # cycles; one or two conditioned and one or two target vertices
+    rng = random.Random(808)
+    for k in range(12):
+        couplings = helpers.random_couplings(rng, rng.randint(8, 12), extra=rng.randint(2, 8))
+        vertices = tuple(sorted({u for u, _, _ in couplings} | {v for _, v, _ in couplings}))
+        model = IsingModel(vertices, tuple(couplings), rng.uniform(0.3, 1.5))
+        picked = rng.sample(vertices, 2 + k % 3)
+        n_cond = 1 + (k % 3 == 2)
+        condition = {v: rng.choice((1, -1)) for v in picked[:n_cond]}
+        target = {v: rng.choice((1, -1)) for v in picked[n_cond:]}
+        assert hg.k_point(model, KPointQuery(condition, target)) == \
+            pytest.approx(_corridor_sum(model, condition, target), rel=1e-12)
+        vertex = picked[-1]
+        p = hg.ising_conditional(model, vertex, condition)
+        brute = helpers.brute_ising_conditional(model.couplings, model.beta, vertex, condition)
+        assert p == pytest.approx(brute, abs=1e-12)
+
+
+def _complete_model(n: int, j: float, beta: float) -> IsingModel:
+    names = [f"v{k:02d}" for k in range(n)]
+    couplings = tuple((u, v, j) for u, v in itertools.combinations(names, 2))
+    return IsingModel(tuple(names), couplings, beta)
+
+
 def test_k_point_cap(monkeypatch):
-    model = _path_model(12, 1.0, 1.0)  # 11 interior vertices
+    # the cap bounds log2 of the largest table elimination needs: every
+    # interior vertex of a complete coupling graph meets the other ten
+    model = _complete_model(13, 0.1, 1.0)  # 11 interior vertices
     query = KPointQuery({"v00": 1}, {"v12": 1})
     with pytest.raises(hg.EnumerationCapError):
         hg.k_point(model, query, cap=10)
+    # the 11 interior vertices of a path only ever meet two at a time
+    hg.k_point(_path_model(12, 1.0, 1.0), query, cap=2)
     monkeypatch.setenv("HIERGAME_CAP", "10")
     with pytest.raises(hg.EnumerationCapError):
         hg.k_point(model, query)
     monkeypatch.setenv("HIERGAME_CAP", "11")
     hg.k_point(model, query)
+    monkeypatch.setenv("HIERGAME_CAP", "soft")
+    with pytest.raises(ValueError):
+        hg.k_point(model, query)

@@ -327,7 +327,7 @@ def test_pruned_conditional_matches_brute_force():
         for key, prob in expected.items():
             assert dist.table[key] == pytest.approx(prob, abs=1e-12)
         kept, _ = _prune_barren(g, frozenset(a) | frozenset(b))
-        pruned += len(kept.vertices) < len(g.vertices)
+        pruned += len(kept) < len(g.vertices)
     assert pruned >= 12
 
 
@@ -352,22 +352,68 @@ def test_pruned_partition_counts_free_deciders():
 
 
 def test_enumeration_cap(monkeypatch):
-    # the joint target keeps all four arms: 14 free vertices after pruning
-    g = hg.crossed_chains()
+    # the cap bounds log2 of the largest table elimination needs; on a
+    # complete DAG every free vertex meets every other one, so the last
+    # vertex needs a table over all 14
+    g = helpers.complete_dag(14)
     params = VoteParams.from_graph(g)
-    cond = {"d1": 1, "d2": 1}
+    lam = {"d0", "d1"}
+    cond = {"d0": 1, "d1": 1}
     with pytest.raises(hg.EnumerationCapError):
-        hg.conditional_influence(g, {"d1", "d2"}, {"1", "2"}, cond, params, cap=10)
-    # executive "1" alone: executive "2" goes, then the two arms into it
-    hg.conditional_influence(g, {"d1", "d2"}, {"1"}, cond, params, cap=7)
+        hg.conditional_influence(g, lam, {"v13"}, cond, params, cap=13)
+    hg.conditional_influence(g, lam, {"v13"}, cond, params, cap=14)
+    # target "v6": v13, then v12, ..., then v7 go, leaving a table over 7
+    hg.conditional_influence(g, lam, {"v6"}, cond, params, cap=7)
     monkeypatch.setenv("HIERGAME_CAP", "10")
     with pytest.raises(hg.EnumerationCapError):
-        hg.conditional_influence(g, {"d1", "d2"}, {"1", "2"}, cond, params)
+        hg.conditional_influence(g, lam, {"v13"}, cond, params)
     monkeypatch.setenv("HIERGAME_CAP", "14")
-    hg.conditional_influence(g, {"d1", "d2"}, {"1", "2"}, cond, params)
+    hg.conditional_influence(g, lam, {"v13"}, cond, params)
     monkeypatch.setenv("HIERGAME_CAP", "soft")
     with pytest.raises(ValueError):
-        hg.conditional_influence(g, {"d1", "d2"}, {"1", "2"}, cond, params)
+        hg.conditional_influence(g, lam, {"v13"}, cond, params)
+    # a factor over 300 spins trips the cap before any elimination bookkeeping
+    monkeypatch.delenv("HIERGAME_CAP")
+    big = helpers.complete_dag(300)
+    with pytest.raises(hg.EnumerationCapError, match="300 spins"):
+        hg.conditional_influence(big, lam, {"v299"}, cond, VoteParams.from_graph(big))
+
+
+def test_long_chain_conditional_is_exact():
+    # a chain's elimination tables have two spins at most, whatever its length
+    for beta, free_float in ((5.0, 0.5), (3.0, 0.3)):
+        g = hg.single_chain(3000, free_float=free_float, noise_sigma=hg.sigma_for_beta(beta))
+        params = VoteParams.from_graph(g)
+        beta_j = params.gain * params.command_scale
+        for spin in (1, -1):
+            dist = hg.conditional_influence(g, {"d1"}, {"1"}, {"d1": spin}, params)
+            assert dist.plus_prob("1") == pytest.approx(
+                hg.chain_conditional(3000, beta_j, spin, 1), abs=1e-12)
+
+
+def test_eliminated_sums_match_brute_force():
+    # DAGs and cyclic digraphs of 8 to 12 vertices with extra edges that
+    # widen the elimination tables; decider, mid-graph and empty conditions;
+    # single and joint targets and the partition sum, in both modes
+    rng = random.Random(4242)
+    for k in range(18):
+        make = (helpers.random_dag, helpers.random_digraph)[k % 2]
+        g = make(rng, rng.randint(8, 12), extra=rng.randint(2, 8))
+        mode = ("tanh", "gaussian")[k // 2 % 2]
+        params = VoteParams.from_graph(g, mode=mode)
+        ids = sorted(g.vertex_ids)
+        kind = k // 4 % 3
+        a = (sorted(hg.deciders(g)) if kind == 0
+             else rng.sample(ids, rng.randint(1, 3)) if kind == 1 else [])
+        condition = {v: rng.choice((1, -1)) for v in a}
+        rest = [v for v in ids if v not in a]
+        b = rng.sample(rest, 1 + k % 3 // 2)
+        dist = hg.conditional_influence(g, set(a), set(b), condition, params)
+        expected = helpers.brute_vote_joint(g, list(dist.vertices), condition, mode)
+        for key, prob in expected.items():
+            assert dist.table[key] == pytest.approx(prob, abs=1e-12)
+        z = hg.partition_function(g, set(a), condition, params)
+        assert z == pytest.approx(helpers.brute_vote_partition(g, condition, mode), rel=1e-12)
 
 
 def test_argument_validation():
