@@ -19,10 +19,10 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DegenerateInfluenceError, GameFormatError
+from .errors import GameFormatError
 from .graph import HierarchyGraph, deciders as graph_deciders, executives as graph_executives
-from .payoff import (DEGENERACY_TOL, InfluenceOracle, ShareMatrix, shapley_shares,
-                     shares_by_paths)
+from .payoff import (InfluenceOracle, ShareMatrix, oracle_table, require_decided,
+                     shapley_from_table, shapley_shares, shares_by_paths)
 from .vote import VoteParams, influence_oracle
 
 NASH_TOL = 1e-12
@@ -144,14 +144,9 @@ def influence_tables(g: HierarchyGraph, params: VoteParams,
                      cap: int | None = None) -> dict[str, dict[tuple[int, ...], float]]:
     """P(executive votes +1 | command pattern) for every executive and every
     pattern of decider commands on that executive's coordinate."""
-    oracle = influence_oracle(g, params, cap)
-    tables: dict[str, dict[tuple[int, ...], float]] = {}
-    for i in execs:
-        tables[i] = {
-            pattern: oracle(i, dict(zip(lam_order, pattern)))
-            for pattern in product((1, -1), repeat=len(lam_order))
-        }
-    return tables
+    execs = tuple(execs)
+    table = oracle_table(influence_oracle(g, params, cap), lam_order, execs)
+    return {i: {pattern: float(p[k]) for pattern, p in table.items()} for k, i in enumerate(execs)}
 
 
 def symmetric_influence(x: float, y: float,
@@ -179,7 +174,8 @@ def pre_payoff(g: NormalFormGame, probs: Sequence[float]) -> tuple[float, ...]:
     with probability probs[k].
 
     Executives act independently, so expected payoffs multiply out over
-    the product distribution.
+    the product distribution.  Floats or arrays of one shape: each array
+    entry is exactly what the scalar call at that point returns.
     """
     if len(probs) != len(g.players):
         raise ValueError(f"need one probability per player, got {len(probs)}")
@@ -191,6 +187,24 @@ def pre_payoff(g: NormalFormGame, probs: Sequence[float]) -> tuple[float, ...]:
         for j, u in enumerate(g.payoffs[spins]):
             totals[j] += w * u
     return tuple(totals)
+
+
+@np.errstate(invalid="ignore")  # degenerate batch points carry inf shares
+def _decider_payoffs(base: NormalFormGame, table: Mapping[tuple[int, ...], np.ndarray],
+                     shares: Sequence[np.ndarray]) -> np.ndarray:
+    """The decider-game tensor, shape B + (2^n,) * m + (m,) over batch axes
+    B: `table` is an `oracle_table` over the players (shape (n,) + B), and
+    decider d receives sum_k shares[d][k] times executive k's expected
+    payoff from `pre_payoff`."""
+    n, m = len(base.players), len(shares)
+    column = np.stack([table[p] for p in product((1, -1), repeat=m)], axis=-1)
+    # executive k receives bit n-1-k of each decider's strategy index (set
+    # for -1), which is that decider's axis of the table's (2,) * m layout
+    column = column.reshape(column.shape[:-1] + (2,) * m)
+    bits = [(np.arange(2 ** n) >> (n - 1 - k)) & 1 for k in range(n)]
+    expected = pre_payoff(base, [column[k][(...,) + np.ix_(*[bits[k]] * m)] for k in range(n)])
+    return np.stack([sum(np.asarray(row[k])[(...,) + (None,) * m] * expected[k]
+                         for k in range(n)) for row in shares], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -225,21 +239,12 @@ def transform_from_tables(base: NormalFormGame, lam_order: tuple[str, ...],
                           tables: ConditionalTables, shares: ShareMatrix,
                           provenance: Mapping[str, object] | None = None) -> TransformedGame:
     """Assemble the decider game from explicit conditionals and shares."""
-    n = len(base.players)
-    m = len(lam_order)
-    strategies = tuple(product((1, -1), repeat=n))
-    n_strat = len(strategies)
-    share_rows = [[shares.share(lam, i) for i in base.players] for lam in lam_order]
-
-    payoffs = np.zeros((n_strat,) * m + (m,))
-    for idx in product(range(n_strat), repeat=m):
-        # executive k reads the k-th command of each decider's strategy
-        expected = pre_payoff(base, [tables[i][tuple(strategies[j][k] for j in idx)]
-                                     for k, i in enumerate(base.players)])
-        for d in range(m):
-            row = share_rows[d]
-            payoffs[idx + (d,)] = sum(row[j] * expected[j] for j in range(n))
-    return TransformedGame(lam_order, base.players, strategies, payoffs,
+    table = oracle_table(table_oracle(tables, lam_order), lam_order, base.players)
+    payoffs = _decider_payoffs(base, table,
+                               [[shares.share(lam, i) for i in base.players]
+                                for lam in lam_order])
+    return TransformedGame(lam_order, base.players,
+                           tuple(product((1, -1), repeat=len(base.players))), payoffs,
                            dict(base.labels), dict(provenance or {}))
 
 
@@ -287,56 +292,25 @@ def pure_nash(tg: TransformedGame, tol: float = NASH_TOL) -> tuple[tuple[int, ..
                         for idx in np.argwhere(nash_mask(tg.payoffs, tol))))
 
 
-def _two_decider_shapley(table: Mapping[tuple[int, int], np.ndarray]
-                         ) -> tuple[np.ndarray, np.ndarray]:
-    """Shapley shares of d1 and d2 in one executive's coalition game, from
-    its influence table: shapley_shares and coalition_value for two
-    deciders, operation for operation, so the shares agree bit for bit."""
-    span = 2.0 * table[(1, 1)] - 1.0
-    none = table[(-1, -1)]
-    z = {k: (table[k] - none) / span for k in ((-1, -1), (1, -1), (-1, 1), (1, 1))}
-    # the Shapley weights are both 1/2; 0.0 + starts the running total
-    first = 0.0 + 0.5 * (z[(1, -1)] - z[(-1, -1)]) + 0.5 * (z[(1, 1)] - z[(-1, 1)])
-    second = 0.0 + 0.5 * (z[(-1, 1)] - z[(-1, -1)]) + 0.5 * (z[(1, 1)] - z[(1, -1)])
-    return first, second
-
-
 def symmetric_payoffs(x, y, base: NormalFormGame | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Decider-game payoffs at symmetric influence points, and which points
     are degenerate.
 
     `x` and `y` are floats or arrays of one shape, a batch of points.  The
     payoffs have shape ``np.shape(x) + (4, 4, 2)``, indexed like
-    `TransformedGame.payoffs` of `symmetric_transform`.  They are the
-    Shapley shares of `shapley_shares` and the tensor of
-    `transform_from_tables` for the tables of `symmetric_influence`, with
-    every floating-point operation in the same order, so each tensor equals
-    theirs bit for bit.  A point is degenerate when |2y - 1| is below
-    DEGENERACY_TOL: no share is defined there and its payoffs are
-    meaningless.
+    `TransformedGame.payoffs` of `symmetric_transform`.  The tables of
+    `symmetric_influence` take the code path of `shapley_shares` and
+    `transform_from_tables`, so each tensor is theirs bit for bit.  A
+    point is degenerate when |2y - 1| < DEGENERACY_TOL: no share is defined
+    there and its payoffs are meaningless.
     """
     base = base if base is not None else prisoners_dilemma()
     x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-    by_executive = symmetric_influence(x, y, SYMMETRIC_DECIDERS, base.players)
-    tables = [by_executive[i] for i in base.players]
-    strategies = tuple(product((1, -1), repeat=2))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        shares = [_two_decider_shapley(table) for table in tables]
-        # probs[k][..., a, b]: executive k's P(+1) when d1 plays strategy a
-        # and d2 plays strategy b
-        probs = [np.stack([table[(a[k], b[k])] for a in strategies for b in strategies],
-                          axis=-1).reshape(x.shape + (4, 4))
-                 for k, table in enumerate(tables)]
-        (p0, p1), (q0, q1) = probs, [1.0 - p for p in probs]
-        expected = [0.0, 0.0]
-        for s0, s1 in strategies:
-            w = (p0 if s0 == 1 else q0) * (p1 if s1 == 1 else q1)
-            for j, u in enumerate(base.payoffs[(s0, s1)]):
-                expected[j] = expected[j] + w * u
-        payoffs = np.stack([
-            sum(np.asarray(shares[j][d])[..., None, None] * expected[j] for j in range(2))
-            for d in range(2)], axis=-1)
-    return payoffs, abs(2.0 * y - 1.0) < DEGENERACY_TOL
+    tables = symmetric_influence(x, y, SYMMETRIC_DECIDERS, base.players)
+    table = oracle_table(table_oracle(tables, SYMMETRIC_DECIDERS), SYMMETRIC_DECIDERS,
+                         base.players)
+    shares, degenerate = shapley_from_table(table)
+    return _decider_payoffs(base, table, shares), degenerate.any(axis=0)
 
 
 def symmetric_transform(x: float, y: float,
@@ -345,9 +319,7 @@ def symmetric_transform(x: float, y: float,
     two-decider, two-executive layout."""
     base = base if base is not None else prisoners_dilemma()
     payoffs, degenerate = symmetric_payoffs(x, y, base)
-    if degenerate:
-        raise DegenerateInfluenceError(
-            f"unanimous commands leave executive {min(base.players)!r} undecided")
+    require_decided(degenerate, (min(base.players),))
     return TransformedGame(SYMMETRIC_DECIDERS, base.players,
                            tuple(product((1, -1), repeat=2)), payoffs, dict(base.labels),
                            {"mechanism": "shapley", "x": x, "y": y})

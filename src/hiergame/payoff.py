@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 from typing import Callable, Iterable, Mapping
+
+import numpy as np
 
 from .errors import CyclicGraphError, DegenerateInfluenceError
 from .graph import HierarchyGraph, deciders, executives
@@ -22,32 +24,30 @@ InfluenceOracle = Callable[[str, Mapping[str, int]], float]
 DEGENERACY_TOL = 1e-12
 
 
-def _pattern(lam: Iterable[str], plus: Iterable[str]) -> dict[str, int]:
-    plus = set(plus)
-    return {v: (1 if v in plus else -1) for v in lam}
+@np.errstate(divide="ignore", invalid="ignore")
+def _coalition_values(table: Mapping[tuple[int, ...], float]):
+    """Pull (p_K - p_none) / (2 p_all - 1) of each coalition K (a frozenset of
+    decider positions) in one executive's {command pattern: P(+1)}, and the
+    mask |2 p_all - 1| < DEGENERACY_TOL where no share is defined."""
+    m = len(next(iter(table)))
+    span = 2.0 * table[(1,) * m] - 1.0
+    none = table[(-1,) * m]
+    return ({frozenset(j for j, s in enumerate(pattern) if s == 1): np.divide(p - none, span)
+             for pattern, p in table.items()}, abs(span) < DEGENERACY_TOL)
 
 
-def coalition_value(oracle: InfluenceOracle, executive: str,
-                    coalition: Iterable[str], lam: Iterable[str]) -> float:
-    """Normalized pull of the coalition on one executive.
+def oracle_table(oracle: InfluenceOracle, lam: tuple[str, ...], execs: tuple[str, ...]):
+    """{command pattern over `lam`: P(+1) of each of `execs`, in order on a
+    leading axis}, one oracle call per executive and pattern."""
+    return {pattern: np.array([oracle(i, dict(zip(lam, pattern))) for i in execs], dtype=float)
+            for pattern in product((1, -1), repeat=len(lam))}
 
-    (P(+1 | +1 exactly on K) - P(+1 | all -1)) / (2 P(+1 | all +1) - 1).
-    Raises DegenerateInfluenceError when unanimous commands leave the
-    executive at a coin flip, since then no share is defined.
-    """
-    lam = tuple(sorted(set(lam)))
-    coalition = frozenset(coalition)
-    if not coalition <= set(lam):
-        raise ValueError("coalition must be a subset of the deciders")
-    p_all = oracle(executive, _pattern(lam, lam))
-    span = 2.0 * p_all - 1.0
-    if abs(span) < DEGENERACY_TOL:
-        raise DegenerateInfluenceError(
-            f"unanimous commands leave executive {executive!r} undecided"
-        )
-    p_k = oracle(executive, _pattern(lam, coalition))
-    p_none = oracle(executive, _pattern(lam, ()))
-    return (p_k - p_none) / span
+
+def require_decided(degenerate, execs: tuple[str, ...]) -> None:
+    """Raise DegenerateInfluenceError for the first executive whose mask is set."""
+    if np.any(degenerate):
+        raise DegenerateInfluenceError(f"unanimous commands leave executive "
+                                       f"{execs[int(np.argmax(degenerate))]!r} undecided")
 
 
 @dataclass(frozen=True)
@@ -64,11 +64,43 @@ def build_coalition_function(oracle: InfluenceOracle, executive: str,
                              lam: Iterable[str]) -> CoalitionFunction:
     """Tabulate the coalition value over every subset of deciders."""
     lam = tuple(sorted(set(lam)))
-    table = {}
-    for size in range(len(lam) + 1):
-        for combo in combinations(lam, size):
-            table[frozenset(combo)] = coalition_value(oracle, executive, combo, lam)
-    return CoalitionFunction(executive, lam, table)
+    values, degenerate = _coalition_values(oracle_table(oracle, lam, (executive,)))
+    require_decided(degenerate, (executive,))
+    return CoalitionFunction(executive, lam, {frozenset(lam[j] for j in k): float(value[0])
+                                              for k, value in values.items()})
+
+
+def coalition_value(oracle: InfluenceOracle, executive: str,
+                    coalition: Iterable[str], lam: Iterable[str]) -> float:
+    """Normalized pull of the coalition on one executive:
+    (P(+1 | +1 exactly on K) - P(+1 | all -1)) / (2 P(+1 | all +1) - 1).
+    Raises DegenerateInfluenceError when the denominator vanishes."""
+    coalition, lam = frozenset(coalition), frozenset(lam)
+    if not coalition <= lam:
+        raise ValueError("coalition must be a subset of the deciders")
+    return build_coalition_function(oracle, executive, lam).value(coalition)
+
+
+@np.errstate(invalid="ignore")
+def shapley_from_table(table: Mapping[tuple[int, ...], float]):
+    """Shapley share of each decider in one executive's coalition game, and
+    the degeneracy mask.  `table` gives P(+1) under every command pattern,
+    as floats or arrays of one shape (a batch of executives or points).
+    Weights (|K|-1)! (m-|K|)! / m! apply to marginal contributions z(K) - z(K - {d})."""
+    values, degenerate = _coalition_values(table)
+    m = len(next(iter(table)))
+    fact = math.factorial
+    weights = {size: fact(size - 1) * fact(m - size) / fact(m) for size in range(1, m + 1)}
+    shares = []
+    for member in range(m):
+        total = 0.0
+        for size in range(1, m + 1):
+            for combo in combinations(range(m), size):
+                if member in combo:
+                    k = frozenset(combo)
+                    total += weights[size] * (values[k] - values[k - {member}])
+        shares.append(total)
+    return shares, degenerate
 
 
 @dataclass(frozen=True)
@@ -88,31 +120,16 @@ class ShareMatrix:
 
 def shapley_shares(oracle: InfluenceOracle, lam: Iterable[str],
                    execs: Iterable[str]) -> ShareMatrix:
-    """Shapley value of each decider in every executive's coalition game.
-
-    Standard weights (|K|-1)! (m-|K|)! / m! over coalitions containing the
-    decider, applied to the marginal contribution z(K) - z(K minus decider).
-    """
+    """Shapley value of each decider in every executive's coalition game."""
     lam = tuple(sorted(set(lam)))
     execs = tuple(sorted(set(execs)))
     if not lam:
         raise ValueError("need at least one decider")
-    m = len(lam)
-    fact = math.factorial
-    weights = {size: fact(size - 1) * fact(m - size) / fact(m) for size in range(1, m + 1)}
-    values: dict[tuple[str, str], float] = {}
-    for i in execs:
-        cf = build_coalition_function(oracle, i, lam)
-        for member in lam:
-            total = 0.0
-            for size in range(1, m + 1):
-                for combo in combinations(lam, size):
-                    if member not in combo:
-                        continue
-                    k = frozenset(combo)
-                    total += weights[size] * (cf.table[k] - cf.table[k - {member}])
-            values[(member, i)] = total
-    return ShareMatrix(lam, execs, values)
+    shares, degenerate = shapley_from_table(oracle_table(oracle, lam, execs))
+    require_decided(degenerate, execs)
+    rows = np.array(shares).T.tolist()  # per executive, one share per decider
+    return ShareMatrix(lam, execs, {(member, i): v for i, row in zip(execs, rows)
+                                    for member, v in zip(lam, row)})
 
 
 def shares_by_paths(g: HierarchyGraph,

@@ -29,6 +29,8 @@ MODE_GAUSSIAN = "gaussian"
 
 DEFAULT_CAP = 22
 CAP_ENV_VAR = "HIERGAME_CAP"
+# draws times vertices that sample_many may hold, one int8 spin each
+MAX_SAMPLE_SPINS = 10**8
 
 # products that cost about as much as one einsum call: cheaper steps are joined
 _FUSE_PRODUCTS = 1 << 9
@@ -489,8 +491,9 @@ def sample_many(g: HierarchyGraph, condition: Mapping[str, int],
                 params: VoteParams, n: int, seed: int) -> dict[str, np.ndarray]:
     """Draw `n` independent full spin assignments by ancestral sampling.
 
-    Requires an acyclic graph conditioned on exactly the decider set.
-    Returns an int8 array of +-1 per vertex; deterministic in `seed`.
+    Requires an acyclic graph conditioned on exactly the decider set, and
+    at most MAX_SAMPLE_SPINS draws times vertices.  Returns an int8 array
+    of +-1 per vertex; deterministic in `seed`.
     """
     order = g.topological_order
     if order is None:
@@ -499,6 +502,9 @@ def sample_many(g: HierarchyGraph, condition: Mapping[str, int],
     _validate_assignment(condition, lam, "condition")
     if n < 1:
         raise ValueError("need at least one sample")
+    if n * len(g.vertices) > MAX_SAMPLE_SPINS:
+        raise ValueError(f"{n} draws over {len(g.vertices)} vertices hold more than "
+                         f"{MAX_SAMPLE_SPINS} spins, the sampling limit")
 
     rng = np.random.default_rng(seed)
     scale = params.command_scale

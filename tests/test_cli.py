@@ -1,10 +1,17 @@
 """End-to-end command-line behavior: exit codes, files, determinism."""
 
+import contextlib
 import hashlib
+import io
 import json
+import math
+import tempfile
 import time
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 import hiergame as hg
@@ -182,6 +189,26 @@ def test_sample_determinism(tmp_path):
     assert freq["1"] == pytest.approx(dist.plus_prob("1"), abs=0.03)
 
 
+def test_sample_limit_exit(tmp_path, capsys, monkeypatch):
+    g = hg.crossed_chains()
+    graph = _write_graph(tmp_path, g)
+    flags = ["sample", "--graph", graph, "--condition", "d1=+1", "--condition", "d2=+1"]
+    t0 = time.perf_counter()
+    assert main(flags + ["--samples", "10000000000000"]) == EXIT_INVARIANT
+    assert time.perf_counter() - t0 < 1.0
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "ValueError"
+    assert str(hg.vote.MAX_SAMPLE_SPINS) in err["message"]
+    # the README example fits with room to spare
+    assert 100000 * len(g.vertices) <= hg.vote.MAX_SAMPLE_SPINS // 10
+    # the limit counts draws times vertices, inclusive
+    monkeypatch.setattr(hg.vote, "MAX_SAMPLE_SPINS", 100 * len(g.vertices))
+    assert main(flags + ["--samples", "100"]) == EXIT_OK
+    assert main(flags + ["--samples", "101"]) == EXIT_INVARIANT
+
+
 def test_cap_exit(tmp_path):
     # the last of 8 free vertices of a complete DAG needs a table over all 8
     graph = _write_graph(tmp_path, helpers.complete_dag(8))
@@ -333,3 +360,51 @@ def test_argparse_rejects_unknown(tmp_path):
     assert exc.value.code == 2
     with pytest.raises(SystemExit):
         main(["no-such-command"])
+
+
+# one field of the crossed_chains() graph JSON: a top-level key, or a key of
+# one vertex or one edge (the graph has 16 of each)
+_FIELDS = st.one_of(
+    st.sampled_from(["free_float", "noise_sigma", "vertices", "edges"]).map(lambda k: (k,)),
+    st.tuples(st.just("vertices"), st.integers(0, 15), st.sampled_from(["id", "role"])),
+    st.tuples(st.just("edges"), st.integers(0, 15), st.sampled_from(["from", "to", "weight"])),
+)
+_DELETE = object()
+_VALUES = st.sampled_from([
+    _DELETE, None, math.nan, math.inf, -math.inf, 1e308, -1e308, 0, -1, True, "x", [], {},
+    "ghost", "d1", "1", "decider", "agent", "executive",
+])
+_CONDITION = ["--condition", "d1=+1", "--condition", "d2=-1"]
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(field=_FIELDS, value=_VALUES)
+def test_mutated_graph_exits_cleanly(field, value):
+    data = hg.graph_to_dict(hg.crossed_chains())
+    *path, key = field
+    target = data
+    for step in path:
+        target = target[step]
+    if value is _DELETE:
+        del target[key]
+    else:
+        target[key] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        graph, game = Path(tmp) / "graph.json", Path(tmp) / "game.json"
+        graph.write_text(json.dumps(data))
+        hg.save_game(hg.prisoners_dilemma(), game)
+        runs = (["validate", "--graph", str(graph)],
+                ["influence", "--graph", str(graph)] + _CONDITION,
+                ["ising", "--graph", str(graph), "--target", "1"] + _CONDITION,
+                ["sample", "--graph", str(graph), "--samples", "50"] + _CONDITION,
+                ["transform", "--graph", str(graph), "--game", str(game)])
+        for argv in runs:
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in (EXIT_OK, EXIT_PARSE, EXIT_INVARIANT, EXIT_CAP, EXIT_DEGENERATE), \
+                (argv[0], field, value, err.getvalue())
+            lines = err.getvalue().splitlines()
+            assert len(lines) <= 1
+            if lines:
+                assert set(json.loads(lines[0])) == {"error", "message"}

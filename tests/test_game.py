@@ -8,6 +8,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+import helpers
 import hiergame as hg
 from hiergame.game import (REGIME_LABELS, NormalFormGame, TransformedGame,
                            nash_mask, pre_payoff, regime_map, symmetric_influence,
@@ -100,6 +101,15 @@ def test_pre_payoff_points():
     assert u == pytest.approx(pd.payoff((1, -1)), abs=1e-14)
     with pytest.raises(ValueError, match="one probability per player"):
         pre_payoff(pd, [0.5])
+    # arrays of probabilities, corners included: every entry is exactly the
+    # scalar call's result at that point
+    rng = np.random.default_rng(3)
+    probs = [rng.uniform(0.0, 1.0, (6, 5)) for _ in pd.players]
+    probs[0][0, :2], probs[1][1, :2] = (0.0, 1.0), (1.0, 0.0)
+    batched = pre_payoff(pd, probs)
+    for idx in np.ndindex(6, 5):
+        scalar = pre_payoff(pd, [p[idx].item() for p in probs])
+        assert np.array_equal([u[idx] for u in batched], scalar)
 
 
 def test_identity_tables_recover_base_dilemma():
@@ -120,6 +130,34 @@ def test_identity_tables_recover_base_dilemma():
     assert eqs == ((2, 1), (2, 3), (3, 1), (3, 3))
     for idx in eqs:
         assert tuple(tg.payoffs[idx]) == (-1.0, -1.0)
+
+
+def _random_base(rng, players):
+    return NormalFormGame(tuple(players), {
+        spins: tuple(rng.uniform(-3.0, 3.0) for _ in players)
+        for spins in product((1, -1), repeat=len(players))})
+
+
+@pytest.mark.parametrize("m,n", [(3, 3), (4, 2), (2, 3)])
+def test_transform_matches_brute_force(m, n):
+    # Shapley shares over all m! orderings and expected payoffs summed over
+    # every executive spin profile, against the one tensor assembly
+    rng = random.Random(100 * m + n)
+    lam = tuple(f"d{k}" for k in range(m))
+    for _ in range(3):
+        base = _random_base(rng, [str(k) for k in range(1, n + 1)])
+        tables = {}
+        for i in base.players:
+            tables[i] = {p: rng.uniform(0.05, 0.95) for p in product((1, -1), repeat=m)}
+            tables[i][(1,) * m] = rng.uniform(0.6, 0.95)
+        shares = hg.shapley_shares(table_oracle(tables, lam), lam, base.players)
+        tg = transform_from_tables(base, lam, tables, shares)
+        assert tg.payoffs.shape == (2 ** n,) * m + (m,)
+        brute = helpers.brute_decider_game(base.payoffs, list(base.players), list(lam), tables)
+        assert len(brute) == 2 ** (n * m)
+        for profile, expected in brute.items():
+            idx = tuple(tg.strategies.index(vec) for vec in profile)
+            assert tg.payoffs[idx] == pytest.approx(expected, abs=1e-12)
 
 
 def test_transform_matches_symmetric_tensor():
