@@ -341,7 +341,7 @@ def _chain_point(a: float, c: float, beta: float, d: float) -> tuple[float, floa
     if not 0.0 < d < 1.0:
         raise ValueError(f"D must lie inside (0, 1), got {d}")
     beta = beta * (1.0 - d) / d
-    if a != int(a) or c != int(c) or a < 1 or c < 1:
+    if not (a.is_integer() and c.is_integer() and a >= 1 and c >= 1):
         raise ValueError(f"chain lengths must be positive integers, got a={a} c={c}")
     return _map_domain(*chain_xy(int(a), int(c), beta))
 
@@ -411,8 +411,16 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors end like every other failure:
+    one JSON line on stderr, then exit code 2 (EXIT_PARSE)."""
+
+    def error(self, message: str):
+        sys.exit(_fail(argparse.ArgumentError(None, f"{self.prog}: {message}"), EXIT_PARSE))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hiergame",
         description="Hierarchical command games: votes, Ising conditionals, "
                     "transformed games, equilibria, sweeps.")

@@ -10,6 +10,7 @@ game among the deciders that can be solved for pure equilibria.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -179,14 +180,25 @@ def pre_payoff(g: NormalFormGame, probs: Sequence[float]) -> tuple[float, ...]:
     """
     if len(probs) != len(g.players):
         raise ValueError(f"need one probability per player, got {len(probs)}")
+    minus = [1.0 - p for p in probs]
     totals = [0.0] * len(g.players)
     for spins in product((1, -1), repeat=len(g.players)):
         w = 1.0
-        for p, s in zip(probs, spins):
-            w *= p if s == 1 else 1.0 - p
+        for p, q, s in zip(probs, minus, spins):
+            w *= p if s == 1 else q
         for j, u in enumerate(g.payoffs[spins]):
             totals[j] += w * u
     return tuple(totals)
+
+
+@functools.lru_cache(maxsize=32)
+def _profile_gather(n: int, m: int) -> tuple[tuple, ...]:
+    """Per executive k of n, the index that reads its P(+1) from a (2,) * m
+    table at every profile of m deciders' strategy indices: executive k
+    receives bit n-1-k of each decider's strategy index (set for -1), which
+    is that decider's axis of the table."""
+    bits = [(np.arange(2 ** n) >> (n - 1 - k)) & 1 for k in range(n)]
+    return tuple((...,) + np.ix_(*[b] * m) for b in bits)
 
 
 @np.errstate(invalid="ignore")  # degenerate batch points carry inf shares
@@ -198,11 +210,9 @@ def _decider_payoffs(base: NormalFormGame, table: Mapping[tuple[int, ...], np.nd
     payoff from `pre_payoff`."""
     n, m = len(base.players), len(shares)
     column = np.stack([table[p] for p in product((1, -1), repeat=m)], axis=-1)
-    # executive k receives bit n-1-k of each decider's strategy index (set
-    # for -1), which is that decider's axis of the table's (2,) * m layout
     column = column.reshape(column.shape[:-1] + (2,) * m)
-    bits = [(np.arange(2 ** n) >> (n - 1 - k)) & 1 for k in range(n)]
-    expected = pre_payoff(base, [column[k][(...,) + np.ix_(*[bits[k]] * m)] for k in range(n)])
+    expected = pre_payoff(base, [column[k][index]
+                                 for k, index in enumerate(_profile_gather(n, m))])
     return np.stack([sum(np.asarray(row[k])[(...,) + (None,) * m] * expected[k]
                          for k in range(n)) for row in shares], axis=-1)
 

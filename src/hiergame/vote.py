@@ -356,6 +356,27 @@ class ConditionalDistribution:
             yield dict(zip(self.vertices, key)), p
 
 
+def _vote_tables(fixed: Sequence[float], weights: Sequence[float], n_free: int,
+                 params: VoteParams) -> np.ndarray:
+    """Vote tables of vertices with `n_free` summed predecessors each, one
+    row per vertex: P(-1) at every pattern of those predecessors, then
+    P(+1), pattern bit j set where the row's predecessor j is +1.
+
+    Row r's field starts at ``fixed[r]`` and adds -w or +w per predecessor,
+    in the order of its `n_free` entries of `weights` (row-major), doubling
+    once per predecessor; one response call covers every row.
+    """
+    field = np.array(fixed)[:, None]
+    w = np.array(weights).reshape(len(fixed), n_free)
+    for j in range(n_free):
+        step = w[:, j:j + 1]
+        field = np.concatenate((field - step, field + step), axis=1)
+    odd = _odd_response(params.command_scale * field, params)
+    probs = np.concatenate((1.0 - odd, 1.0 + odd), axis=1)
+    probs *= 0.5
+    return probs
+
+
 def _vote_sum(g: HierarchyGraph, kept: Sequence[str], condition: Mapping[str, int],
               params: VoteParams, keys: Sequence[str] = (),
               cap: int | None = None) -> np.ndarray:
@@ -365,8 +386,7 @@ def _vote_sum(g: HierarchyGraph, kept: Sequence[str], condition: Mapping[str, in
     Each kept vertex with predecessors contributes its vote factor, a table
     over its free spin and its free predecessors' spins, with the
     conditioned vertices holding their fixed spins.  Factors with the same
-    number of free predecessors are built together: their fields double
-    once per free predecessor, and one response call covers the group.
+    number of free predecessors are built together by `_vote_tables`.
     """
     scopes: list[tuple[str, ...]] = []
     # free predecessors -> (factor ids, vertices, fixed fields, free weights)
@@ -396,16 +416,8 @@ def _vote_sum(g: HierarchyGraph, kept: Sequence[str], condition: Mapping[str, in
     def tables() -> list[np.ndarray]:
         out: list = [None] * len(scopes)
         for n_free, (ids, names, fixed, weights) in groups.items():
-            field = np.array(fixed)[:, None]
-            w = np.array(weights).reshape(len(ids), n_free)
-            for j in range(n_free):
-                step = w[:, j:j + 1]
-                field = np.concatenate((field - step, field + step), axis=1)
-            odd = _odd_response(params.command_scale * field, params)
-            # row: P(-1) at each field, then P(+1)
-            probs = np.concatenate((1.0 - odd, 1.0 + odd), axis=1)
-            probs *= 0.5
-            half = field.shape[1]
+            probs = _vote_tables(fixed, weights, n_free, params)
+            half = 1 << n_free
             for f, v, row in zip(ids, names, probs):
                 if v in condition:
                     row = row[half:] if condition[v] == 1 else row[:half]
@@ -492,8 +504,14 @@ def sample_many(g: HierarchyGraph, condition: Mapping[str, int],
     """Draw `n` independent full spin assignments by ancestral sampling.
 
     Requires an acyclic graph conditioned on exactly the decider set, and
-    at most MAX_SAMPLE_SPINS draws times vertices.  Returns an int8 array
-    of +-1 per vertex; deterministic in `seed`.
+    at most MAX_SAMPLE_SPINS draws times vertices.  In topological order,
+    each vertex with predecessors draws one uniform per draw and is +1
+    where it falls below P(+1 | predecessors), read from the vertex's
+    table over predecessor patterns (`_vote_tables`) or, where that table
+    would take more bytes to build than the `n` spins, from the field of
+    each draw.  Both sum -w or +w per predecessor in order from 0.0, so a
+    seed gives the same draws either way.  Returns an int8 array of +-1
+    per vertex, one byte per vertex per draw; deterministic in `seed`.
     """
     order = g.topological_order
     if order is None:
@@ -506,21 +524,53 @@ def sample_many(g: HierarchyGraph, condition: Mapping[str, int],
         raise ValueError(f"{n} draws over {len(g.vertices)} vertices hold more than "
                          f"{MAX_SAMPLE_SPINS} spins, the sampling limit")
 
-    rng = np.random.default_rng(seed)
-    scale = params.command_scale
-    spins: dict[str, np.ndarray] = {}
+    # fan-in k -> weights of the vertices tabled, in order: those whose
+    # table, about eight arrays of 2^k floats while built, fits in their n
+    # spins.  Deciders stay predecessors: a fixed field would reorder sums.
+    groups: dict[int, list[float]] = {}
     for v in order:
         preds = g.pred_map[v]
+        if preds and 64 << len(preds) <= n:
+            groups.setdefault(len(preds), []).extend(w for _, w in preds)
+    # P(+1) halves only, handed out in topological order
+    tables = {k: iter(_vote_tables([0.0] * (len(w) // k), w, k, params)[:, 1 << k:].copy())
+              for k, w in groups.items()}
+
+    rng = np.random.default_rng(seed)
+    # each vertex's +1 mask as 0/1 bytes (the code of fan-in 1), turned
+    # into its spins at the end, in blocks of at most 64 KiB: one block for
+    # every vertex would, once freed, raise the C allocator's mmap
+    # threshold, and later calls would keep that much memory resident
+    per_block = max(1, (1 << 16) // n)
+    blocks = [np.empty((min(per_block, len(order) - i), n), dtype=bool)
+              for i in range(0, len(order), per_block)]
+    bits: dict[str, np.ndarray] = {}
+    for v, mask in zip(order, (row for block in blocks for row in block)):
+        bits[v] = mask.view(np.uint8)
+        preds = g.pred_map[v]
         if not preds:
-            spins[v] = np.full(n, condition[v], dtype=np.int8)
+            mask.fill(condition[v] == 1)
             continue
-        fld = np.zeros(n)
-        for u, w in preds:
-            fld += w * spins[u]
-        p_plus = outcome_probability(1, scale * fld, params)
-        draws = rng.random(n)
-        spins[v] = np.where(draws < p_plus, 1, -1).astype(np.int8)
-    return spins
+        fan_in_tables = tables.get(len(preds))
+        if fan_in_tables is None:
+            field = np.zeros(n)
+            for u, w in preds:
+                field += np.array((-w, w)).take(bits[u])  # w times the spin
+            p = outcome_probability(1, params.command_scale * field, params)
+        else:
+            table = next(fan_in_tables)
+            code = bits[preds[0][0]]
+            wide = np.min_scalar_type(len(table) - 1)
+            for j, (u, _) in enumerate(preds[1:], 1):
+                code = np.left_shift(bits[u], j, dtype=wide) | code
+            p = table.take(code)
+        np.less(rng.random(n), p, out=mask)
+    for block in blocks:
+        spins = block.view(np.int8)
+        spins *= 2
+        spins -= 1
+    bits.update(zip(order, (row for block in blocks for row in block.view(np.int8))))
+    return bits
 
 
 def sample_outcome(g: HierarchyGraph, condition: Mapping[str, int],

@@ -2,14 +2,18 @@
 
 Everything here recomputes quantities from first principles with plain
 itertools and math (no numpy, no package internals beyond graph structure),
-so tests compare the package against genuinely separate code paths.
+so tests compare the package against genuinely separate code paths.  The
+one exception is `brute_sample_many`, which must consume numpy's random
+stream exactly as the sampler does.
 """
 
 import itertools
 import math
 import random
 
-from hiergame import Edge, HierarchyGraph, Vertex
+import numpy as np
+
+from hiergame import Edge, HierarchyGraph, Vertex, outcome_probability
 
 
 def response(spin: int, field: float, mode: str, sigma: float) -> float:
@@ -294,3 +298,22 @@ def brute_decider_game(payoffs: dict, execs: list, lam: list, tables: dict) -> d
         game[profile] = tuple(sum(shares[i][d] * expected[j] for j, i in enumerate(execs))
                               for d in lam)
     return game
+
+
+def brute_sample_many(g: HierarchyGraph, condition: dict, params, n: int, seed: int) -> dict:
+    """Ancestral sampling written plainly: per vertex in topological order,
+    the weighted field of every draw, its P(+1) and one uniform per draw,
+    so a seed must give bit for bit the sampler's int8 +-1 arrays."""
+    rng = np.random.default_rng(seed)
+    spins = {}
+    for v in g.topological_order:
+        preds = g.pred_map[v]
+        if not preds:
+            spins[v] = np.full(n, condition[v], dtype=np.int8)
+            continue
+        field = np.zeros(n)
+        for u, w in preds:
+            field += w * spins[u]
+        p_plus = outcome_probability(1, params.command_scale * field, params)
+        spins[v] = np.where(rng.random(n) < p_plus, 1, -1).astype(np.int8)
+    return spins

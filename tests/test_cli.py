@@ -399,12 +399,88 @@ def test_mutated_graph_exits_cleanly(field, value):
                 ["sample", "--graph", str(graph), "--samples", "50"] + _CONDITION,
                 ["transform", "--graph", str(graph), "--game", str(game)])
         for argv in runs:
-            err = io.StringIO()
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-                code = main(argv)
-            assert code in (EXIT_OK, EXIT_PARSE, EXIT_INVARIANT, EXIT_CAP, EXIT_DEGENERATE), \
-                (argv[0], field, value, err.getvalue())
-            lines = err.getvalue().splitlines()
-            assert len(lines) <= 1
-            if lines:
-                assert set(json.loads(lines[0])) == {"error", "message"}
+            _assert_exits_cleanly(argv, (field, value))
+
+
+def _assert_exits_cleanly(argv, context):
+    """`main(argv)` in-process ends with a documented exit code other than
+    1 and at most one line on stderr, a JSON error object."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # a usage error
+            code = exc.code
+    assert code in (EXIT_OK, EXIT_PARSE, EXIT_INVARIANT, EXIT_CAP, EXIT_DEGENERATE), \
+        (argv, context, err.getvalue())
+    lines = err.getvalue().splitlines()
+    assert len(lines) <= 1, (argv, context, lines)
+    if lines:
+        assert set(json.loads(lines[0])) == {"error", "message"}
+
+
+# one field of the crossed_chains() decider-game tensor JSON: a top-level
+# key, one label, one strategy or one of its moves, one decider or
+# executive, or one payoff row or entry (4 strategies, 2 deciders)
+_TENSOR_FIELDS = st.one_of(
+    st.sampled_from(["deciders", "executives", "labels", "strategies", "payoffs",
+                     "provenance"]).map(lambda k: (k,)),
+    st.tuples(st.just("labels"), st.sampled_from(["+1", "-1"])),
+    st.tuples(st.sampled_from(["deciders", "executives", "strategies", "payoffs"]),
+              st.integers(0, 1)),
+    st.tuples(st.just("strategies"), st.integers(0, 3), st.integers(0, 1)),
+    st.tuples(st.just("payoffs"), st.integers(0, 3), st.integers(0, 3), st.integers(0, 1)),
+)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(field=_TENSOR_FIELDS, value=st.one_of(_VALUES, st.sampled_from(["C", "D", -1e-300])))
+def test_mutated_tensor_exits_cleanly(field, value):
+    with tempfile.TemporaryDirectory() as tmp:
+        graph, game, tensor = (Path(tmp) / name for name in ("g.json", "game.json", "t.json"))
+        hg.save_graph(hg.crossed_chains(), graph)
+        hg.save_game(hg.prisoners_dilemma(), game)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["transform", "--graph", str(graph), "--game", str(game),
+                         "--out", str(tensor)]) == EXIT_OK
+        data = json.loads(tensor.read_text())
+        *path, key = field
+        target = data
+        for step in path:
+            target = target[step]
+        if value is _DELETE:
+            del target[key]
+        else:
+            target[key] = value
+        tensor.write_text(json.dumps(data))
+        _assert_exits_cleanly(["nash", "--tensor", str(tensor)], (field, value))
+
+
+# valid sweeps, one map and one chain: every --vary and --fix value is
+# split into its name and numbers, one of which is replaced or dropped
+_SWEEPS = (
+    ["--vary", "x=0.1:0.9:5", "--fix", "y=0.8"],
+    ["--vary", "beta=0.5:2:4", "--fix", "a=2", "--fix", "c=3", "--fix", "D=0.3"],
+)
+# small numbers only, so that no valid mutation sweeps a large grid;
+# 20000000 steps is above MAX_SWEEP_POINTS
+_TOKENS = st.sampled_from([
+    _DELETE, "", "nan", "inf", "-inf", "1e308", "-1e308", "1e-320", "-1", "0", "1", "2",
+    "0.5", "3.5", "+1", "20000000", "x", "y", "a", "c", "beta", "D", "q", "=", ":", "1:2",
+])
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(sweep=st.integers(0, 1), flag=st.integers(0, 3), part=st.integers(0, 3),
+       token=_TOKENS)
+def test_mutated_sweep_exits_cleanly(sweep, flag, part, token):
+    argv = list(_SWEEPS[sweep])
+    at = 2 * (flag % (len(argv) // 2)) + 1
+    name, _, numbers = argv[at].partition("=")
+    parts = [name] + numbers.split(":")
+    if token is _DELETE:
+        del parts[part % len(parts)]
+    else:
+        parts[part % len(parts)] = token
+    argv[at] = parts[0] + "=" + ":".join(parts[1:])
+    _assert_exits_cleanly(["sweep"] + argv, argv)

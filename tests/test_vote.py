@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -461,6 +462,51 @@ def test_sampler_draws_are_pinned(mode, digest):
         h.update(v.encode())
         h.update(draws[v].tobytes())
     assert h.hexdigest() == digest
+
+
+def test_sampler_matches_plain_reference():
+    # tables on small fan-in; the per-draw field where a table would
+    # outgrow the draws (everywhere at n = 1, 7 and 64, fan-in above 3 at
+    # n = 1000); pattern codes wider than a byte (fan-in 9 at n = 2^15)
+    rng = random.Random(83)
+    pool = [(hg.crossed_chains(), (1, 7, 1000)), (helpers.complete_dag(10), (64,)),
+            (helpers.complete_dag(8), (1 << 15,))]
+    for k in range(8):
+        pool.append((helpers.random_arborescence(rng, 8), (1, 7, 1000)))
+        pool.append((helpers.random_dag(rng, 9, extra=2 + k), (1, 7, 1000)))
+    fan_ins = {len(p) for g, _ in pool for p in g.pred_map.values()}
+    assert fan_ins >= {1, 2, 3, 4, 5, 9}
+    for g, sizes in pool:
+        lam = sorted(hg.deciders(g))
+        cond = {d: rng.choice((1, -1)) for d in lam}
+        for mode in ("tanh", "gaussian"):
+            params = VoteParams.from_graph(g, mode)
+            for n in sizes:
+                seed = rng.randrange(1 << 30)
+                got = hg.sample_many(g, cond, params, n, seed)
+                want = helpers.brute_sample_many(g, cond, params, n, seed)
+                assert got.keys() == want.keys()
+                for v, arr in want.items():
+                    assert got[v].dtype == np.int8 and got[v].shape == (n,)
+                    assert np.array_equal(got[v], arr), (v, mode, n)
+
+
+def test_sampler_holds_one_byte_per_spin():
+    # the spins themselves take V * n bytes; tables, the current vertex's
+    # draws and the int8 conversion must stay within 256 bytes per draw,
+    # also where a fan-in of 15 at 64 draws must keep the per-draw field
+    for g, cond, n in ((hg.single_chain(2000), {"d1": 1}, 5000),
+                       (helpers.complete_dag(14), {"d0": 1, "d1": -1}, 64)):
+        params = VoteParams.from_graph(g)
+        hg.sample_many(g, cond, params, 10, seed=1)
+        tracemalloc.start()
+        try:
+            draws = hg.sample_many(g, cond, params, n, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(draws) == len(g.vertices)
+        assert peak <= len(g.vertices) * n + 256 * n
 
 
 def test_sampler_rejects_cycles_and_partial_conditions():
