@@ -117,10 +117,6 @@ def _fix_flag(text: str) -> tuple[str, float]:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-def _params_from_args(g, args) -> VoteParams:
-    return VoteParams(g.free_float, g.noise_sigma, mode=args.mode)
-
-
 def _condition_dict(pairs) -> dict[str, int]:
     condition: dict[str, int] = {}
     for name, spin in pairs or []:
@@ -156,7 +152,7 @@ def cmd_validate(args) -> int:
 
 def cmd_influence(args) -> int:
     g = load_graph(args.graph)
-    params = _params_from_args(g, args)
+    params = VoteParams.from_graph(g, args.mode)
     condition = _decider_condition(g, args.condition)
     oracle = influence_oracle(g, params, args.cap)
     table = {i: oracle(i, condition) for i in sorted(executives(g))}
@@ -214,7 +210,7 @@ def _tensor_from_payload(data: dict) -> TransformedGame:
 def _build_transform(args) -> TransformedGame:
     g = load_graph(args.graph)
     base = load_game(args.game)
-    params = _params_from_args(g, args)
+    params = VoteParams.from_graph(g, args.mode)
     return transform_game(base, g, params, mechanism=args.mechanism, cap=args.cap)
 
 
@@ -249,10 +245,11 @@ def cmd_nash(args) -> int:
 
 def cmd_sample(args) -> int:
     g = load_graph(args.graph)
-    params = _params_from_args(g, args)
+    params = VoteParams.from_graph(g, args.mode)
     condition = _decider_condition(g, args.condition)
     draws = sample_many(g, condition, params, args.samples, args.seed)
-    freq = {i: float(np.mean(draws[i] == 1)) for i in sorted(executives(g))}
+    freq = {i: float(np.count_nonzero(draws[i] == 1) / args.samples)
+            for i in sorted(executives(g))}
     _emit_json({
         "samples": args.samples,
         "seed": args.seed,
@@ -463,9 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", default=None)
     p.add_argument("--game", default=None)
     p.add_argument("--mechanism", choices=("shapley", "shares"), default="shapley")
-    p.add_argument("--mode", choices=("tanh", "gaussian"), default="tanh")
-    p.add_argument("--cap", type=int, default=None, help=CAP_HELP)
-    p.add_argument("--out", default=None)
+    add_common(p, graph=False)
     p.set_defaults(func=cmd_nash)
 
     p = sub.add_parser("sample", help="forward-sample executive votes")

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import GameFormatError
 from .graph import HierarchyGraph, deciders as graph_deciders, executives as graph_executives
 from .payoff import (InfluenceOracle, ShareMatrix, oracle_table, require_decided,
-                     shapley_from_table, shapley_shares, shares_by_paths)
+                     shapley_from_table, shares_by_paths)
 from .vote import VoteParams, influence_oracle
 
 NASH_TOL = 1e-12
@@ -245,32 +245,43 @@ class TransformedGame:
         return tuple(self.strategy_index(cmd) for cmd in profile)
 
 
+def _decider_game(base: NormalFormGame, lam_order: tuple[str, ...], payoffs: np.ndarray,
+                  provenance: Mapping[str, object]) -> TransformedGame:
+    """A `_decider_payoffs` tensor as a game whose strategies are all command vectors."""
+    strategies = tuple(product((1, -1), repeat=len(base.players)))
+    return TransformedGame(lam_order, base.players, strategies, payoffs, dict(base.labels),
+                           dict(provenance))
+
+
 def transform_from_tables(base: NormalFormGame, lam_order: tuple[str, ...],
                           tables: ConditionalTables, shares: ShareMatrix,
                           provenance: Mapping[str, object] | None = None) -> TransformedGame:
     """Assemble the decider game from explicit conditionals and shares."""
     table = oracle_table(table_oracle(tables, lam_order), lam_order, base.players)
-    payoffs = _decider_payoffs(base, table,
-                               [[shares.share(lam, i) for i in base.players]
-                                for lam in lam_order])
-    return TransformedGame(lam_order, base.players,
-                           tuple(product((1, -1), repeat=len(base.players))), payoffs,
-                           dict(base.labels), dict(provenance or {}))
+    rows = [[shares.share(lam, i) for i in base.players] for lam in lam_order]
+    return _decider_game(base, lam_order, _decider_payoffs(base, table, rows), provenance or {})
 
 
 def transform_game(base: NormalFormGame, g: HierarchyGraph, params: VoteParams,
                    mechanism: str = "shapley", cap: int | None = None) -> TransformedGame:
     """Full pipeline from a hierarchy: vote conditionals, payoff shares,
-    decider game.  `mechanism` picks the share rule (shapley or shares)."""
+    decider game.  `mechanism` picks the share rule (shapley or shares).  The
+    conditionals are read once, into one `oracle_table` for shares and tensor."""
     lam_order = tuple(sorted(graph_deciders(g)))
     execs = graph_executives(g)
     if set(base.players) != execs:
         raise ValueError("game players must match the graph's executives")
-    tables = influence_tables(g, params, lam_order, base.players, cap)
+    table = oracle_table(influence_oracle(g, params, cap), lam_order, base.players)
     if mechanism == "shapley":
-        shares = shapley_shares(table_oracle(tables, lam_order), lam_order, base.players)
+        if not lam_order:
+            raise ValueError("need at least one decider")
+        shares, degenerate = shapley_from_table(table)
+        # name the smallest degenerate executive, as shapley_shares does
+        ranked = sorted(range(len(base.players)), key=base.players.__getitem__)
+        require_decided(degenerate[ranked], tuple(base.players[k] for k in ranked))
     elif mechanism == "shares":
-        shares = shares_by_paths(g, base.players)
+        paths = shares_by_paths(g, base.players)
+        shares = [[paths.share(lam, i) for i in base.players] for lam in lam_order]
     else:
         raise ValueError(f"unknown mechanism {mechanism!r}")
     provenance = {
@@ -279,7 +290,7 @@ def transform_game(base: NormalFormGame, g: HierarchyGraph, params: VoteParams,
         "free_float": params.free_float,
         "noise_sigma": params.noise_sigma,
     }
-    return transform_from_tables(base, lam_order, tables, shares, provenance)
+    return _decider_game(base, lam_order, _decider_payoffs(base, table, shares), provenance)
 
 
 def nash_mask(payoffs: np.ndarray, tol: float = NASH_TOL) -> np.ndarray:
@@ -330,9 +341,8 @@ def symmetric_transform(x: float, y: float,
     base = base if base is not None else prisoners_dilemma()
     payoffs, degenerate = symmetric_payoffs(x, y, base)
     require_decided(degenerate, (min(base.players),))
-    return TransformedGame(SYMMETRIC_DECIDERS, base.players,
-                           tuple(product((1, -1), repeat=2)), payoffs, dict(base.labels),
-                           {"mechanism": "shapley", "x": x, "y": y})
+    return _decider_game(base, SYMMETRIC_DECIDERS, payoffs,
+                         {"mechanism": "shapley", "x": x, "y": y})
 
 
 @dataclass(frozen=True)

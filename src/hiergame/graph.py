@@ -194,17 +194,6 @@ def executives(g: HierarchyGraph) -> frozenset[str]:
     return frozenset(v.id for v in g.vertices if v.role == ROLE_EXECUTIVE)
 
 
-def predecessors(g: HierarchyGraph, vertex: str) -> dict[str, float]:
-    """Incoming neighbours of `vertex` with their normalized weights."""
-    g.require_vertex(vertex)
-    return dict(g.pred_map[vertex])
-
-
-def successors(g: HierarchyGraph, vertex: str) -> dict[str, float]:
-    g.require_vertex(vertex)
-    return dict(g.succ_map[vertex])
-
-
 def has_directed_cycle(g: HierarchyGraph) -> bool:
     return g.topological_order is None
 

@@ -9,6 +9,7 @@ import tempfile
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -187,6 +188,10 @@ def test_sample_determinism(tmp_path):
         hg.crossed_chains(), {"d1", "d2"}, {"1"}, {"d1": 1, "d2": 1},
         hg.VoteParams.from_beta(1.0, 0.5))
     assert freq["1"] == pytest.approx(dist.plus_prob("1"), abs=0.03)
+    # each frequency is exactly the share of +1 draws of the same sampler run
+    g = hg.crossed_chains()
+    draws = hg.sample_many(g, {"d1": 1, "d2": 1}, hg.VoteParams.from_graph(g), 4000, 11)
+    assert freq == {i: float(np.mean(draws[i] == 1)) for i in ("1", "2")}
 
 
 def test_sample_limit_exit(tmp_path, capsys, monkeypatch):

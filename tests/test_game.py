@@ -218,6 +218,92 @@ def test_transform_player_mismatch():
         hg.transform_game(base, g, hg.VoteParams.from_graph(g))
 
 
+def _composed_transform(base, g, params, mechanism):
+    """The decider game by the public route: influence tables, then shares
+    read back through table_oracle (or path shares), then the assembly."""
+    lam = tuple(sorted(hg.deciders(g)))
+    tables = hg.influence_tables(g, params, lam, base.players)
+    shares = (hg.shapley_shares(table_oracle(tables, lam), lam, base.players)
+              if mechanism == "shapley" else hg.shares_by_paths(g, base.players))
+    return transform_from_tables(base, lam, tables, shares)
+
+
+def test_transform_game_matches_composed_route(monkeypatch):
+    # transform_game reads each conditional once into one table; the tensor
+    # must be bitwise what the composed route gives, for any player order
+    graphs = [hg.crossed_chains(k, k, k, k) for k in range(3, 7)]
+    graphs += [hg.crossed_chains(2, 3, 3, 2), hg.crossed_chains(4, 2, 5, 3)]
+    rng = random.Random(808)
+    while len(graphs) < 12:
+        g = helpers.random_dag(rng, rng.randint(5, 9))
+        if 2 <= len(hg.deciders(g)) <= 3 and len(hg.executives(g)) <= 3:
+            graphs.append(g)
+    assert {len(hg.deciders(g)) for g in graphs} == {2, 3}
+    for g in graphs:
+        players = sorted(hg.executives(g))
+        rng.shuffle(players)
+        base = _random_base(rng, players)
+        for mode, mechanism in product(("tanh", "gaussian"), ("shapley", "shares")):
+            params = hg.VoteParams.from_graph(g, mode=mode)
+            tg = hg.transform_game(base, g, params, mechanism=mechanism)
+            composed = _composed_transform(base, g, params, mechanism)
+            assert np.array_equal(tg.payoffs, composed.payoffs)
+            assert (tg.deciders, tg.executives, tg.strategies, tg.labels) == \
+                (composed.deciders, composed.executives, composed.strategies, composed.labels)
+
+    # one oracle_table pass of n * 2^m oracle calls, and none of the
+    # composed route's steps
+    g = next(g for g in graphs if len(hg.deciders(g)) == 3)
+    base = _random_base(rng, sorted(hg.executives(g)))
+    passes, calls = [], []
+    real_oracle, real_table = hg.game.influence_oracle, hg.game.oracle_table
+
+    def counting_oracle(*args):
+        oracle = real_oracle(*args)
+
+        def counted(executive, commands):
+            calls.append((executive, tuple(sorted(commands.items()))))
+            return oracle(executive, commands)
+        return counted
+
+    def counting_table(*args):
+        passes.append(args)
+        return real_table(*args)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("transform_game left its one-table route")
+
+    monkeypatch.setattr(hg.game, "influence_oracle", counting_oracle)
+    monkeypatch.setattr(hg.game, "oracle_table", counting_table)
+    for name in ("influence_tables", "table_oracle", "transform_from_tables"):
+        monkeypatch.setattr(hg.game, name, forbidden)
+    monkeypatch.setattr(hg.payoff, "shapley_shares", forbidden)
+    for mechanism in ("shapley", "shares"):
+        passes.clear()
+        calls.clear()
+        hg.transform_game(base, g, hg.VoteParams.from_graph(g), mechanism=mechanism)
+        assert len(passes) == 1
+        assert len(calls) == len(set(calls)) == len(base.players) * 2 ** 3
+
+
+def test_transform_degeneracy_names_smallest_executive():
+    # both executives are undecided; the error names the smallest id
+    # whatever the player order of the base game
+    g = hg.crossed_chains(noise_sigma=hg.sigma_for_beta(1e-6))
+    base = hg.prisoners_dilemma(("2", "1"))
+    with pytest.raises(hg.DegenerateInfluenceError, match="executive '1' undecided"):
+        hg.transform_game(base, g, hg.VoteParams.from_graph(g), mechanism="shapley")
+
+
+def test_transform_needs_a_decider():
+    # a valid hierarchy of two executives on a cycle has no decider to share to
+    g = hg.HierarchyGraph((hg.Vertex("1", "executive"), hg.Vertex("2", "executive")),
+                          (hg.Edge("1", "2", 1.0), hg.Edge("2", "1", 1.0)), 0.5, 1.0)
+    assert hg.validate_graph(g).ok
+    with pytest.raises(ValueError, match="at least one decider"):
+        hg.transform_game(hg.prisoners_dilemma(), g, hg.VoteParams.from_graph(g))
+
+
 def test_transform_near_zero_coupling():
     # commands stop mattering, so every payoff collapses to the mixed value
     pd = hg.prisoners_dilemma()

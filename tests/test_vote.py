@@ -8,6 +8,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hiergame as hg
 from hiergame import HierarchyGraph, Vertex, Edge, VoteParams
@@ -415,6 +417,35 @@ def test_eliminated_sums_match_brute_force():
             assert dist.table[key] == pytest.approx(prob, abs=1e-12)
         z = hg.partition_function(g, set(a), condition, params)
         assert z == pytest.approx(helpers.brute_vote_partition(g, condition, mode), rel=1e-12)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(family=st.sampled_from(["tree", "dag", "digraph"]), n=st.integers(3, 10),
+       kind=st.integers(0, 2), mode=st.sampled_from(["tanh", "gaussian"]),
+       rng=st.randoms(use_true_random=False))
+def test_eliminated_sums_match_brute_force_property(family, n, kind, mode, rng):
+    # random small trees, DAGs and digraphs under decider, mid-graph and empty
+    # conditions: single and joint conditionals and the partition sum
+    make = {"tree": helpers.random_tree, "dag": helpers.random_dag,
+            "digraph": helpers.random_digraph}[family]
+    g = make(rng, n)
+    params = VoteParams.from_graph(g, mode=mode)
+    ids = sorted(g.vertex_ids)
+    a = (sorted(hg.deciders(g)) if kind == 0
+         else rng.sample(ids, rng.randint(1, n - 2)) if kind == 1 else [])
+    condition = {v: rng.choice((1, -1)) for v in a}
+    rest = [v for v in ids if v not in a]
+    target = rng.choice(rest)
+    dist = hg.conditional_influence(g, set(a), {target}, condition, params)
+    assert dist.plus_prob(target) == pytest.approx(
+        helpers.brute_vote_conditional(g, target, condition, mode), abs=1e-12)
+    if len(rest) >= 2:
+        dist = hg.conditional_influence(g, set(a), set(rng.sample(rest, 2)), condition, params)
+        expected = helpers.brute_vote_joint(g, list(dist.vertices), condition, mode)
+        for key, prob in expected.items():
+            assert dist.table[key] == pytest.approx(prob, abs=1e-12)
+    z = hg.partition_function(g, set(a), condition, params)
+    assert z == pytest.approx(helpers.brute_vote_partition(g, condition, mode), rel=1e-12)
 
 
 def test_argument_validation():
