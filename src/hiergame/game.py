@@ -28,6 +28,9 @@ from .vote import VoteParams, influence_oracle
 
 NASH_TOL = 1e-12
 BOUNDARY_TOL = 1e-9
+# payoffs a decider tensor may hold: (2^n)^m profiles times m deciders for n
+# executives, 80 MB of floats; the transform's own arrays are a few times that
+MAX_TENSOR_ENTRIES = 10**7
 
 REGIME_PD_V1 = "pd-v1"
 REGIME_COOPERATION = "cooperation"
@@ -253,10 +256,21 @@ def _decider_game(base: NormalFormGame, lam_order: tuple[str, ...], payoffs: np.
                            dict(provenance))
 
 
+def _check_tensor_size(n: int, m: int) -> None:
+    """Refuse a decider tensor over n executives and m deciders that would
+    hold more than MAX_TENSOR_ENTRIES payoffs, before any of it is built."""
+    if m << (n * m) > MAX_TENSOR_ENTRIES:
+        raise ValueError(f"the decider tensor of {m} deciders over {n} executives holds "
+                         f"(2^{n})^{m} x {m} payoffs, more than the tensor limit "
+                         f"{MAX_TENSOR_ENTRIES}")
+
+
 def transform_from_tables(base: NormalFormGame, lam_order: tuple[str, ...],
                           tables: ConditionalTables, shares: ShareMatrix,
                           provenance: Mapping[str, object] | None = None) -> TransformedGame:
-    """Assemble the decider game from explicit conditionals and shares."""
+    """Assemble the decider game from explicit conditionals and shares; at
+    most MAX_TENSOR_ENTRIES payoffs, checked before the tables are read."""
+    _check_tensor_size(len(base.players), len(lam_order))
     table = oracle_table(table_oracle(tables, lam_order), lam_order, base.players)
     rows = [[shares.share(lam, i) for i in base.players] for lam in lam_order]
     return _decider_game(base, lam_order, _decider_payoffs(base, table, rows), provenance or {})
@@ -266,11 +280,13 @@ def transform_game(base: NormalFormGame, g: HierarchyGraph, params: VoteParams,
                    mechanism: str = "shapley", cap: int | None = None) -> TransformedGame:
     """Full pipeline from a hierarchy: vote conditionals, payoff shares,
     decider game.  `mechanism` picks the share rule (shapley or shares).  The
-    conditionals are read once, into one `oracle_table` for shares and tensor."""
+    conditionals are read once, into one `oracle_table` for shares and tensor,
+    after the tensor is known to fit MAX_TENSOR_ENTRIES."""
     lam_order = tuple(sorted(graph_deciders(g)))
     execs = graph_executives(g)
     if set(base.players) != execs:
         raise ValueError("game players must match the graph's executives")
+    _check_tensor_size(len(base.players), len(lam_order))
     table = oracle_table(influence_oracle(g, params, cap), lam_order, base.players)
     if mechanism == "shapley":
         if not lam_order:

@@ -36,7 +36,9 @@ MAX_SAMPLE_SPINS = 10**8
 _FUSE_PRODUCTS = 1 << 9
 # elimination plans kept for reuse, one per factor scopes, keys and cap
 _PLAN_CACHE = 64
-# steps spanning at least this many spins multiply their tables pairwise
+# steps spanning at least this many spins are wide: their tables are
+# multiplied pairwise by broadcasting, which beats one einsum call there
+# and loses to it on smaller steps
 _PAIRWISE_SPINS = 12
 
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
@@ -104,7 +106,82 @@ def _check_cap(width: int, limit: int) -> None:
         )
 
 
-_Step = tuple[tuple[int, ...], tuple[tuple[int, ...], ...], str | bool]
+class _Einsum(NamedTuple):
+    """A narrow step: one plain einsum call.  Like `_Broadcast.run`, `run`
+    takes every table made so far and frees the ones it consumes."""
+
+    inputs: tuple[int, ...]
+    sublists: tuple[tuple[int, ...], ...]  # one per input, then the output's
+
+    def run(self, made: list[np.ndarray | None]) -> np.ndarray:
+        operands: list = []
+        for f, sublist in zip(self.inputs, self.sublists):
+            operands += (made[f], sublist)
+            made[f] = None
+        return np.einsum(*operands, self.sublists[-1], optimize=False)
+
+
+class _Broadcast(NamedTuple):
+    """A wide step: a fixed numpy program of broadcast multiplies and adds.
+
+    Each input is transposed into label order and indexed to broadcast over
+    every label of the step (`views`: axis permutation, index, halves to
+    add).  `products` then multiplies operand j into operand i, in C order,
+    and drops j.  Each label that no other operand holds and the output
+    does not is summed as soon as that holds, by adding its two halves and
+    keeping a length-1 axis; on a length-2 axis that is far faster than
+    `sum`.  What is left has the output's spins in label order.
+    """
+
+    inputs: tuple[int, ...]
+    views: tuple[tuple[tuple[int, ...], tuple, tuple], ...]
+    products: tuple[tuple[int, int, tuple], ...]
+    shape: tuple[int, ...]
+
+    def run(self, made: list[np.ndarray | None]) -> np.ndarray:
+        operands = []
+        for f, (perm, index, halves) in zip(self.inputs, self.views):
+            operands.append(_add_halves(made[f].transpose(perm)[index], halves))
+            made[f] = None
+        for i, j, halves in self.products:
+            product = np.multiply(operands[i], operands.pop(j), order="C")
+            operands[i] = _add_halves(product, halves)
+        return operands[0].reshape(self.shape)
+
+
+def _add_halves(x: np.ndarray, halves: tuple) -> np.ndarray:
+    for low, high in halves:
+        x = np.add(x[low], x[high])
+    return x
+
+
+def _broadcast_step(inputs: tuple[int, ...], sublists: list[tuple[int, ...]],
+                    out: tuple[int, ...], width: int) -> _Broadcast:
+    """Compile a wide step over labels 0..width-1 onto the sorted `out`
+    labels: the pair of operands with the smallest union of labels is
+    multiplied first, and every label is summed as soon as one operand
+    alone holds it."""
+    held = [set(sublist) for sublist in sublists]
+
+    def summed(k: int) -> tuple:
+        others = set(out).union(*(h for i, h in enumerate(held) if i != k))
+        gone = sorted(held[k] - others)
+        held[k].difference_update(gone)
+        return tuple(((slice(None),) * label + (slice(0, 1),),
+                      (slice(None),) * label + (slice(1, 2),)) for label in gone)
+
+    views = []
+    for k, sublist in enumerate(sublists):
+        perm = tuple(sorted(range(len(sublist)), key=sublist.__getitem__))
+        index = tuple(slice(None) if label in held[k] else None for label in range(width))
+        views.append((perm, index, summed(k)))
+    products = []
+    while len(held) > 1:
+        i, j = min(((i, j) for j in range(len(held)) for i in range(j)),
+                   key=lambda pair: (len(held[pair[0]] | held[pair[1]]), pair))
+        held[i] |= held.pop(j)
+        products.append((i, j, summed(i)))
+    return _Broadcast(inputs, tuple(views), tuple(products), (2,) * len(out))
 
 
 class _Plan(NamedTuple):
@@ -112,15 +189,15 @@ class _Plan(NamedTuple):
 
     Tables are numbered as `_sum_product` receives them, then one all-ones
     table per key that no factor mentions, then one per step in order.  A
-    step is one einsum: the tables it consumes, its einsum sublists (one
-    per input, then the output's) and its `optimize` argument; None marks a
-    step that a later one took over.  `final` sums what is left onto the
-    keys, or is None when nothing is.
+    step consumes the tables it names: one einsum call when it spans fewer
+    than _PAIRWISE_SPINS spins, else a broadcast program (`_Broadcast`);
+    None marks a step that a later one took over.  `final` sums what is
+    left onto the keys, or is None when nothing is.
     """
 
     unheld: int
-    steps: tuple[_Step | None, ...]
-    final: _Step | None
+    steps: tuple[_Einsum | _Broadcast | None, ...]
+    final: _Einsum | _Broadcast | None
 
 
 @functools.lru_cache(maxsize=_PLAN_CACHE)
@@ -136,7 +213,9 @@ def _elimination_plan(scopes: tuple[tuple[str, ...], ...], keys: tuple[str, ...]
     bookkeeping, which on a dense graph grows with the cube of its size.
     A step whose input comes from an earlier step takes over that step's
     inputs while the joint einsum costs less than one more call; the
-    tables made stay those of single-spin steps.
+    tables made stay those of single-spin steps.  Every step is compiled
+    here, once per structure (see `_Plan`), so a warm sum searches for no
+    contraction path.
     """
     _check_cap(max(map(len, scopes), default=0), limit)
     _check_cap(len(keys), limit)
@@ -181,6 +260,7 @@ def _elimination_plan(scopes: tuple[tuple[str, ...], ...], keys: tuple[str, ...]
         return [inputs, spins, out]
 
     key_set = frozenset(keys)
+    rank: dict[str, int] = {}
     heap = [(len(nbrs[v]), len(ids), v) for v, ids in holding.items() if v not in key_set]
     heapq.heapify(heap)
     while heap:
@@ -189,9 +269,10 @@ def _elimination_plan(scopes: tuple[tuple[str, ...], ...], keys: tuple[str, ...]
             continue  # eliminated, or its entry is stale
         around = nbrs.pop(v)
         ids = holding.pop(v)
+        rank[v] = len(rank)
         _check_cap(len(around) + 1, limit)
         new = len(scopes)
-        scopes.append(tuple(sorted(around)))
+        scopes.append(tuple(around))  # put in label order below
         made_by[new] = len(steps)
         steps.append(absorb(ids, around | {v}, scopes[new]))
         for u in around:
@@ -207,21 +288,27 @@ def _elimination_plan(scopes: tuple[tuple[str, ...], ...], keys: tuple[str, ...]
     # what no step consumed: the keys' factors and the constant ones
     live = set().union(*holding.values()) | {f for f, scope in enumerate(scopes) if not scope}
     final = absorb(live, set(keys), keys[::-1]) if live else None
+    # Spins are labelled in elimination order, then the keys in the order
+    # of the result's axes, and every table a step makes holds its spins in
+    # label order.  A step's summed spins then lead its axes, a wide step
+    # reads the tables made before it without reordering them, and the
+    # final step needs no transpose.
+    rank.update((k, len(rank) + i) for i, k in enumerate(keys[::-1]))
+    for f in made_by:
+        scopes[f] = tuple(sorted(scopes[f], key=rank.__getitem__))
 
-    def einsum_args(step: list | None) -> tuple | None:
+    def compile_step(step: list | None) -> _Einsum | _Broadcast | None:
         if step is None:
             return None
         inputs, spins, out = step
-        label = {u: k for k, u in enumerate(sorted(spins))}
+        label = {u: k for k, u in enumerate(sorted(spins, key=rank.__getitem__))}
         sublists = [tuple(label[u] for u in scopes[f]) for f in inputs]
-        # a big product of many tables is cheaper taken pairwise, in the
-        # order einsum's greedy path picks; its intermediates are never
-        # larger than the step's inputs or output
-        pairwise = len(spins) >= _PAIRWISE_SPINS and len(inputs) > 2
-        return (tuple(inputs), tuple(sublists) + (tuple(label[u] for u in out),),
-                "greedy" if pairwise else False)
+        out_labels = tuple(sorted(label[u] for u in out))
+        if len(spins) < _PAIRWISE_SPINS:
+            return _Einsum(tuple(inputs), tuple(sublists) + (out_labels,))
+        return _broadcast_step(tuple(inputs), sublists, out_labels, len(spins))
 
-    return _Plan(len(unheld), tuple(map(einsum_args, steps)), einsum_args(final))
+    return _Plan(len(unheld), tuple(map(compile_step, steps)), compile_step(final))
 
 
 def _sum_product(scopes: Sequence[tuple[str, ...]],
@@ -234,30 +321,19 @@ def _sum_product(scopes: Sequence[tuple[str, ...]],
     length 2 per spin in scope order, index 0 holding -1 and index 1 +1;
     `tables()` builds them, in scope order, once the plan is known to fit
     the cap.  The plan (see `_elimination_plan`) depends on the scopes,
-    keys and cap alone, so sums over the same structure share it.  The cap
-    bounds log2 of the largest table an elimination step sums over: the
-    eliminated spin and its neighbours.  Entry c of the result sums the
-    patterns whose key j is +1 exactly where bit j of c is set; with no
-    keys the one entry is the total.
+    keys and cap alone, so sums over the same structure share it and only
+    run its steps: plain einsum calls and broadcast multiplies and sums.
+    The cap bounds log2 of the largest table an elimination step sums
+    over: the eliminated spin and its neighbours.  Entry c of the result
+    sums the patterns whose key j is +1 exactly where bit j of c is set;
+    with no keys the one entry is the total.
     """
     limit = default_cap() if cap is None else cap
     plan = _elimination_plan(tuple(scopes), tuple(keys), limit)
     made: list[np.ndarray | None] = tables() + [np.ones(2)] * plan.unheld
-
-    def contract(inputs: tuple[int, ...], sublists: tuple[tuple[int, ...], ...],
-                 optimize: str | bool) -> np.ndarray:
-        operands: list = []
-        for f, sublist in zip(inputs, sublists):
-            operands += (made[f], sublist)
-            made[f] = None  # freed as soon as the step is done
-        operands.append(sublists[-1])
-        # a pairwise path may hand back a transposed view, which the next
-        # step would read far more slowly than a C-ordered table
-        return np.asarray(np.einsum(*operands, optimize=optimize), order="C")
-
     for step in plan.steps:
-        made.append(None if step is None else contract(*step))
-    return np.ones(1) if plan.final is None else contract(*plan.final).reshape(-1)
+        made.append(None if step is None else step.run(made))
+    return np.ones(1) if plan.final is None else plan.final.run(made).reshape(-1)
 
 
 def _prune_barren(g: HierarchyGraph, keep: frozenset[str]) -> tuple[tuple[str, ...], int]:
@@ -285,11 +361,12 @@ def _prune_barren(g: HierarchyGraph, keep: frozenset[str]) -> tuple[tuple[str, .
     return tuple(v for v in g.vertex_ids if v not in dropped), roots
 
 
-def _odd_response(field, params: VoteParams):
-    """2 P(+1 | field) - 1, an odd function of the field."""
+def _odd_response(field, params: VoteParams, out: np.ndarray | None = None):
+    """2 P(+1 | field) - 1, an odd function of the field; into `out` if
+    given, which may be `field` itself."""
     if params.mode == MODE_TANH:
-        return np.tanh(params.gain * field)
-    return _erf(field / (params.noise_sigma * math.sqrt(2.0)))
+        return np.tanh(np.multiply(params.gain, field, out), out)
+    return _erf(np.divide(field, params.noise_sigma * math.sqrt(2.0), out), out)
 
 
 def outcome_probability(spin, field, params: VoteParams):
@@ -358,22 +435,31 @@ class ConditionalDistribution:
 
 def _vote_tables(fixed: Sequence[float], weights: Sequence[float], n_free: int,
                  params: VoteParams) -> np.ndarray:
-    """Vote tables of vertices with `n_free` summed predecessors each, one
-    row per vertex: P(-1) at every pattern of those predecessors, then
-    P(+1), pattern bit j set where the row's predecessor j is +1.
+    """Vote tables of vertices with `n_free` summed predecessors each:
+    entry [s, r] is row r's P(-1) (s = 0) or P(+1) (s = 1) at every pattern
+    of those predecessors, pattern bit j set where the row's predecessor j
+    is +1.
 
     Row r's field starts at ``fixed[r]`` and adds -w or +w per predecessor,
     in the order of its `n_free` entries of `weights` (row-major), doubling
-    once per predecessor; one response call covers every row.
+    once per predecessor; one response call covers every row.  All of it
+    happens in place in one array, the fields in its P(+1) half, which is
+    contiguous, so small tables pay little per numpy call.
     """
-    field = np.array(fixed)[:, None]
+    half = 1 << n_free
+    probs = np.empty((2, len(fixed), half))
+    field = probs[1]
+    field[:, 0] = fixed
     w = np.array(weights).reshape(len(fixed), n_free)
     for j in range(n_free):
-        step = w[:, j:j + 1]
-        field = np.concatenate((field - step, field + step), axis=1)
-    odd = _odd_response(params.command_scale * field, params)
-    probs = np.concatenate((1.0 - odd, 1.0 + odd), axis=1)
-    probs *= 0.5
+        low, high, step = field[:, :1 << j], field[:, 1 << j:2 << j], w[:, j:j + 1]
+        np.add(low, step, high)
+        np.subtract(low, step, low)
+    np.multiply(field, params.command_scale, field)
+    odd = _odd_response(field, params, field)
+    np.subtract(1.0, odd, probs[0])
+    np.add(odd, 1.0, odd)
+    np.multiply(probs, 0.5, probs)
     return probs
 
 
@@ -417,10 +503,9 @@ def _vote_sum(g: HierarchyGraph, kept: Sequence[str], condition: Mapping[str, in
         out: list = [None] * len(scopes)
         for n_free, (ids, names, fixed, weights) in groups.items():
             probs = _vote_tables(fixed, weights, n_free, params)
-            half = 1 << n_free
-            for f, v, row in zip(ids, names, probs):
+            for f, v, row in zip(ids, names, probs.transpose(1, 0, 2)):
                 if v in condition:
-                    row = row[half:] if condition[v] == 1 else row[:half]
+                    row = row[1] if condition[v] == 1 else row[0]
                 out[f] = row.reshape((2,) * len(scopes[f]))
         return out
 
@@ -533,7 +618,7 @@ def sample_many(g: HierarchyGraph, condition: Mapping[str, int],
         if preds and 64 << len(preds) <= n:
             groups.setdefault(len(preds), []).extend(w for _, w in preds)
     # P(+1) halves only, handed out in topological order
-    tables = {k: iter(_vote_tables([0.0] * (len(w) // k), w, k, params)[:, 1 << k:].copy())
+    tables = {k: iter(_vote_tables([0.0] * (len(w) // k), w, k, params)[1].copy())
               for k, w in groups.items()}
 
     rng = np.random.default_rng(seed)

@@ -4,7 +4,8 @@ Everything here recomputes quantities from first principles with plain
 itertools and math (no numpy, no package internals beyond graph structure),
 so tests compare the package against genuinely separate code paths.  The
 one exception is `brute_sample_many`, which must consume numpy's random
-stream exactly as the sampler does.
+stream exactly as the sampler does, and `concatenated_vote_tables`, which
+must repeat the package's float operations to compare bit for bit.
 """
 
 import itertools
@@ -12,6 +13,7 @@ import math
 import random
 
 import numpy as np
+from scipy.special import erf
 
 from hiergame import Edge, HierarchyGraph, Vertex, outcome_probability
 
@@ -241,6 +243,16 @@ def complete_dag(n_free: int, n_deciders: int = 2, free_float: float = 0.5,
     return HierarchyGraph(tuple(vertices), tuple(edges), free_float, noise_sigma)
 
 
+def fan_hierarchy(n_execs: int, n_deciders: int) -> HierarchyGraph:
+    """Deciders d0.. and executives 0.., every executive listening with
+    equal weights to every decider: the widest decider game per vertex."""
+    deciders = [f"d{k}" for k in range(n_deciders)]
+    execs = [str(k) for k in range(n_execs)]
+    vertices = [Vertex(d, "decider") for d in deciders] + [Vertex(i, "executive") for i in execs]
+    edges = [Edge(d, i, 1.0 / n_deciders) for d in deciders for i in execs]
+    return HierarchyGraph(tuple(vertices), tuple(edges), 0.5, 1.0)
+
+
 def random_couplings(rng: random.Random, n: int, extra: int = 3) -> list:
     """Connected random coupling graph on v00..: a random tree plus `extra`
     further pairs, each pair (u, v, J) with u < v and J of either sign."""
@@ -317,3 +329,24 @@ def brute_sample_many(g: HierarchyGraph, condition: dict, params, n: int, seed: 
         p_plus = outcome_probability(1, params.command_scale * field, params)
         spins[v] = np.where(rng.random(n) < p_plus, 1, -1).astype(np.int8)
     return spins
+
+
+def concatenated_vote_tables(fixed: list, weights: list, n_free: int, params) -> np.ndarray:
+    """Vote tables built by concatenation, one new array per doubling: row
+    r holds P(-1) at every pattern of its n_free predecessors, then P(+1),
+    pattern bit j set where predecessor j is +1.  The float operations, in
+    order, are those of `hiergame.vote._vote_tables`, which fills one array
+    in place, so the two agree bit for bit."""
+    field = np.array(fixed)[:, None]
+    w = np.array(weights).reshape(len(fixed), n_free)
+    for j in range(n_free):
+        step = w[:, j:j + 1]
+        field = np.concatenate((field - step, field + step), axis=1)
+    field = params.command_scale * field
+    if params.mode == "tanh":
+        odd = np.tanh(params.gain * field)
+    else:
+        odd = erf(field / (params.noise_sigma * math.sqrt(2.0)))
+    probs = np.concatenate((1.0 - odd, 1.0 + odd), axis=1)
+    probs *= 0.5
+    return probs

@@ -3,6 +3,7 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import math
 import tempfile
@@ -212,6 +213,27 @@ def test_sample_limit_exit(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(hg.vote, "MAX_SAMPLE_SPINS", 100 * len(g.vertices))
     assert main(flags + ["--samples", "100"]) == EXIT_OK
     assert main(flags + ["--samples", "101"]) == EXIT_INVARIANT
+
+
+def test_tensor_limit_exit(tmp_path, capsys):
+    # 10 executives under 3 deciders: transform and nash refuse the tensor
+    # at once, with one JSON line naming the limit
+    g = helpers.fan_hierarchy(10, 3)
+    graph = _write_graph(tmp_path, g)
+    execs = tuple(sorted(hg.executives(g)))
+    game = tmp_path / "game10.json"
+    hg.save_game(hg.NormalFormGame(execs, {
+        spins: tuple(float(s) for s in spins)
+        for spins in itertools.product((1, -1), repeat=len(execs))}), game)
+    for command in ("transform", "nash"):
+        t0 = time.perf_counter()
+        assert main([command, "--graph", graph, "--game", str(game)]) == EXIT_INVARIANT
+        assert time.perf_counter() - t0 < 1.0
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "ValueError"
+        assert str(hg.game.MAX_TENSOR_ENTRIES) in err["message"]
 
 
 def test_cap_exit(tmp_path):

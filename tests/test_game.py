@@ -304,6 +304,36 @@ def test_transform_needs_a_decider():
         hg.transform_game(hg.prisoners_dilemma(), g, hg.VoteParams.from_graph(g))
 
 
+def test_transform_refuses_oversized_tensor(monkeypatch):
+    # 10 executives under 3 deciders: (2^10)^3 x 3 payoffs, far above the
+    # limit, refused before any conditional is computed or table read
+    g = helpers.fan_hierarchy(10, 3)
+    lam = tuple(sorted(hg.deciders(g)))
+    base = _random_base(random.Random(31), sorted(hg.executives(g)))
+    params = hg.VoteParams.from_graph(g)
+    limit = str(hg.game.MAX_TENSOR_ENTRIES)
+    calls = []
+    with monkeypatch.context() as mp:
+        mp.setattr(hg.vote, "conditional_influence", lambda *args: calls.append(args))
+        mp.setattr(hg.game, "oracle_table", lambda *args: calls.append(args))
+        for mechanism in ("shapley", "shares"):
+            with pytest.raises(ValueError, match=f"2\\^10\\)\\^3 x 3 payoffs.*{limit}"):
+                hg.transform_game(base, g, params, mechanism=mechanism)
+        shares = ShareMatrix(lam, base.players, {})
+        with pytest.raises(ValueError, match=limit):
+            transform_from_tables(base, lam, {}, shares)
+    assert calls == []
+    # the limit counts profiles times deciders, inclusive: crossed chains
+    # give a 4 x 4 x 2 tensor
+    g = hg.crossed_chains()
+    params = hg.VoteParams.from_graph(g)
+    monkeypatch.setattr(hg.game, "MAX_TENSOR_ENTRIES", 32)
+    assert hg.transform_game(hg.prisoners_dilemma(), g, params).payoffs.size == 32
+    monkeypatch.setattr(hg.game, "MAX_TENSOR_ENTRIES", 31)
+    with pytest.raises(ValueError, match="limit 31"):
+        hg.transform_game(hg.prisoners_dilemma(), g, params)
+
+
 def test_transform_near_zero_coupling():
     # commands stop mattering, so every payoff collapses to the mixed value
     pd = hg.prisoners_dilemma()

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import hiergame as hg
 from hiergame import HierarchyGraph, Vertex, Edge, VoteParams
+from hiergame import vote
 from hiergame.vote import _prune_barren
 
 import helpers
@@ -446,6 +447,102 @@ def test_eliminated_sums_match_brute_force_property(family, n, kind, mode, rng):
             assert dist.table[key] == pytest.approx(prob, abs=1e-12)
     z = hg.partition_function(g, set(a), condition, params)
     assert z == pytest.approx(helpers.brute_vote_partition(g, condition, mode), rel=1e-12)
+
+
+def _count_wide_steps(monkeypatch) -> list:
+    """Record the output rank of every wide (broadcast) step run."""
+    taken = []
+    run = vote._Broadcast.run
+
+    def counted(step, made):
+        taken.append(len(step.shape))
+        return run(step, made)
+
+    monkeypatch.setattr(vote._Broadcast, "run", counted)
+    return taken
+
+
+def test_wide_steps_match_brute_force(monkeypatch):
+    # dense random DAGs and cyclic digraphs with 13 free vertices, whose
+    # elimination takes steps over at least _PAIRWISE_SPINS spins: single and
+    # joint conditionals and (on cycles) the partition sum, both modes, under
+    # sign-canonical and flipped commands
+    wide = _count_wide_steps(monkeypatch)
+    rng = random.Random(9090)
+    cases = ((helpers.random_dag, 75, "tanh", 1), (helpers.random_dag, 75, "gaussian", -1),
+             (helpers.random_digraph, 60, "tanh", -1), (helpers.random_digraph, 60, "gaussian", 1))
+    for make, extra, mode, first in cases:
+        g = make(rng, 14, extra=extra)
+        params = VoteParams.from_graph(g, mode=mode)
+        order = g.topological_order or sorted(g.vertex_ids)
+        a = sorted(hg.deciders(g)) or rng.sample(order, 1)
+        condition = {v: rng.choice((1, -1)) for v in a}
+        condition[a[0]] = first
+        rest = [v for v in order if v not in condition]
+        assert len(rest) == 13
+        t1, t2 = rest[-1], rest[-2]
+        expected = helpers.brute_vote_joint(g, [t1, t2], condition, mode)
+        wide.clear()
+        dist = hg.conditional_influence(g, set(a), {t1}, condition, params)
+        assert wide
+        plus = sum(p for key, p in expected.items() if key[0] == 1)
+        assert dist.plus_prob(t1) == pytest.approx(plus, abs=1e-12)
+        wide.clear()
+        dist = hg.conditional_influence(g, set(a), {t1, t2}, condition, params)
+        assert wide
+        for (s1, s2), p in expected.items():
+            assert dist.prob({t1: s1, t2: s2}) == pytest.approx(p, abs=1e-12)
+        if g.topological_order is None:
+            wide.clear()
+            z = hg.partition_function(g, set(a), condition, params)
+            assert wide
+            assert z == pytest.approx(helpers.brute_vote_partition(g, condition, mode), rel=1e-12)
+    # twelve targets on the last graph: the last step is itself wide and lays its
+    # twelve key axes out in the result's order
+    wide.clear()
+    targets = set(rest[1:])
+    dist = hg.conditional_influence(g, set(a), targets, condition, params)
+    assert 12 in wide
+    expected = helpers.brute_vote_joint(g, list(dist.vertices), condition, mode)
+    for key, p in expected.items():
+        assert dist.table[key] == pytest.approx(p, abs=1e-12)
+
+
+def test_warm_sums_search_no_contraction_path(monkeypatch):
+    # plans are compiled once per structure: a warm conditional with wide
+    # steps calls no einsum path search and repeats the cold answer
+    wide = _count_wide_steps(monkeypatch)
+    g = helpers.random_digraph(random.Random(9092), 14, extra=60)
+    params = VoteParams.from_graph(g)
+    a = {sorted(g.vertex_ids)[0]}
+    target = {sorted(g.vertex_ids)[-1]}
+    vote._elimination_plan.cache_clear()
+    cold = hg.conditional_influence(g, a, target, dict.fromkeys(a, 1), params)
+    assert wide
+
+    def searched(*args, **kwargs):
+        raise AssertionError("einsum_path called on a warm sum")
+
+    monkeypatch.setattr(np, "einsum_path", searched)
+    monkeypatch.setattr(np._core.einsumfunc, "einsum_path", searched)
+    warm = hg.conditional_influence(g, a, target, dict.fromkeys(a, 1), params)
+    assert warm.table == cold.table and warm.partition == cold.partition
+
+
+@pytest.mark.parametrize("mode", ["tanh", "gaussian"])
+def test_vote_tables_match_concatenated_build(mode):
+    # the in-place builder repeats the concatenating one bit for bit, so no
+    # sampler draw or exact sum can move: fan-ins 0 to 14, one and several rows
+    rng = np.random.default_rng(1414)
+    params = VoteParams(0.3, 0.8, mode)
+    for n_free in range(15):
+        for rows in (1, 2, 7):
+            fixed = rng.uniform(-1.0, 1.0, rows).tolist()
+            weights = rng.uniform(0.0, 0.5, rows * n_free).tolist()
+            tables = vote._vote_tables(fixed, weights, n_free, params)
+            assert tables.shape == (2, rows, 1 << n_free)
+            want = helpers.concatenated_vote_tables(fixed, weights, n_free, params)
+            assert np.array_equal(np.concatenate(tables, axis=1), want), (n_free, rows)
 
 
 def test_argument_validation():
