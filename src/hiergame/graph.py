@@ -102,6 +102,12 @@ class HierarchyGraph:
                 adj[e.dst].add(e.src)
         return {k: frozenset(v) for k, v in adj.items()}
 
+    @cached_property
+    def query_layouts(self) -> dict:
+        """Structure of the exact queries asked of this graph, by query;
+        filled and bounded by `vote._vote_layout`."""
+        return {}
+
     def require_vertex(self, vertex: str) -> None:
         if vertex not in self.roles:
             raise ValueError(f"unknown vertex id {vertex!r}")

@@ -12,13 +12,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
 from .errors import MultiEdgeError
 from .graph import HierarchyGraph, _reach, nodes_between_adjacency
-from .vote import _SQRT_2_OVER_PI, _sum_product
+from .vote import _PLAN_CACHE, _SQRT_2_OVER_PI, _sum_product
 
 
 @dataclass(frozen=True)
@@ -61,6 +61,12 @@ class IsingModel:
     @cached_property
     def coupling_map(self) -> dict[tuple[str, str], float]:
         return {(u, v): j for u, v, j in self.couplings}
+
+    @cached_property
+    def corridor_layouts(self) -> dict:
+        """Structure of the corridor sums asked of this model, by query;
+        filled and bounded by `_corridor`."""
+        return {}
 
     def coupling(self, u: str, v: str) -> float:
         key = (u, v) if u < v else (v, u)
@@ -107,6 +113,79 @@ class KPointQuery:
                     raise ValueError(f"{name} spin for {v!r} must be +1 or -1")
 
 
+class _Corridor(NamedTuple):
+    """The factors of one corridor sum on one model: a field factor per
+    summed vertex coupled to a fixed one, then a pair factor per coupling
+    of two summed vertices.  Built by `_corridor`; nothing in it depends on
+    the fixed spins."""
+
+    scopes: tuple[tuple[str, ...], ...]
+    pulls: tuple[tuple[tuple[str, float], ...], ...]  # per field: (fixed vertex, J)
+    pair_tables: tuple[np.ndarray, ...]  # per pair: exp(beta J s s')
+    fixed_pairs: tuple[tuple[str, str, float], ...]  # couplings of two fixed spins
+
+    def tables(self, spins: Mapping[str, int], beta: float) -> list[np.ndarray]:
+        """The factor tables under fixed `spins`: each field adds J times
+        spin per pull, in coupling order from 0.0."""
+        fields = []
+        for pulls in self.pulls:
+            field = 0.0
+            for u, j in pulls:
+                field += j * spins[u]
+            fields.append(field)
+        h = beta * np.array(fields)
+        return list(np.exp(np.stack((-h, h), axis=1))) + list(self.pair_tables)
+
+
+def _corridor(model: IsingModel, a: frozenset[str], b: frozenset[str],
+              keys: tuple[str, ...]) -> _Corridor:
+    """The factors of the corridor sum from A to B that sums the interior
+    and the `keys`, some of B, with the rest of A and B fixed; built once
+    and kept in `model.corridor_layouts`, which holds at most _PLAN_CACHE
+    of them and drops the oldest first.
+
+    Every coupling inside corridor-plus-boundary contributes, in one pass
+    over the couplings: between two summed spins as a pair factor, between
+    a summed and a fixed one as a pull on the summed spin's field, and
+    between two fixed ones as a constant.  Every interior vertex couples to
+    the boundary or to another interior vertex, so each one is in some
+    factor.
+    """
+    layouts = model.corridor_layouts
+    layout = layouts.get((a, b, keys))
+    if layout is not None:
+        return layout
+    for v in a | b:
+        if v not in model.adjacency:
+            raise ValueError(f"unknown vertex id {v!r}")
+    summed = nodes_between_adjacency(model.adjacency, a, b).union(keys)
+    fixed = (a | b) - summed
+    pulls: dict[str, list[tuple[str, float]]] = {}
+    pairs: list[tuple[str, str, float]] = []
+    fixed_pairs: list[tuple[str, str, float]] = []
+    for u, v, j in model.couplings:
+        if u in summed:
+            if v in summed:
+                pairs.append((u, v, j))
+            elif v in fixed:
+                pulls.setdefault(u, []).append((v, j))
+        elif u in fixed:
+            if v in summed:
+                pulls.setdefault(v, []).append((u, j))
+            elif v in fixed:
+                fixed_pairs.append((u, v, j))
+    bj = model.beta * np.array([j for *_, j in pairs])
+    pair_tables = np.exp(np.stack((bj, -bj, -bj, bj), axis=1)).reshape(-1, 2, 2)
+    pair_tables.flags.writeable = False
+    layout = _Corridor(tuple((v,) for v in pulls) + tuple((u, v) for u, v, _ in pairs),
+                       tuple(map(tuple, pulls.values())), tuple(pair_tables),
+                       tuple(fixed_pairs))
+    if len(layouts) >= _PLAN_CACHE:
+        del layouts[next(iter(layouts))]
+    layouts[(a, b, keys)] = layout
+    return layout
+
+
 def k_point(model: IsingModel, query: KPointQuery, cap: int | None = None) -> float:
     """Boundary-conditioned partition sum over the corridor interior.
 
@@ -117,52 +196,32 @@ def k_point(model: IsingModel, query: KPointQuery, cap: int | None = None) -> fl
     energy) times a sum of products of one factor per free-free coupling
     and one per free vertex coupled to the boundary (all of its pull from
     there), taken by variable elimination; the cap bounds log2 of its
-    largest table.
+    largest table.  The factors' structure is built once per model and
+    pair of sets (see `_corridor`).
     """
-    a = frozenset(query.condition)
-    b = frozenset(query.target)
-    for v in a | b:
-        if v not in model.adjacency:
-            raise ValueError(f"unknown vertex id {v!r}")
-    interior = nodes_between_adjacency(model.adjacency, a, b)
-
-    fixed: dict[str, float] = {}
-    fixed.update({v: float(s) for v, s in query.condition.items()})
-    fixed.update({v: float(s) for v, s in query.target.items()})
+    spins = {**query.condition, **query.target}
+    layout = _corridor(model, frozenset(query.condition), frozenset(query.target), ())
     const = 0.0
-    fields: dict[str, float] = {}
-    pairs: list[tuple[str, str, float]] = []
-    for u, v, j in model.couplings:
-        if u in interior:
-            if v in interior:
-                pairs.append((u, v, j))
-            elif v in fixed:
-                fields[u] = fields.get(u, 0.0) + j * fixed[v]
-        elif u in fixed:
-            if v in interior:
-                fields[v] = fields.get(v, 0.0) + j * fixed[u]
-            elif v in fixed:
-                const += j * fixed[u] * fixed[v]
-
-    def tables() -> list[np.ndarray]:
-        h = model.beta * np.array(list(fields.values()))
-        bj = model.beta * np.array([j for *_, j in pairs])
-        return (list(np.exp(np.stack((-h, h), axis=1)))
-                + list(np.exp(np.stack((bj, -bj, -bj, bj), axis=1)).reshape(-1, 2, 2)))
-
-    # every interior vertex couples to the boundary or to another interior
-    # vertex, so each one is in some factor
-    scopes = [(v,) for v in fields] + [(u, v) for u, v, _ in pairs]
-    return math.exp(model.beta * const) * float(_sum_product(scopes, tables, (), cap)[0])
+    for u, v, j in layout.fixed_pairs:
+        const += j * spins[u] * spins[v]
+    total = _sum_product(layout.scopes, lambda: layout.tables(spins, model.beta), (), cap)
+    return math.exp(model.beta * const) * float(total[0])
 
 
 def ising_conditional(model: IsingModel, vertex: str,
                       condition: Mapping[str, int], cap: int | None = None) -> float:
-    """P(spin at `vertex` is +1 | fixed boundary spins), as the ratio of
-    corridor sums with the vertex pinned up versus either way."""
-    up = k_point(model, KPointQuery(condition, {vertex: 1}), cap)
-    down = k_point(model, KPointQuery(condition, {vertex: -1}), cap)
-    return up / (up + down)
+    """P(spin at `vertex` is +1 | fixed boundary spins).
+
+    One corridor sum from the condition to the vertex with the vertex's
+    spin as its key gives Z(-1) and Z(+1), and P = Z(+1) / (Z(-1) + Z(+1));
+    the couplings among the conditioned vertices cancel.  The cap counts
+    the vertex's spin along with the interior's (see `k_point`).
+    """
+    KPointQuery(condition, {vertex: 1})  # checks the spins as k_point does
+    layout = _corridor(model, frozenset(condition), frozenset((vertex,)), (vertex,))
+    z = _sum_product(layout.scopes, lambda: layout.tables(condition, model.beta),
+                     (vertex,), cap)
+    return float(z[1]) / (float(z[0]) + float(z[1]))
 
 
 def chain_conditional(distance: int, beta_j: float, spin_a: int, spin_b: int) -> float:

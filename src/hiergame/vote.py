@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import erf as _erf
 
 from .errors import CyclicGraphError, EnumerationCapError
 from .graph import HierarchyGraph, deciders
@@ -34,7 +33,8 @@ MAX_SAMPLE_SPINS = 10**8
 
 # products that cost about as much as one einsum call: cheaper steps are joined
 _FUSE_PRODUCTS = 1 << 9
-# elimination plans kept for reuse, one per factor scopes, keys and cap
+# elimination plans kept for reuse, one per factor scopes, keys and cap; also
+# the query layouts each graph or coupling model keeps
 _PLAN_CACHE = 64
 # steps spanning at least this many spins are wide: their tables are
 # multiplied pairwise by broadcasting, which beats one einsum call there
@@ -366,7 +366,10 @@ def _odd_response(field, params: VoteParams, out: np.ndarray | None = None):
     given, which may be `field` itself."""
     if params.mode == MODE_TANH:
         return np.tanh(np.multiply(params.gain, field, out), out)
-    return _erf(np.divide(field, params.noise_sigma * math.sqrt(2.0), out), out)
+    # imported here: scipy.special adds about 25 MB to the process, and
+    # only the gaussian mode needs it
+    from scipy.special import erf
+    return erf(np.divide(field, params.noise_sigma * math.sqrt(2.0), out), out)
 
 
 def outcome_probability(spin, field, params: VoteParams):
@@ -433,7 +436,7 @@ class ConditionalDistribution:
             yield dict(zip(self.vertices, key)), p
 
 
-def _vote_tables(fixed: Sequence[float], weights: Sequence[float], n_free: int,
+def _vote_tables(fixed: Sequence[float], weights: Sequence[float] | np.ndarray, n_free: int,
                  params: VoteParams) -> np.ndarray:
     """Vote tables of vertices with `n_free` summed predecessors each:
     entry [s, r] is row r's P(-1) (s = 0) or P(+1) (s = 1) at every pattern
@@ -450,7 +453,7 @@ def _vote_tables(fixed: Sequence[float], weights: Sequence[float], n_free: int,
     probs = np.empty((2, len(fixed), half))
     field = probs[1]
     field[:, 0] = fixed
-    w = np.array(weights).reshape(len(fixed), n_free)
+    w = np.asarray(weights).reshape(len(fixed), n_free)
     for j in range(n_free):
         low, high, step = field[:, :1 << j], field[:, 1 << j:2 << j], w[:, j:j + 1]
         np.add(low, step, high)
@@ -463,29 +466,61 @@ def _vote_tables(fixed: Sequence[float], weights: Sequence[float], n_free: int,
     return probs
 
 
-def _vote_sum(g: HierarchyGraph, kept: Sequence[str], condition: Mapping[str, int],
-              params: VoteParams, keys: Sequence[str] = (),
-              cap: int | None = None) -> np.ndarray:
-    """Summed vote weight over every pattern of the kept vertices outside
-    the condition, per pattern of `keys` (see `_sum_product`).
+class _FanIn(NamedTuple):
+    """The vote factors of one query whose vertices have `n_free` summed
+    predecessors each: one `_vote_tables` call builds them all."""
 
-    Each kept vertex with predecessors contributes its vote factor, a table
-    over its free spin and its free predecessors' spins, with the
-    conditioned vertices holding their fixed spins.  Factors with the same
-    number of free predecessors are built together by `_vote_tables`.
+    n_free: int
+    ids: tuple[int, ...]  # each vertex's factor number
+    pinned: tuple[str | None, ...]  # each vertex if it is conditioned, else None
+    pulls: tuple[tuple[tuple[str, float], ...], ...]  # its conditioned predecessors
+    weights: np.ndarray  # its free predecessors' weights, one row per vertex
+
+
+class _VoteLayout(NamedTuple):
+    """What an exact vote query on one graph takes from the conditioned set
+    A and the targets B alone, never from the condition's spins or the vote
+    parameters (see `_vote_layout`)."""
+
+    roots: int  # pruned vertices without predecessors, each summing to 2
+    scopes: tuple[tuple[str, ...], ...]
+    groups: tuple[_FanIn, ...]
+    targets: tuple[str, ...]  # B sorted: the result's keys
+    grid: tuple[tuple[int, ...], ...]  # the target spins of each result entry
+    notes: tuple[str, ...]
+
+
+def _vote_layout(g: HierarchyGraph, a: frozenset[str], b: frozenset[str]) -> _VoteLayout:
+    """The layout of query (A, B) on `g`, built once and kept in
+    `g.query_layouts`, which holds at most _PLAN_CACHE layouts and drops the
+    oldest first.
+
+    Building it checks that A and B are disjoint sets of vertices of `g`,
+    prunes the barren vertices (see `_prune_barren`) and gives each kept
+    vertex with predecessors a vote factor: a table over its free spin and
+    its free predecessors' spins, the conditioned ones pulling with fixed
+    spins.  Factors with the same number of free predecessors form a group.
     """
+    layouts = g.query_layouts
+    layout = layouts.get((a, b))
+    if layout is not None:
+        return layout
+    for v in a | b:
+        g.require_vertex(v)
+    if a & b:
+        raise ValueError("conditioned and target sets must be disjoint")
+    kept, roots = _prune_barren(g, a | b)
     scopes: list[tuple[str, ...]] = []
-    # free predecessors -> (factor ids, vertices, fixed fields, free weights)
-    groups: dict[int, tuple[list[int], list[str], list[float], list[float]]] = {}
+    # free predecessors -> (factor ids, pinned vertices, pulls, free weights)
+    groups: dict[int, tuple[list, list, list, list[float]]] = {}
     for v in kept:
         preds = g.pred_map[v]
         if not preds:
             continue
-        fixed = 0.0
-        free, weights = [], []
+        pulls, free, weights = [], [], []
         for u, w in preds:
-            if u in condition:
-                fixed += w * condition[u]
+            if u in a:
+                pulls.append((u, w))
             else:
                 free.append(u)
                 weights.append(w)
@@ -493,23 +528,55 @@ def _vote_sum(g: HierarchyGraph, kept: Sequence[str], condition: Mapping[str, in
         if group is None:
             group = groups[len(free)] = ([], [], [], [])
         group[0].append(len(scopes))
-        group[1].append(v)
-        group[2].append(fixed)
+        group[1].append(v if v in a else None)
+        group[2].append(tuple(pulls))
         group[3].extend(weights)
         # the last predecessor doubled is the slowest-varying axis
-        scopes.append(((v,) if v not in condition else ()) + tuple(reversed(free)))
+        scopes.append(((v,) if v not in a else ()) + tuple(reversed(free)))
+    notes: tuple[str, ...] = ()
+    if g.topological_order is not None and not a >= deciders(g):
+        notes = ("mid-graph conditioning: condition set does not cover all deciders",)
+    grid = tuple(tuple(1 if (code >> j) & 1 else -1 for j in range(len(b)))
+                 for code in range(1 << len(b)))
+    layout = _VoteLayout(
+        roots, tuple(scopes),
+        tuple(_FanIn(n, tuple(ids), tuple(pinned), tuple(pulls),
+                     np.array(weights).reshape(len(ids), n))
+              for n, (ids, pinned, pulls, weights) in groups.items()),
+        tuple(sorted(b)), grid, notes)
+    if len(layouts) >= _PLAN_CACHE:
+        del layouts[next(iter(layouts))]
+    layouts[(a, b)] = layout
+    return layout
+
+
+def _vote_sum(layout: _VoteLayout, condition: Mapping[str, int], params: VoteParams,
+              cap: int | None = None) -> np.ndarray:
+    """Summed vote weight over every pattern of the kept vertices outside
+    the condition, per pattern of the layout's targets (see `_sum_product`).
+
+    A vertex's fixed field adds the pull of each conditioned predecessor,
+    weight times spin, in predecessor order from 0.0; then `_vote_tables`
+    builds each group's tables, a conditioned vertex keeping the half of
+    its own spin.
+    """
 
     def tables() -> list[np.ndarray]:
-        out: list = [None] * len(scopes)
-        for n_free, (ids, names, fixed, weights) in groups.items():
-            probs = _vote_tables(fixed, weights, n_free, params)
-            for f, v, row in zip(ids, names, probs.transpose(1, 0, 2)):
-                if v in condition:
-                    row = row[1] if condition[v] == 1 else row[0]
-                out[f] = row.reshape((2,) * len(scopes[f]))
+        out: list = [None] * len(layout.scopes)
+        for group in layout.groups:
+            fixed = []
+            for pulls in group.pulls:
+                field = 0.0
+                for u, w in pulls:
+                    field += w * condition[u]
+                fixed.append(field)
+            probs = _vote_tables(fixed, group.weights, group.n_free, params)
+            probs = probs.reshape((2, len(fixed)) + (2,) * group.n_free)
+            for r, (f, v) in enumerate(zip(group.ids, group.pinned)):
+                out[f] = probs[:, r] if v is None else probs[1 if condition[v] == 1 else 0, r]
         return out
 
-    return _sum_product(scopes, tables, keys, cap)
+    return _sum_product(layout.scopes, tables, layout.targets, cap)
 
 
 def conditional_influence(g: HierarchyGraph, a: frozenset[str] | set[str],
@@ -525,22 +592,15 @@ def conditional_influence(g: HierarchyGraph, a: frozenset[str] | set[str],
     other conditioning sets (or cycles) it is the normalized-sum semantics.
     Barren vertices are pruned first (see `_prune_barren`) and the rest is
     summed by variable elimination, whose cap bounds log2 of the largest
-    table one step sums over (see `_sum_product`).
+    table one step sums over (see `_sum_product`).  The structure of the
+    query is built once per graph and (A, B) (see `_vote_layout`).
     """
     a = frozenset(a)
     b = frozenset(b)
-    for v in a | b:
-        g.require_vertex(v)
-    if a & b:
-        raise ValueError("conditioned and target sets must be disjoint")
+    layout = _vote_layout(g, a, b)
     if not b:
         raise ValueError("target set is empty")
     _validate_assignment(condition, a, "condition")
-    kept, roots = _prune_barren(g, a | b)
-
-    notes: tuple[str, ...] = ()
-    if g.topological_order is not None and not a >= deciders(g):
-        notes = ("mid-graph conditioning: condition set does not cover all deciders",)
 
     # A configuration and its global spin flip carry bitwise-identical weight
     # (the response functions are odd), so evaluating under a sign-canonical
@@ -548,22 +608,18 @@ def conditional_influence(g: HierarchyGraph, a: frozenset[str] | set[str],
     flipped = bool(a) and condition[min(a)] == -1
     work = {v: -s for v, s in condition.items()} if flipped else condition
 
-    b_order = tuple(sorted(b))
-    nb = len(b_order)
-    sums = _vote_sum(g, kept, work, params, b_order, cap)
+    sums = _vote_sum(layout, work, params, cap)
     z = float(sums.sum())
-    complement = np.arange(1 << nb)[::-1]
+    # entry c and entry 2^|B| - 1 - c hold opposite target patterns
     if flipped:
-        sums = sums[complement]
+        sums = sums[::-1]
     elif not a:
-        sums = 0.5 * (sums + sums[complement])
+        sums = 0.5 * (sums + sums[::-1])
     if z <= 0.0:
         raise ValueError("conditional distribution has zero total weight")
-    table = {}
-    for code in range(1 << nb):
-        key = tuple(1 if (code >> j) & 1 else -1 for j in range(nb))
-        table[key] = float(sums[code]) / z
-    return ConditionalDistribution(dict(condition), b_order, table, z * 2.0 ** roots, notes)
+    table = dict(zip(layout.grid, (sums / z).tolist()))
+    return ConditionalDistribution(dict(condition), layout.targets, table,
+                                   z * 2.0 ** layout.roots, layout.notes)
 
 
 def partition_function(g: HierarchyGraph, a: frozenset[str] | set[str],
@@ -574,14 +630,13 @@ def partition_function(g: HierarchyGraph, a: frozenset[str] | set[str],
     Equals exactly 1 on an acyclic graph conditioned on all deciders, and
     2**(number of free deciders) when some deciders are left free; on cyclic
     graphs it is a genuine normalizer with no closed form.  Pruning, the
-    sum and the cap are those of `conditional_influence`.
+    sum, the cap and the reuse of structure are those of
+    `conditional_influence`, with no targets.
     """
     a = frozenset(a)
-    for v in a:
-        g.require_vertex(v)
+    layout = _vote_layout(g, a, frozenset())
     _validate_assignment(condition, a, "condition")
-    kept, roots = _prune_barren(g, a)
-    return float(_vote_sum(g, kept, condition, params, (), cap)[0]) * 2.0 ** roots
+    return float(_vote_sum(layout, condition, params, cap)[0]) * 2.0 ** layout.roots
 
 
 def sample_many(g: HierarchyGraph, condition: Mapping[str, int],

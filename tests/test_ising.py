@@ -8,6 +8,7 @@ import pytest
 
 import helpers
 import hiergame as hg
+from hiergame import vote
 from hiergame.ising import IsingModel, KPointQuery
 
 
@@ -318,3 +319,99 @@ def test_k_point_cap(monkeypatch):
     monkeypatch.setenv("HIERGAME_CAP", "soft")
     with pytest.raises(ValueError):
         hg.k_point(model, query)
+
+
+def _split_corridor_cases(rng):
+    """(model, condition, target): crossed chains with both deciders fixed
+    and trees with every leaf fixed, whose corridors split into components."""
+    cases = [(hg.coupling_from_hierarchy(hg.crossed_chains(3, 2, 2, 3)), {"d1": s, "d2": t}, "1")
+             for s, t in ((1, 1), (1, -1), (-1, 1))]
+    for _ in range(4):
+        g = helpers.random_tree(rng, rng.randint(6, 11))
+        adj = g.undirected_adjacency
+        leaves = sorted(v for v in adj if len(adj[v]) == 1)
+        target = max(sorted(adj), key=lambda v: len(adj[v]))
+        cases.append((hg.coupling_from_hierarchy(g), {v: rng.choice((1, -1)) for v in leaves},
+                      target))
+    return cases
+
+
+def test_keyed_conditional_matches_k_point_ratio():
+    # one sum keyed on the target agrees with the ratio of the two pinned
+    # corridor sums and with the full enumeration, on random coupling graphs
+    # with cycles and on corridors that split into components
+    rng = random.Random(1010)
+    cases = _split_corridor_cases(rng)
+    for k in range(10):
+        couplings = helpers.random_couplings(rng, rng.randint(8, 12), extra=rng.randint(2, 8))
+        vertices = tuple(sorted({u for u, _, _ in couplings} | {v for _, v, _ in couplings}))
+        model = IsingModel(vertices, tuple(couplings), rng.uniform(0.3, 1.5))
+        picked = rng.sample(vertices, 2 + k % 2)
+        cases.append((model, {v: rng.choice((1, -1)) for v in picked[:-1]}, picked[-1]))
+    for model, condition, target in cases:
+        p = hg.ising_conditional(model, target, condition)
+        up = hg.k_point(model, KPointQuery(condition, {target: 1}))
+        down = hg.k_point(model, KPointQuery(condition, {target: -1}))
+        assert p == pytest.approx(up / (up + down), abs=1e-14)
+        brute = helpers.brute_ising_conditional(model.couplings, model.beta, target, condition)
+        assert p == pytest.approx(brute, abs=1e-12)
+        # warm: the same query again, and the flipped condition
+        assert hg.ising_conditional(model, target, condition) == p
+        flipped = {v: -s for v, s in condition.items()}
+        assert hg.ising_conditional(model, target, flipped) == pytest.approx(1.0 - p, abs=1e-14)
+
+
+def test_ising_conditional_errors():
+    model = IsingModel(("a", "b", "c"), (("a", "b", 1.0), ("b", "c", 0.5)), 1.0)
+    with pytest.raises(ValueError, match="unknown vertex"):
+        hg.ising_conditional(model, "zz", {"a": 1})
+    with pytest.raises(ValueError, match="unknown vertex"):
+        hg.ising_conditional(model, "c", {"zz": 1})
+    with pytest.raises(ValueError, match="overlap"):
+        hg.ising_conditional(model, "a", {"a": 1})
+    with pytest.raises(ValueError, match="nonempty"):
+        hg.ising_conditional(model, "c", {})
+    with pytest.raises(ValueError, match="spin"):
+        hg.ising_conditional(model, "c", {"a": 2})
+    # a valid query after the failed ones, and the failed ones again once it is warm
+    assert hg.ising_conditional(model, "c", {"a": 1}) > 0.5
+    with pytest.raises(ValueError, match="spin"):
+        hg.ising_conditional(model, "c", {"a": 0})
+    with pytest.raises(ValueError, match="overlap"):
+        hg.ising_conditional(model, "c", {"a": 1, "c": 1})
+
+
+def test_warm_ising_conditional_skips_the_corridor_search(monkeypatch):
+    model = hg.coupling_from_hierarchy(hg.crossed_chains(4, 4, 4, 4))
+    cold = hg.ising_conditional(model, "1", {"d1": 1, "d2": -1})
+
+    def searched(*args):
+        raise AssertionError("corridor searched on a warm query")
+
+    monkeypatch.setattr(hg.ising, "nodes_between_adjacency", searched)
+    assert hg.ising_conditional(model, "1", {"d1": 1, "d2": -1}) == cold
+    hg.ising_conditional(model, "1", {"d1": -1, "d2": -1})
+    with pytest.raises(AssertionError, match="corridor"):
+        hg.ising_conditional(model, "2", {"d1": 1, "d2": -1})
+
+
+def test_ising_conditional_cap_counts_the_target():
+    # the target's spin is a key of the sum: on the complete 13-vertex model
+    # the first interior vertex meets the other ten and the target
+    model = _complete_model(13, 0.1, 1.0)
+    with pytest.raises(hg.EnumerationCapError):
+        hg.ising_conditional(model, "v12", {"v00": 1}, cap=11)
+    p = hg.ising_conditional(model, "v12", {"v00": 1}, cap=12)
+    up = hg.k_point(model, KPointQuery({"v00": 1}, {"v12": 1}), cap=11)
+    down = hg.k_point(model, KPointQuery({"v00": 1}, {"v12": -1}), cap=11)
+    assert p == pytest.approx(up / (up + down), abs=1e-14)
+
+
+def test_corridor_layout_store_is_bounded():
+    model = _path_model(vote._PLAN_CACHE + 10, 0.7, 1.0)
+    for v in model.vertices[1:]:
+        hg.ising_conditional(model, v, {"v00": 1})
+        hg.k_point(model, KPointQuery({"v00": 1}, {v: 1}))
+        assert len(model.corridor_layouts) <= vote._PLAN_CACHE
+    assert hg.ising_conditional(model, "v01", {"v00": 1}) == pytest.approx(
+        hg.chain_conditional(1, 0.7, 1, 1), abs=1e-15)

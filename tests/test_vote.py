@@ -3,8 +3,12 @@
 import hashlib
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -527,6 +531,156 @@ def test_warm_sums_search_no_contraction_path(monkeypatch):
     monkeypatch.setattr(np._core.einsumfunc, "einsum_path", searched)
     warm = hg.conditional_influence(g, a, target, dict.fromkeys(a, 1), params)
     assert warm.table == cold.table and warm.partition == cold.partition
+
+
+def _copy(g: HierarchyGraph) -> HierarchyGraph:
+    """The same hierarchy as a new object, with no query layouts yet."""
+    return HierarchyGraph(g.vertices, g.edges, g.free_float, g.noise_sigma)
+
+
+def _same(warm, cold) -> bool:
+    return (warm.vertices == cold.vertices and warm.table == cold.table
+            and list(warm.table) == list(cold.table) and warm.partition == cold.partition
+            and warm.notes == cold.notes and warm.condition == cold.condition)
+
+
+def test_warm_queries_repeat_cold_answers():
+    # a query on a graph that already holds its layout gives, bit for bit,
+    # what the same query gives on a fresh copy of the graph: single and
+    # joint targets and the partition sum, both modes, canonical and
+    # flipped commands, decider and mid-graph conditions, sparse and dense
+    rng = random.Random(6061)
+    graphs = [helpers.random_tree(rng, 12), helpers.random_dag(rng, 12),
+              helpers.random_dag(rng, 13, extra=40), helpers.random_digraph(rng, 12, extra=30)]
+    checked = 0
+    for k, g in enumerate(graphs):
+        ids = sorted(g.vertex_ids)
+        lam = sorted(hg.deciders(g))
+        for a in (lam, rng.sample(ids, 2)):
+            if not a:
+                continue
+            rest = [v for v in ids if v not in a]
+            for b in (rest[-1:], rest[-2:]):
+                for mode in ("tanh", "gaussian"):
+                    params = VoteParams.from_graph(g, mode=mode)
+                    canonical = {v: rng.choice((1, -1)) for v in a}
+                    canonical[min(a)] = 1
+                    flipped = {v: -s for v, s in canonical.items()}
+                    # warm the layouts with some other command vector
+                    other = {v: rng.choice((1, -1)) for v in a}
+                    hg.conditional_influence(g, set(a), set(b), other, params)
+                    hg.partition_function(g, set(a), other, params)
+                    for cond in (canonical, flipped):
+                        warm = hg.conditional_influence(g, set(a), set(b), cond, params)
+                        cold = hg.conditional_influence(_copy(g), set(a), set(b), cond, params)
+                        assert _same(warm, cold), (k, a, b, mode)
+                        assert hg.partition_function(g, set(a), cond, params) == \
+                            hg.partition_function(_copy(g), set(a), cond, params)
+                        checked += 1
+    assert checked >= 48
+    # the mid-graph note rides on the layout
+    g = hg.single_chain(4)
+    params = VoteParams.from_graph(g)
+    for _ in range(2):
+        assert hg.conditional_influence(g, {"u2"}, {"1"}, {"u2": 1}, params).notes
+        assert hg.conditional_influence(g, {"d1"}, {"1"}, {"d1": -1}, params).notes == ()
+
+
+def test_warm_queries_do_no_structural_work(monkeypatch):
+    # once a graph holds the layout of (A, B), a query with other spins or
+    # other vote parameters neither prunes the graph nor looks for deciders
+    g = helpers.random_dag(random.Random(6062), 14, extra=4)
+    lam = sorted(hg.deciders(g))
+    target = {sorted(set(g.vertex_ids) - set(lam))[-1]}
+    calls = {"prune": 0, "deciders": 0}
+
+    def once(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            if calls[name] > 1:
+                raise AssertionError(f"{name} called on a warm query")
+            return fn(*args)
+        return counted
+
+    monkeypatch.setattr(vote, "_prune_barren", once("prune", vote._prune_barren))
+    monkeypatch.setattr(vote, "deciders", once("deciders", vote.deciders))
+    for mode in ("tanh", "gaussian"):
+        for spins in itertools.product((1, -1), repeat=len(lam)):
+            cond = dict(zip(lam, spins))
+            hg.conditional_influence(g, set(lam), target, cond,
+                                     VoteParams.from_graph(g, mode=mode))
+    assert calls == {"prune": 1, "deciders": 1}
+    calls.update(prune=0, deciders=0)
+    for spins in itertools.product((1, -1), repeat=len(lam)):
+        hg.partition_function(g, set(lam), dict(zip(lam, spins)), VoteParams.from_graph(g))
+    assert calls == {"prune": 1, "deciders": 1}
+
+
+def test_graphs_with_the_same_names_keep_their_own_layouts():
+    # same vertex names, different edges or weights: each graph answers for
+    # itself, whichever was asked first
+    rng = random.Random(6063)
+    first = helpers.random_dag(rng, 9, extra=3, free_float=0.4, noise_sigma=0.8)
+    # move weight between the two predecessors of some joined vertex
+    joined = next(v for v, preds in first.pred_map.items() if len(preds) >= 2)
+    (u0, w0), (u1, w1) = first.pred_map[joined][:2]
+    shift = 0.5 * min(w0, w1)
+    edges = []
+    for e in first.edges:
+        if e.dst == joined and e.src in (u0, u1):
+            e = Edge(e.src, e.dst, e.weight + (shift if e.src == u0 else -shift))
+        edges.append(e)
+    reweighted = HierarchyGraph(first.vertices, tuple(edges), 0.4, 0.8)
+    rewired = HierarchyGraph(first.vertices, tuple(e for e in first.edges if e.dst != joined)
+                             + (Edge(u0, joined, 1.0),), 0.4, 0.8)
+    lam = sorted(hg.deciders(first))
+    cond = dict.fromkeys(lam, 1)
+    answers = []
+    for g in (first, reweighted, rewired, first):
+        assert sorted(hg.deciders(g)) == lam
+        params = VoteParams.from_graph(g)
+        dist = hg.conditional_influence(g, set(lam), {joined}, cond, params)
+        assert dist.plus_prob(joined) == pytest.approx(
+            helpers.brute_vote_conditional(g, joined, cond), abs=1e-12)
+        z = hg.partition_function(g, set(lam), cond, params)
+        assert z == pytest.approx(helpers.brute_vote_partition(g, cond), rel=1e-12)
+        answers.append(dist.plus_prob(joined))
+    assert len(set(answers[:3])) == 3 and answers[3] == answers[0]
+
+
+def test_layout_store_is_bounded():
+    # more distinct target sets than _PLAN_CACHE: the graph keeps at most
+    # _PLAN_CACHE layouts, and a query whose layout was dropped is rebuilt
+    # with the same answer
+    g = hg.single_chain(vote._PLAN_CACHE + 10)
+    params = VoteParams.from_graph(g)
+    targets = sorted(set(g.vertex_ids) - {"d1"})
+    assert len(targets) > vote._PLAN_CACHE
+    first = hg.conditional_influence(g, {"d1"}, {targets[0]}, {"d1": 1}, params)
+    for t in targets:
+        hg.conditional_influence(g, {"d1"}, {t}, {"d1": 1}, params)
+        assert len(g.query_layouts) <= vote._PLAN_CACHE
+    hg.partition_function(g, {"d1"}, {"d1": 1}, params)
+    assert len(g.query_layouts) <= vote._PLAN_CACHE
+    again = hg.conditional_influence(g, {"d1"}, {targets[0]}, {"d1": 1}, params)
+    assert _same(again, first)
+
+
+def test_tanh_queries_leave_scipy_unloaded():
+    # scipy.special adds about 25 MB to a process; only the gaussian
+    # response needs it, so it is imported on the first gaussian table
+    code = ("import sys, hiergame as hg\n"
+            "g = hg.crossed_chains()\n"
+            "cond = {'d1': 1, 'd2': -1}\n"
+            "hg.conditional_influence(g, set(cond), {'1'}, cond, hg.VoteParams.from_graph(g))\n"
+            "hg.sample_many(g, cond, hg.VoteParams.from_graph(g), 10, seed=1)\n"
+            "assert 'scipy.special' not in sys.modules\n"
+            "hg.conditional_influence(g, set(cond), {'1'}, cond,\n"
+            "                         hg.VoteParams.from_graph(g, mode='gaussian'))\n"
+            "assert 'scipy.special' in sys.modules\n")
+    src = str(Path(hg.__file__).resolve().parents[1])
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=60,
+                   env={**os.environ, "PYTHONPATH": src})
 
 
 @pytest.mark.parametrize("mode", ["tanh", "gaussian"])
