@@ -15,6 +15,8 @@ import functools
 import heapq
 import math
 import os
+import threading
+import time
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -40,6 +42,24 @@ _PLAN_CACHE = 64
 # multiplied pairwise by broadcasting, which beats one einsum call there
 # and loses to it on smaller steps
 _PAIRWISE_SPINS = 12
+# a sampler call that draws fewer uniforms than this fills them inline: a
+# helper thread's start and join cost about as much as filling that many
+_HELPER_UNIFORMS = 1 << 18
+# a helper thread fills uniforms ahead of the sampler into a ring of this
+# many chunks of at most _CHUNK_ROWS rows each: 128 bytes per draw in all
+_RING_SLOTS = 4
+_CHUNK_ROWS = 4
+# the sampler tables a vertex whose P(+1) table takes at most this many
+# bytes to build (fan-in up to 3) at any number of draws: at few draws such
+# a table costs less than the vertex's per-draw field
+_SMALL_TABLE_BYTES = 512
+# below this many draws a per-draw field is summed over stacks of up to
+# _FIELD_STACK predecessors, a few numpy calls per stack instead of two per
+# predecessor; above it, predecessor by predecessor from +-1 spin rows, the
+# latest _SIGNED_ROWS of them kept for later vertices
+_STACKED_FIELD_DRAWS = 32
+_FIELD_STACK = 8
+_SIGNED_ROWS = 64
 
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
@@ -639,6 +659,151 @@ def partition_function(g: HierarchyGraph, a: frozenset[str] | set[str],
     return float(_vote_sum(layout, condition, params, cap)[0]) * 2.0 ** layout.roots
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
+def _uniform_rows(seed: int, rows: int, n: int) -> Iterator[np.ndarray]:
+    """`rows` rows of `n` uniforms: row r holds positions [r n, (r + 1) n)
+    of default_rng(seed)'s stream, as r + 1 successive ``random(n)`` calls
+    would draw it.  A row is valid until the next one is taken.
+
+    With an integer seed, two usable CPUs and at least _HELPER_UNIFORMS
+    uniforms in all, a helper thread fills chunks of rows into a ring of
+    _RING_SLOTS reused buffers ahead of the reader, from its own
+    default_rng(seed) moved to each chunk's position with `advance`.  Both
+    threads claim chunks in order: while the chunk the reader needs is
+    being filled, the reader fills the next unclaimed one, so the two share
+    the filling.  A helper that falls far behind, as on a busy second CPU,
+    is stopped, and the reader goes on alone.  The helper is joined when
+    the generator finishes or is closed.
+    """
+    rng = np.random.default_rng(seed)
+    if (rows * n < _HELPER_UNIFORMS or _usable_cpus() < 2
+            or not isinstance(seed, (int, np.integer))):
+        out = np.empty(n)
+        for _ in range(rows):
+            yield rng.random(out=out)
+        return
+    per = max(1, min(_CHUNK_ROWS, (1 << 16) // n))
+    chunks = -(-rows // per)
+    ring = np.empty((_RING_SLOTS, per, n))
+    held = [-1] * _RING_SLOTS  # the chunk each slot holds, once it is filled
+    claimed = reading = 0  # chunks claimed by either thread; the chunk being read
+    lead = 0  # chunks the reader has filled since the helper last filled one
+    stop = helper_gone = False
+    cond = threading.Condition()
+
+    def fill(source: list, start: int, out: np.ndarray) -> np.ndarray:
+        """`out` from stream position `start` on, drawn from `source`,
+        [generator, its stream position]."""
+        if start != source[1]:
+            source[0].bit_generator.advance(start - source[1])
+        source[0].random(out=out)
+        source[1] = start + out.size
+        return out
+
+    def slot(c: int) -> np.ndarray:
+        return ring[c % _RING_SLOTS, :min(per, rows - c * per)]
+
+    def helper() -> None:
+        nonlocal claimed, helper_gone, lead
+        try:
+            own = [np.random.default_rng(seed), 0]
+            while True:
+                with cond:
+                    while not stop and reading + _RING_SLOTS <= claimed < chunks:
+                        cond.wait()
+                    if stop or claimed == chunks:
+                        return
+                    c = claimed
+                    claimed += 1
+                # row by row, so that a stopped helper is soon joined
+                for i, row in enumerate(slot(c)):
+                    if stop:
+                        return
+                    fill(own, (c * per + i) * n, row)
+                with cond:
+                    held[c % _RING_SLOTS] = c
+                    lead = 0
+                    cond.notify()
+        finally:
+            with cond:
+                helper_gone = True
+                cond.notify()
+
+    mine = [rng, 0]
+    spare = None
+    # the helper counts as stalled, most likely because its CPU is busy,
+    # when it keeps the chunk the reader needs four times as long as the
+    # reader took to fill its last chunk (about 5 ns per uniform before the
+    # first), or fills none while the reader fills twice as many chunks as
+    # the ring holds
+    patience = per * n * 2e-8
+
+    def take(c: int) -> np.ndarray:
+        """Chunk c once it is filled; until then the reader fills the next
+        unclaimed chunk with a free slot.  Once the helper is gone or
+        stalled, the reader stops it and fills each chunk the helper has
+        not finished into a spare buffer, which the helper never writes."""
+        nonlocal claimed, reading, stop, spare, patience, lead
+        while True:
+            with cond:
+                if reading != c:
+                    reading = c  # frees the slot of chunk c - 1
+                    cond.notify()
+                if held[c % _RING_SLOTS] == c:
+                    return slot(c)
+                if stop or helper_gone:
+                    break
+                if claimed < min(c + _RING_SLOTS, chunks):
+                    d = claimed
+                    claimed += 1
+                    lead += 1
+                    stop = lead > 2 * _RING_SLOTS
+                else:
+                    stop = not cond.wait(patience)
+                    continue
+            start = time.perf_counter()
+            fill(mine, d * per * n, slot(d))
+            patience = 4.0 * (time.perf_counter() - start)
+            with cond:
+                held[d % _RING_SLOTS] = d
+        if spare is None:
+            spare = np.empty((per, n))
+        return fill(mine, c * per * n, spare[:min(per, rows - c * per)])
+
+    thread = threading.Thread(target=helper, name="hiergame-uniforms", daemon=True)
+    thread.start()
+    try:
+        for c in range(chunks):
+            yield from take(c)
+    finally:
+        with cond:
+            stop = True
+            cond.notify()
+        thread.join()
+
+
+def _stacked_field(masks: list[np.ndarray], weights: list[float]) -> np.ndarray:
+    """Each draw's field from its predecessors' +1 masks: w times the spin
+    summed in predecessor order from 0.0, over stacks of up to _FIELD_STACK
+    predecessors, each summed by one accumulate call down its rows."""
+    field = 0.0
+    for i in range(0, len(masks), _FIELD_STACK):
+        spins = np.array(masks[i:i + _FIELD_STACK]).view(np.int8)
+        spins += spins
+        spins -= 1
+        terms = spins.astype(float)
+        terms *= np.array(weights[i:i + _FIELD_STACK])[:, None]
+        terms[0] += field
+        field = np.add.accumulate(terms, axis=0, out=terms)[-1]
+    return field
+
+
 def sample_many(g: HierarchyGraph, condition: Mapping[str, int],
                 params: VoteParams, n: int, seed: int) -> dict[str, np.ndarray]:
     """Draw `n` independent full spin assignments by ancestral sampling.
@@ -646,12 +811,20 @@ def sample_many(g: HierarchyGraph, condition: Mapping[str, int],
     Requires an acyclic graph conditioned on exactly the decider set, and
     at most MAX_SAMPLE_SPINS draws times vertices.  In topological order,
     each vertex with predecessors draws one uniform per draw and is +1
-    where it falls below P(+1 | predecessors), read from the vertex's
-    table over predecessor patterns (`_vote_tables`) or, where that table
-    would take more bytes to build than the `n` spins, from the field of
-    each draw.  Both sum -w or +w per predecessor in order from 0.0, so a
-    seed gives the same draws either way.  Returns an int8 array of +-1
-    per vertex, one byte per vertex per draw; deterministic in `seed`.
+    where it falls below P(+1 | predecessors): the r-th such vertex reads
+    positions [r n, (r + 1) n) of default_rng(seed)'s stream.  P(+1) comes
+    from the vertex's table over predecessor patterns (`_vote_tables`) or,
+    where that table would take more bytes to build than both the `n`
+    spins and _SMALL_TABLE_BYTES, from the field of each draw.  Both sum -w
+    or +w per predecessor in order from 0.0, so a seed gives the same draws
+    either way; a vertex with one predecessor compares each uniform with
+    both entries of its table and keeps the one its predecessor's spin picks.
+
+    The uniforms may be filled by a second thread (see `_uniform_rows`);
+    it runs only with two usable CPUs and an integer seed, when the call
+    draws at least _HELPER_UNIFORMS of them, and the draws of a seed are
+    the same either way.  Returns an int8 array of +-1 per vertex, one
+    byte per vertex per draw; deterministic in `seed`.
     """
     order = g.topological_order
     if order is None:
@@ -666,45 +839,82 @@ def sample_many(g: HierarchyGraph, condition: Mapping[str, int],
 
     # fan-in k -> weights of the vertices tabled, in order: those whose
     # table, about eight arrays of 2^k floats while built, fits in their n
-    # spins.  Deciders stay predecessors: a fixed field would reorder sums.
+    # spins or in _SMALL_TABLE_BYTES.  Deciders stay predecessors: a fixed
+    # field would reorder sums.
     groups: dict[int, list[float]] = {}
+    fits = max(n, _SMALL_TABLE_BYTES)
+    drawing = 0
     for v in order:
         preds = g.pred_map[v]
-        if preds and 64 << len(preds) <= n:
-            groups.setdefault(len(preds), []).extend(w for _, w in preds)
-    # P(+1) halves only, handed out in topological order
-    tables = {k: iter(_vote_tables([0.0] * (len(w) // k), w, k, params)[1].copy())
-              for k, w in groups.items()}
+        if preds:
+            drawing += 1
+            if 64 << len(preds) <= fits:
+                groups.setdefault(len(preds), []).extend([w for _, w in preds])
+    # predecessor -> its spins as +-1 bytes, for the per-draw fields summed
+    # predecessor by predecessor: at most _SIGNED_ROWS, the oldest dropped first
+    signed: dict[str, np.ndarray] = {}
 
-    rng = np.random.default_rng(seed)
-    # each vertex's +1 mask as 0/1 bytes (the code of fan-in 1), turned
-    # into its spins at the end, in blocks of at most 64 KiB: one block for
-    # every vertex would, once freed, raise the C allocator's mmap
-    # threshold, and later calls would keep that much memory resident
-    per_block = max(1, (1 << 16) // n)
-    blocks = [np.empty((min(per_block, len(order) - i), n), dtype=bool)
-              for i in range(0, len(order), per_block)]
-    bits: dict[str, np.ndarray] = {}
-    for v, mask in zip(order, (row for block in blocks for row in block)):
-        bits[v] = mask.view(np.uint8)
-        preds = g.pred_map[v]
-        if not preds:
-            mask.fill(condition[v] == 1)
-            continue
-        fan_in_tables = tables.get(len(preds))
-        if fan_in_tables is None:
-            field = np.zeros(n)
-            for u, w in preds:
-                field += np.array((-w, w)).take(bits[u])  # w times the spin
-            p = outcome_probability(1, params.command_scale * field, params)
-        else:
-            table = next(fan_in_tables)
-            code = bits[preds[0][0]]
-            wide = np.min_scalar_type(len(table) - 1)
-            for j, (u, _) in enumerate(preds[1:], 1):
-                code = np.left_shift(bits[u], j, dtype=wide) | code
-            p = table.take(code)
-        np.less(rng.random(n), p, out=mask)
+    # P(+1) halves only, handed out in topological order; fan-in 1 as
+    # pairs of floats, P(+1) at predecessor -1 and at +1
+    tables = {}
+    for k, w in groups.items():
+        plus = _vote_tables([0.0] * (len(w) // k), w, k, params)[1].copy()
+        flat = memoryview(plus.ravel())
+        tables[k] = zip(flat[::2], flat[1::2]) if k == 1 else iter(plus)
+    uniforms = _uniform_rows(seed, drawing, n)
+    try:
+        # each vertex's +1 mask, turned into its spins at the end, in blocks
+        # of at most 64 KiB: one block for every vertex would, once freed,
+        # raise the C allocator's mmap threshold, and later calls would keep
+        # that much memory resident
+        per_block = max(1, (1 << 16) // n)
+        blocks = [np.empty((min(per_block, len(order) - i), n), dtype=bool)
+                  for i in range(0, len(order), per_block)]
+        bits: dict[str, np.ndarray] = {}
+        picked = np.empty(n, dtype=bool)
+        for v, mask in zip(order, (row for block in blocks for row in block)):
+            bits[v] = mask
+            preds = g.pred_map[v]
+            if not preds:
+                mask.fill(condition[v] == 1)
+            elif len(preds) not in tables:
+                if n < _STACKED_FIELD_DRAWS:
+                    field = _stacked_field([bits[p] for p, _ in preds], [w for _, w in preds])
+                else:
+                    field = np.zeros(n)
+                    for p, w in preds:
+                        s = signed.get(p)
+                        if s is None:
+                            s = signed[p] = 2 * bits[p].view(np.int8) - 1
+                            if len(signed) > _SIGNED_ROWS:
+                                del signed[next(iter(signed))]
+                        field += w * s
+                p_plus = outcome_probability(1, params.command_scale * field, params)
+                np.less(next(uniforms), p_plus, out=mask)
+            elif len(preds) == 1:
+                # +1 below the lower entry, or below the higher one where
+                # the predecessor's spin picks it: the entry a gather would
+                # pick, bit for bit.  A valid graph's positive weight puts
+                # the higher entry at +1.  The entries come from fields -w
+                # and +w, so they are both NaN or neither.
+                low, high = next(tables[1])
+                select = np.logical_and
+                if high < low:
+                    low, high, select = high, low, np.greater  # picked where -1
+                u = next(uniforms)
+                np.less(u, low, out=mask)
+                np.less(u, high, out=picked)
+                select(picked, bits[preds[0][0]], out=picked)
+                mask |= picked
+            else:
+                table = next(tables[len(preds)])
+                code = bits[preds[0][0]].view(np.uint8)
+                wide = np.min_scalar_type(len(table) - 1)
+                for j, (p, _) in enumerate(preds[1:], 1):
+                    code = np.left_shift(bits[p].view(np.uint8), j, dtype=wide) | code
+                np.less(next(uniforms), table.take(code), out=mask)
+    finally:
+        uniforms.close()
     for block in blocks:
         spins = block.view(np.int8)
         spins *= 2

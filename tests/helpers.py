@@ -167,6 +167,21 @@ def random_arborescence(rng: random.Random, n: int,
     return _assemble(n, directed, rng, free_float, noise_sigma)
 
 
+def random_fan_in_dag(rng: random.Random, n: int, roots: tuple, max_fan_in: int) -> HierarchyGraph:
+    """Random DAG on v0..v{n-1}: the vertices numbered in `roots` (v0 among
+    them) have no predecessors, every other v_k listens to between 1 and
+    `max_fan_in` earlier vertices.  Roots numbered late come after drawing
+    vertices in the sampler's topological order."""
+    assert 0 in roots
+    directed = []
+    for k in range(1, n):
+        if k not in roots:
+            count = rng.randint(1, min(k, max_fan_in))
+            directed += [(f"v{j}", f"v{k}") for j in sorted(rng.sample(range(k), count))]
+    return _assemble(n, directed, rng, rng.uniform(0.1, 0.9),
+                     math.sqrt(2.0 / math.pi) / rng.uniform(0.4, 1.6))
+
+
 def random_dag(rng: random.Random, n: int, extra: int = 2,
                free_float: float | None = None,
                noise_sigma: float | None = None) -> HierarchyGraph:

@@ -7,6 +7,8 @@ import os
 import random
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -789,6 +791,200 @@ def test_sampler_holds_one_byte_per_spin():
             tracemalloc.stop()
         assert len(draws) == len(g.vertices)
         assert peak <= len(g.vertices) * n + 256 * n
+
+
+def _sampler_helper(monkeypatch, on: bool) -> list:
+    """Force the sampler's uniform-filling helper thread on (even with one
+    usable CPU) or off; returns a list that collects each thread started."""
+    monkeypatch.setattr(vote, "_HELPER_UNIFORMS", 1 if on else 1 << 62)
+    monkeypatch.setattr(vote, "_usable_cpus", lambda: 2)
+    started = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            started.append(self.name)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Counted)
+    return started
+
+
+def test_sampler_threaded_equals_inline_equals_brute_force(monkeypatch):
+    # fan-ins 0 to 9 hit the fan-in-1 compares, tables of small and large
+    # fan-in, the stacked field at few draws and the row-by-row field; roots
+    # numbered late sit between drawing vertices in topological order; 23
+    # drawing vertices leave a partial last chunk of helper-filled rows
+    rng = random.Random(1111)
+    pool = [helpers.random_fan_in_dag(rng, 27, (0, 5, 13, 20), 9) for _ in range(3)]
+    # negative and zero weights, as a graph built without validation may
+    # have: the fan-in-1 compares run mirrored where P(+1) falls with the
+    # predecessor's spin
+    pool.append(HierarchyGraph(
+        (Vertex("d", "decider"), Vertex("a", "agent"), Vertex("b", "agent"),
+         Vertex("c", "executive")),
+        (Edge("d", "a", -0.8), Edge("a", "b", 0.0), Edge("b", "c", 1.3)), 0.4, 0.9))
+    for g in pool[:3]:
+        order = g.topological_order
+        fan_ins = [len(g.pred_map[v]) for v in order]
+        assert max(fan_ins) == 9 and sum(1 for k in fan_ins if k) == 23
+        first = next(i for i, k in enumerate(fan_ins) if k)
+        assert fan_ins[first:].count(0) >= 2, "roots do not sit between drawing vertices"
+    for g in pool:
+        cond = {d: rng.choice((1, -1)) for d in sorted(hg.deciders(g))}
+        for mode in ("tanh", "gaussian"):
+            params = VoteParams.from_graph(g, mode)
+            for n in (1, 63, 64, 127, 128, 5000, 20000):
+                seed = rng.randrange(1 << 30)
+                want = helpers.brute_sample_many(g, cond, params, n, seed)
+                for on in (False, True):
+                    with monkeypatch.context() as m:
+                        started = _sampler_helper(m, on)
+                        got = hg.sample_many(g, cond, params, n, seed)
+                    assert started == (["hiergame-uniforms"] if on else [])
+                    assert got.keys() == want.keys()
+                    for v, arr in want.items():
+                        assert got[v].dtype == np.int8 and got[v].shape == (n,)
+                        assert np.array_equal(got[v], arr), (v, mode, n, on)
+
+
+def test_sampler_helper_runs_only_where_it_pays(monkeypatch):
+    g = hg.single_chain(40)
+    params = VoteParams.from_graph(g)
+    big = vote._HELPER_UNIFORMS // 40 + 1
+    started = _sampler_helper(monkeypatch, on=True)
+    monkeypatch.setattr(vote, "_HELPER_UNIFORMS", 40 * big)
+    hg.sample_many(g, {"d1": 1}, params, big - 1, seed=3)
+    assert started == []
+    hg.sample_many(g, {"d1": 1}, params, big, seed=3)
+    hg.sample_many(g, {"d1": 1}, params, big, seed=np.int64(3))
+    assert len(started) == 2
+    # one usable CPU, or a seed that is not an integer: no helper
+    hg.sample_many(g, {"d1": 1}, params, big, seed=np.random.SeedSequence(3))
+    monkeypatch.setattr(vote, "_usable_cpus", lambda: 1)
+    hg.sample_many(g, {"d1": 1}, params, big, seed=3)
+    assert len(started) == 2
+
+
+def test_sampler_joins_its_helper_thread(monkeypatch):
+    # no helper thread outlives a call: on return, and on an exception
+    # raised mid-loop while the helper fills rows ahead
+    g = helpers.complete_dag(10)
+    cond = {"d0": 1, "d1": -1}
+    params = VoteParams.from_graph(g)
+    before = threading.active_count()
+    started = _sampler_helper(monkeypatch, on=True)
+    hg.sample_many(g, cond, params, 3000, seed=1)
+    assert threading.active_count() == before
+    calls = []
+    response = vote.outcome_probability
+
+    def fail_third(*args):
+        calls.append(1)
+        if len(calls) == 3:
+            raise RuntimeError("stop mid-loop")
+        return response(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(vote, "outcome_probability", fail_third)
+        with pytest.raises(RuntimeError, match="mid-loop"):
+            hg.sample_many(g, cond, params, 3000, seed=1)
+    assert len(calls) == 3
+    assert threading.active_count() == before
+    assert len(started) == 2
+    assert not any(t.name == "hiergame-uniforms" for t in threading.enumerate())
+
+
+@pytest.mark.parametrize("fault", ["dies", "lags"])
+def test_sampler_survives_a_failing_helper(monkeypatch, fault):
+    # a helper that dies on its first chunk, or takes far longer than
+    # filling a chunk should, leaves its chunks to the reader, which may
+    # already have filled later ones: it moves its generator back, and the
+    # draws stay those of the stream
+    g = hg.single_chain(200)
+    params = VoteParams.from_graph(g)
+    want = helpers.brute_sample_many(g, {"d1": 1}, params, 5000, 9)
+    make = np.random.default_rng
+
+    class Faulty:
+        def __init__(self, seed):
+            self.inner = make(seed)
+            self.bit_generator = self.inner.bit_generator
+
+        def random(self, out):
+            if fault == "dies":
+                raise RuntimeError("helper died")
+            time.sleep(0.2)
+            return self.inner.random(out=out)
+
+    def rng(seed):
+        return make(seed) if threading.current_thread() is threading.main_thread() else Faulty(seed)
+
+    failures = []
+    monkeypatch.setattr(np.random, "default_rng", rng)
+    monkeypatch.setattr(threading, "excepthook", failures.append)
+    started = _sampler_helper(monkeypatch, on=True)
+    before = time.perf_counter()
+    got = hg.sample_many(g, {"d1": 1}, params, 5000, 9)
+    assert started == ["hiergame-uniforms"]
+    assert [str(f.exc_value) for f in failures] == (["helper died"] if fault == "dies" else [])
+    # the reader waited out the lagging helper once at most, at the join
+    assert time.perf_counter() - before < 1.0
+    for v, arr in want.items():
+        assert np.array_equal(got[v], arr), v
+
+
+def test_sampler_helpers_under_contention(monkeypatch):
+    # four sampling threads at once, each with its helper, on however few
+    # cores, with the interpreter lock switched as often as it will go:
+    # a chunk claimed twice, or read before it is filled, changes the draws
+    g = hg.single_chain(120)
+    params = VoteParams.from_graph(g)
+    want = {seed: helpers.brute_sample_many(g, {"d1": 1}, params, 3000, seed)
+            for seed in range(4)}
+    _sampler_helper(monkeypatch, on=True)
+    got = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runs = [threading.Thread(target=lambda seed=seed: got.update(
+                    {seed: hg.sample_many(g, {"d1": 1}, params, 3000, seed)}))
+                for seed in want]
+        for run in runs:
+            run.start()
+        for run in runs:
+            run.join(timeout=120)
+            assert not run.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert got.keys() == want.keys()
+    for seed, draws in want.items():
+        for v, arr in draws.items():
+            assert np.array_equal(got[seed][v], arr), (seed, v)
+    assert not any(t.name == "hiergame-uniforms" for t in threading.enumerate())
+
+
+def test_sampler_with_helper_holds_one_byte_per_spin(monkeypatch):
+    # the bound of test_sampler_holds_one_byte_per_spin with the helper
+    # thread forced on: its ring of uniforms, 128 bytes per draw, fits in
+    # the same 256 bytes per draw, and it is gone when the call returns.
+    # (At 64 draws the helper's fixed few KiB would not fit, but there the
+    # cut-off keeps it off.)
+    g, cond, n = hg.single_chain(2000), {"d1": 1}, 5000
+    assert 2000 * n >= vote._HELPER_UNIFORMS
+    params = VoteParams.from_graph(g)
+    before = threading.active_count()
+    started = _sampler_helper(monkeypatch, on=True)
+    hg.sample_many(g, cond, params, 10, seed=1)
+    tracemalloc.start()
+    try:
+        draws = hg.sample_many(g, cond, params, n, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(draws) == len(g.vertices)
+    assert peak <= len(g.vertices) * n + 256 * n
+    assert len(started) == 2
+    assert threading.active_count() == before
 
 
 def test_sampler_rejects_cycles_and_partial_conditions():
