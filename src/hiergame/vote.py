@@ -18,7 +18,7 @@ import os
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -49,16 +49,25 @@ _HELPER_UNIFORMS = 1 << 18
 # many chunks of at most _CHUNK_ROWS rows each: 128 bytes per draw in all
 _RING_SLOTS = 4
 _CHUNK_ROWS = 4
+# a helper thread pays only on a CPU of its own: checked every
+# _PARALLEL_CHECK seconds, the sampler stops its helper once the two have
+# used less than _PARALLEL_SHARE times the call's wall time in CPU time
+# (on two free CPUs, 1.45-1.67 times at the first check and about 1.8
+# later; taking turns on one CPU, at most 1).  Finding that out costs a
+# call about _PARALLEL_CHECK, so later calls then fill inline for
+# _SHARED_CPU_REST seconds, doubled for each call in a row that found the
+# CPU shared, up to 16 times
+_PARALLEL_CHECK = 2e-3
+_PARALLEL_SHARE = 1.2
+_SHARED_CPU_REST = 0.25
+_shared_cpu_until = 0.0  # perf_counter time until which calls fill inline
+_shared_cpu_doublings = 0  # of the next rest, at most 4
 # the sampler tables a vertex whose P(+1) table takes at most this many
 # bytes to build (fan-in up to 3) at any number of draws: at few draws such
 # a table costs less than the vertex's per-draw field
 _SMALL_TABLE_BYTES = 512
-# below this many draws a per-draw field is summed over stacks of up to
-# _FIELD_STACK predecessors, a few numpy calls per stack instead of two per
-# predecessor; above it, predecessor by predecessor from +-1 spin rows, the
-# latest _SIGNED_ROWS of them kept for later vertices
-_STACKED_FIELD_DRAWS = 32
-_FIELD_STACK = 8
+# a per-draw field is summed predecessor by predecessor from +-1 spin rows,
+# the latest _SIGNED_ROWS of them kept for later vertices
 _SIGNED_ROWS = 64
 
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
@@ -392,9 +401,13 @@ def _odd_response(field, params: VoteParams, out: np.ndarray | None = None):
     return erf(np.divide(field, params.noise_sigma * math.sqrt(2.0), out), out)
 
 
-def outcome_probability(spin, field, params: VoteParams):
-    """P(vertex adopts `spin` | net command field), elementwise on arrays."""
-    return 0.5 * (1.0 + _odd_response(np.multiply(spin, field), params))
+def outcome_probability(spin, field, params: VoteParams, out: np.ndarray | None = None):
+    """P(vertex adopts `spin` | net command field), elementwise on arrays;
+    into `out` if given, which may be `field` itself."""
+    p = _odd_response(np.multiply(spin, field, out), params, out)
+    p += 1.0
+    p *= 0.5
+    return p
 
 
 def single_vote_prob(weights: Mapping[str, float], commands: Mapping[str, int],
@@ -677,13 +690,18 @@ def _uniform_rows(seed: int, rows: int, n: int) -> Iterator[np.ndarray]:
     default_rng(seed) moved to each chunk's position with `advance`.  Both
     threads claim chunks in order: while the chunk the reader needs is
     being filled, the reader fills the next unclaimed one, so the two share
-    the filling.  A helper that falls far behind, as on a busy second CPU,
-    is stopped, and the reader goes on alone.  The helper is joined when
-    the generator finishes or is closed.
+    the filling.  The helper pays only while it runs on a CPU of its own:
+    once the two threads have used less than _PARALLEL_SHARE times the
+    call's wall time in CPU time, as when the second CPU is busy and the two
+    threads take turns on one, the reader stops it, goes on alone, and
+    later calls fill inline for a while (see `shared`); a helper that has
+    died is stopped likewise.  The helper is joined when the generator
+    finishes or is closed.
     """
     rng = np.random.default_rng(seed)
     if (rows * n < _HELPER_UNIFORMS or _usable_cpus() < 2
-            or not isinstance(seed, (int, np.integer))):
+            or not isinstance(seed, (int, np.integer))
+            or time.perf_counter() < _shared_cpu_until):
         out = np.empty(n)
         for _ in range(rows):
             yield rng.random(out=out)
@@ -693,8 +711,8 @@ def _uniform_rows(seed: int, rows: int, n: int) -> Iterator[np.ndarray]:
     ring = np.empty((_RING_SLOTS, per, n))
     held = [-1] * _RING_SLOTS  # the chunk each slot holds, once it is filled
     claimed = reading = 0  # chunks claimed by either thread; the chunk being read
-    lead = 0  # chunks the reader has filled since the helper last filled one
     stop = helper_gone = False
+    helper_cpu = 0.0  # the helper's CPU time up to its last filled row
     cond = threading.Condition()
 
     def fill(source: list, start: int, out: np.ndarray) -> np.ndarray:
@@ -710,8 +728,9 @@ def _uniform_rows(seed: int, rows: int, n: int) -> Iterator[np.ndarray]:
         return ring[c % _RING_SLOTS, :min(per, rows - c * per)]
 
     def helper() -> None:
-        nonlocal claimed, helper_gone, lead
+        nonlocal claimed, helper_gone, helper_cpu
         try:
+            begun = time.thread_time()
             own = [np.random.default_rng(seed), 0]
             while True:
                 with cond:
@@ -726,9 +745,9 @@ def _uniform_rows(seed: int, rows: int, n: int) -> Iterator[np.ndarray]:
                     if stop:
                         return
                     fill(own, (c * per + i) * n, row)
+                    helper_cpu = time.thread_time() - begun
                 with cond:
                     held[c % _RING_SLOTS] = c
-                    lead = 0
                     cond.notify()
         finally:
             with cond:
@@ -737,44 +756,61 @@ def _uniform_rows(seed: int, rows: int, n: int) -> Iterator[np.ndarray]:
 
     mine = [rng, 0]
     spare = None
-    # the helper counts as stalled, most likely because its CPU is busy,
-    # when it keeps the chunk the reader needs four times as long as the
-    # reader took to fill its last chunk (about 5 ns per uniform before the
-    # first), or fills none while the reader fills twice as many chunks as
-    # the ring holds
-    patience = per * n * 2e-8
+    wall = time.perf_counter()
+    check, cpu = wall + _PARALLEL_CHECK, time.thread_time() - _PARALLEL_SHARE * wall
 
-    def take(c: int) -> np.ndarray:
-        """Chunk c once it is filled; until then the reader fills the next
-        unclaimed chunk with a free slot.  Once the helper is gone or
-        stalled, the reader stops it and fills each chunk the helper has
-        not finished into a spare buffer, which the helper never writes."""
-        nonlocal claimed, reading, stop, spare, patience, lead
+    def shared() -> bool:
+        """Whether, checked every _PARALLEL_CHECK seconds, the two threads
+        have used less than _PARALLEL_SHARE times the call's wall time in
+        CPU time, the helper's counted to its last filled row (a thread's
+        own clock is exact; the process's trails its other threads by up to
+        a scheduler tick).  If so, later calls fill inline for
+        _SHARED_CPU_REST seconds, doubled for each call in a row that
+        found the CPU shared, up to 16 times."""
+        global _shared_cpu_until, _shared_cpu_doublings
+        nonlocal check
+        now = time.perf_counter()
+        if now < check:
+            return False
+        check = now + _PARALLEL_CHECK
+        if time.thread_time() + helper_cpu - _PARALLEL_SHARE * now >= cpu:
+            _shared_cpu_doublings = 0
+            return False
+        _shared_cpu_until = now + _SHARED_CPU_REST * 2 ** _shared_cpu_doublings
+        _shared_cpu_doublings = min(_shared_cpu_doublings + 1, 4)
+        return True
+
+    def take(c: int) -> Iterable[np.ndarray]:
+        """The rows of chunk c once it is filled; until then the reader
+        fills the next unclaimed chunk with a free slot.  Once the helper
+        has died or shares a CPU with the reader (see `shared`), the reader
+        stops it and fills each row of a chunk the helper has not finished
+        into a spare row, which the helper never writes."""
+        nonlocal claimed, reading, stop, spare
         while True:
             with cond:
                 if reading != c:
                     reading = c  # frees the slot of chunk c - 1
                     cond.notify()
+                if not stop and (helper_gone or shared()):
+                    stop = True
+                    cond.notify()
                 if held[c % _RING_SLOTS] == c:
                     return slot(c)
-                if stop or helper_gone:
+                if stop:
                     break
                 if claimed < min(c + _RING_SLOTS, chunks):
                     d = claimed
                     claimed += 1
-                    lead += 1
-                    stop = lead > 2 * _RING_SLOTS
                 else:
-                    stop = not cond.wait(patience)
+                    cond.wait(_PARALLEL_CHECK)
                     continue
-            start = time.perf_counter()
             fill(mine, d * per * n, slot(d))
-            patience = 4.0 * (time.perf_counter() - start)
             with cond:
                 held[d % _RING_SLOTS] = d
         if spare is None:
-            spare = np.empty((per, n))
-        return fill(mine, c * per * n, spare[:min(per, rows - c * per)])
+            spare = np.empty(n)
+        return (fill(mine, (c * per + i) * n, spare) for i in range(min(per, rows - c * per)))
 
     thread = threading.Thread(target=helper, name="hiergame-uniforms", daemon=True)
     thread.start()
@@ -786,22 +822,6 @@ def _uniform_rows(seed: int, rows: int, n: int) -> Iterator[np.ndarray]:
             stop = True
             cond.notify()
         thread.join()
-
-
-def _stacked_field(masks: list[np.ndarray], weights: list[float]) -> np.ndarray:
-    """Each draw's field from its predecessors' +1 masks: w times the spin
-    summed in predecessor order from 0.0, over stacks of up to _FIELD_STACK
-    predecessors, each summed by one accumulate call down its rows."""
-    field = 0.0
-    for i in range(0, len(masks), _FIELD_STACK):
-        spins = np.array(masks[i:i + _FIELD_STACK]).view(np.int8)
-        spins += spins
-        spins -= 1
-        terms = spins.astype(float)
-        terms *= np.array(weights[i:i + _FIELD_STACK])[:, None]
-        terms[0] += field
-        field = np.add.accumulate(terms, axis=0, out=terms)[-1]
-    return field
 
 
 def sample_many(g: HierarchyGraph, condition: Mapping[str, int],
@@ -822,8 +842,9 @@ def sample_many(g: HierarchyGraph, condition: Mapping[str, int],
 
     The uniforms may be filled by a second thread (see `_uniform_rows`);
     it runs only with two usable CPUs and an integer seed, when the call
-    draws at least _HELPER_UNIFORMS of them, and the draws of a seed are
-    the same either way.  Returns an int8 array of +-1 per vertex, one
+    draws at least _HELPER_UNIFORMS of them and no recent call found its
+    helper sharing a CPU, and the draws of a seed are the same either
+    way.  Returns an int8 array of +-1 per vertex, one
     byte per vertex per draw; deterministic in `seed`.
     """
     order = g.topological_order
@@ -878,19 +899,16 @@ def sample_many(g: HierarchyGraph, condition: Mapping[str, int],
             if not preds:
                 mask.fill(condition[v] == 1)
             elif len(preds) not in tables:
-                if n < _STACKED_FIELD_DRAWS:
-                    field = _stacked_field([bits[p] for p, _ in preds], [w for _, w in preds])
-                else:
-                    field = np.zeros(n)
-                    for p, w in preds:
-                        s = signed.get(p)
-                        if s is None:
-                            s = signed[p] = 2 * bits[p].view(np.int8) - 1
-                            if len(signed) > _SIGNED_ROWS:
-                                del signed[next(iter(signed))]
-                        field += w * s
-                p_plus = outcome_probability(1, params.command_scale * field, params)
-                np.less(next(uniforms), p_plus, out=mask)
+                field = np.zeros(n)
+                for p, w in preds:
+                    s = signed.get(p)
+                    if s is None:
+                        s = signed[p] = 2 * bits[p].view(np.int8) - 1
+                        if len(signed) > _SIGNED_ROWS:
+                            del signed[next(iter(signed))]
+                    field += w * s
+                field *= params.command_scale
+                np.less(next(uniforms), outcome_probability(1, field, params, field), out=mask)
             elif len(preds) == 1:
                 # +1 below the lower entry, or below the higher one where
                 # the predecessor's spin picks it: the entry a gather would

@@ -795,9 +795,13 @@ def test_sampler_holds_one_byte_per_spin():
 
 def _sampler_helper(monkeypatch, on: bool) -> list:
     """Force the sampler's uniform-filling helper thread on (even with one
-    usable CPU) or off; returns a list that collects each thread started."""
+    usable CPU, and in the calls after one that found its CPU shared) or
+    off; returns a list that collects each thread started."""
     monkeypatch.setattr(vote, "_HELPER_UNIFORMS", 1 if on else 1 << 62)
     monkeypatch.setattr(vote, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(vote, "_SHARED_CPU_REST", 0.0)
+    monkeypatch.setattr(vote, "_shared_cpu_until", 0.0)
+    monkeypatch.setattr(vote, "_shared_cpu_doublings", 0)
     started = []
 
     class Counted(threading.Thread):
@@ -811,7 +815,7 @@ def _sampler_helper(monkeypatch, on: bool) -> list:
 
 def test_sampler_threaded_equals_inline_equals_brute_force(monkeypatch):
     # fan-ins 0 to 9 hit the fan-in-1 compares, tables of small and large
-    # fan-in, the stacked field at few draws and the row-by-row field; roots
+    # fan-in and the per-draw field; roots
     # numbered late sit between drawing vertices in topological order; 23
     # drawing vertices leave a partial last chunk of helper-filled rows
     rng = random.Random(1111)
@@ -894,15 +898,10 @@ def test_sampler_joins_its_helper_thread(monkeypatch):
     assert not any(t.name == "hiergame-uniforms" for t in threading.enumerate())
 
 
-@pytest.mark.parametrize("fault", ["dies", "lags"])
-def test_sampler_survives_a_failing_helper(monkeypatch, fault):
-    # a helper that dies on its first chunk, or takes far longer than
-    # filling a chunk should, leaves its chunks to the reader, which may
-    # already have filled later ones: it moves its generator back, and the
-    # draws stay those of the stream
-    g = hg.single_chain(200)
-    params = VoteParams.from_graph(g)
-    want = helpers.brute_sample_many(g, {"d1": 1}, params, 5000, 9)
+def _faulty_helper(monkeypatch, fault: str) -> list:
+    """Make the sampler's helper thread raise on its first fill ("dies"),
+    or sleep 0.2 s, using no CPU, before each row it fills ("lags");
+    returns a list that collects the helper's uncaught exceptions."""
     make = np.random.default_rng
 
     class Faulty:
@@ -922,15 +921,71 @@ def test_sampler_survives_a_failing_helper(monkeypatch, fault):
     failures = []
     monkeypatch.setattr(np.random, "default_rng", rng)
     monkeypatch.setattr(threading, "excepthook", failures.append)
+    return failures
+
+
+@pytest.mark.parametrize("fault", ["dies", "lags"])
+def test_sampler_survives_a_failing_helper(monkeypatch, fault):
+    # a helper that dies on its first chunk, or lags and so leaves the two
+    # threads under the CPU share that pays for it, leaves its chunks to
+    # the reader, which may already have filled later ones: it moves its
+    # generator back, and the draws stay those of the stream
+    g = hg.single_chain(200)
+    params = VoteParams.from_graph(g)
+    want = helpers.brute_sample_many(g, {"d1": 1}, params, 5000, 9)
+    failures = _faulty_helper(monkeypatch, fault)
     started = _sampler_helper(monkeypatch, on=True)
     before = time.perf_counter()
     got = hg.sample_many(g, {"d1": 1}, params, 5000, 9)
     assert started == ["hiergame-uniforms"]
     assert [str(f.exc_value) for f in failures] == (["helper died"] if fault == "dies" else [])
+    if fault == "lags":
+        assert vote._shared_cpu_until > 0.0, "the helper was not found sharing a CPU"
     # the reader waited out the lagging helper once at most, at the join
     assert time.perf_counter() - before < 1.0
     for v, arr in want.items():
         assert np.array_equal(got[v], arr), v
+
+
+def test_sampler_rests_its_helper_after_a_shared_cpu(monkeypatch):
+    # a call that finds its two threads sharing one CPU stops its helper,
+    # and calls in the next _SHARED_CPU_REST seconds start none; the rest
+    # doubles for each such call in a row, up to 16 times, and a check that
+    # finds a CPU for each thread resets it.  The draws are the stream's
+    # throughout.
+    g = hg.single_chain(200)
+    params = VoteParams.from_graph(g)
+    want = helpers.brute_sample_many(g, {"d1": 1}, params, 5000, 4)
+    started = _sampler_helper(monkeypatch, on=True)
+    monkeypatch.setattr(vote, "_SHARED_CPU_REST", 100.0)
+    # a check at every chunk, each finding the CPU shared
+    monkeypatch.setattr(vote, "_PARALLEL_CHECK", 0.0)
+    monkeypatch.setattr(vote, "_PARALLEL_SHARE", 1e9)
+    runs = []
+
+    def run(helper: bool) -> float:
+        """Sample; whether a helper started; the rest the call began."""
+        count = len(started)
+        runs.append(hg.sample_many(g, {"d1": 1}, params, 5000, 4))
+        assert len(started) == count + helper
+        return vote._shared_cpu_until - time.perf_counter()
+
+    assert 99.0 < run(True) <= 100.0
+    assert 99.0 < run(False) <= 100.0  # resting: no helper, no check
+    rests = []
+    for _ in range(5):
+        monkeypatch.setattr(vote, "_shared_cpu_until", 0.0)
+        rests.append(run(True))
+    assert [round(r, -2) for r in rests] == [200.0, 400.0, 800.0, 1600.0, 1600.0]
+    monkeypatch.setattr(vote, "_shared_cpu_until", 0.0)
+    monkeypatch.setattr(vote, "_PARALLEL_SHARE", 0.0)
+    run(True)
+    assert vote._shared_cpu_doublings == 0
+    monkeypatch.setattr(vote, "_PARALLEL_SHARE", 1e9)
+    assert 99.0 < run(True) <= 100.0
+    for got in runs:
+        for v, arr in want.items():
+            assert np.array_equal(got[v], arr), v
 
 
 def test_sampler_helpers_under_contention(monkeypatch):
@@ -963,18 +1018,28 @@ def test_sampler_helpers_under_contention(monkeypatch):
     assert not any(t.name == "hiergame-uniforms" for t in threading.enumerate())
 
 
-def test_sampler_with_helper_holds_one_byte_per_spin(monkeypatch):
+@pytest.mark.parametrize("wide", [False, True])
+def test_sampler_with_helper_holds_one_byte_per_spin(monkeypatch, wide):
     # the bound of test_sampler_holds_one_byte_per_spin with the helper
     # thread forced on: its ring of uniforms, 128 bytes per draw, fits in
     # the same 256 bytes per draw, and it is gone when the call returns.
-    # (At 64 draws the helper's fixed few KiB would not fit, but there the
-    # cut-off keeps it off.)
-    g, cond, n = hg.single_chain(2000), {"d1": 1}, 5000
-    assert 2000 * n >= vote._HELPER_UNIFORMS
+    # A fan-in-1 chain keeps its helper; on a wide graph the helper lags
+    # and is stopped, so the per-draw fields, their +-1 rows and the spare
+    # row the reader then fills come on top of the ring.  (At 64 draws the
+    # helper's fixed few KiB would not fit, but there the cut-off keeps it
+    # off.)
+    if wide:
+        g, cond = helpers.complete_dag(70), {"d0": 1, "d1": -1}
+        _faulty_helper(monkeypatch, "lags")
+    else:
+        g, cond = hg.single_chain(2000), {"d1": 1}
+    n = 5000
+    assert (len(g.vertices) - len(hg.deciders(g))) * n >= vote._HELPER_UNIFORMS
     params = VoteParams.from_graph(g)
     before = threading.active_count()
     started = _sampler_helper(monkeypatch, on=True)
     hg.sample_many(g, cond, params, 10, seed=1)
+    monkeypatch.setattr(vote, "_shared_cpu_until", 0.0)
     tracemalloc.start()
     try:
         draws = hg.sample_many(g, cond, params, n, seed=1)
@@ -985,6 +1050,11 @@ def test_sampler_with_helper_holds_one_byte_per_spin(monkeypatch):
     assert peak <= len(g.vertices) * n + 256 * n
     assert len(started) == 2
     assert threading.active_count() == before
+    if wide:
+        assert vote._shared_cpu_until > 0.0, "the helper was not stopped"
+        want = helpers.brute_sample_many(g, cond, params, n, 1)
+        for v, arr in want.items():
+            assert np.array_equal(draws[v], arr), v
 
 
 def test_sampler_rejects_cycles_and_partial_conditions():
