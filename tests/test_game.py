@@ -1,5 +1,6 @@
 """Base game, decider-game transform, equilibria, and regime map."""
 
+import hashlib
 import json
 import math
 import random
@@ -218,6 +219,46 @@ def test_transform_player_mismatch():
         hg.transform_game(base, g, hg.VoteParams.from_graph(g))
 
 
+def _transform_pool():
+    """Twelve hierarchies with 2 or 3 deciders: crossed chains and small
+    random DAGs, each under a random base game over shuffled players."""
+    graphs = [hg.crossed_chains(k, k, k, k) for k in range(3, 7)]
+    graphs += [hg.crossed_chains(2, 3, 3, 2), hg.crossed_chains(4, 2, 5, 3)]
+    rng = random.Random(808)
+    while len(graphs) < 12:
+        g = helpers.random_dag(rng, rng.randint(5, 9))
+        if 2 <= len(hg.deciders(g)) <= 3 and len(hg.executives(g)) <= 3:
+            graphs.append(g)
+    assert {len(hg.deciders(g)) for g in graphs} == {2, 3}
+    pool = []
+    for g in graphs:
+        players = sorted(hg.executives(g))
+        rng.shuffle(players)
+        pool.append((g, _random_base(rng, players)))
+    return pool
+
+
+def test_decider_tensors_are_pinned():
+    # every transform_game tensor of the pool in both modes under both
+    # mechanisms, and the symmetric payoffs and degeneracy mask over the
+    # README sweep grid, pinned byte for byte; the brute-force tests in
+    # this module check the same numbers for correctness
+    h = hashlib.sha256()
+    for g, base in _transform_pool():
+        for mode, mechanism in product(("tanh", "gaussian"), ("shapley", "shares")):
+            params = hg.VoteParams.from_graph(g, mode=mode)
+            tg = hg.transform_game(base, g, params, mechanism=mechanism)
+            assert (tg.deciders, tg.executives) == (tuple(sorted(hg.deciders(g))), base.players)
+            h.update(tg.payoffs.tobytes())
+    assert h.hexdigest() == "9ddaf1da3afa754410ec2cdfc78d94c66bbb4c73ceb6c31a402923979b487300"
+    y, x = np.meshgrid(np.linspace(0.505, 0.995, 99), np.linspace(0.005, 0.995, 199),
+                       indexing="ij")
+    payoffs, degenerate = symmetric_payoffs(x, y)
+    assert payoffs.shape == (99, 199, 4, 4, 2) and not degenerate.any()
+    assert hashlib.sha256(payoffs.tobytes() + degenerate.tobytes()).hexdigest() == \
+        "c0300d88e9368be14a4e273220075a4843e745d0ddc627071abafdcfd52e5dd8"
+
+
 def _composed_transform(base, g, params, mechanism):
     """The decider game by the public route: influence tables, then shares
     read back through table_oracle (or path shares), then the assembly."""
@@ -231,18 +272,8 @@ def _composed_transform(base, g, params, mechanism):
 def test_transform_game_matches_composed_route(monkeypatch):
     # transform_game reads each conditional once into one table; the tensor
     # must be bitwise what the composed route gives, for any player order
-    graphs = [hg.crossed_chains(k, k, k, k) for k in range(3, 7)]
-    graphs += [hg.crossed_chains(2, 3, 3, 2), hg.crossed_chains(4, 2, 5, 3)]
-    rng = random.Random(808)
-    while len(graphs) < 12:
-        g = helpers.random_dag(rng, rng.randint(5, 9))
-        if 2 <= len(hg.deciders(g)) <= 3 and len(hg.executives(g)) <= 3:
-            graphs.append(g)
-    assert {len(hg.deciders(g)) for g in graphs} == {2, 3}
-    for g in graphs:
-        players = sorted(hg.executives(g))
-        rng.shuffle(players)
-        base = _random_base(rng, players)
+    pool = _transform_pool()
+    for g, base in pool:
         for mode, mechanism in product(("tanh", "gaussian"), ("shapley", "shares")):
             params = hg.VoteParams.from_graph(g, mode=mode)
             tg = hg.transform_game(base, g, params, mechanism=mechanism)
@@ -253,8 +284,7 @@ def test_transform_game_matches_composed_route(monkeypatch):
 
     # one oracle_table pass of n * 2^m oracle calls, and none of the
     # composed route's steps
-    g = next(g for g in graphs if len(hg.deciders(g)) == 3)
-    base = _random_base(rng, sorted(hg.executives(g)))
+    g, base = next((g, base) for g, base in pool if len(hg.deciders(g)) == 3)
     passes, calls = [], []
     real_oracle, real_table = hg.game.influence_oracle, hg.game.oracle_table
 
