@@ -34,7 +34,6 @@ from .game import (
     game_from_dict,
     game_to_dict,
     game_value,
-    influence_tables,
     load_game,
     nash_mask,
     pre_payoff,
@@ -42,12 +41,9 @@ from .game import (
     pure_nash,
     regime_map,
     save_game,
-    symmetric_influence,
     symmetric_payoffs,
     symmetric_transform,
-    table_oracle,
     tipping_points,
-    transform_from_tables,
     transform_game,
 )
 from .graph import (
@@ -76,11 +72,7 @@ from .ising import (
     k_point,
 )
 from .payoff import (
-    CoalitionFunction,
     ShareMatrix,
-    build_coalition_function,
-    coalition_value,
-    shapley_shares,
     shares_by_paths,
 )
 from .vote import (
@@ -91,7 +83,6 @@ from .vote import (
     outcome_probability,
     partition_function,
     sample_many,
-    sample_outcome,
     sigma_for_beta,
     single_vote_prob,
 )
@@ -106,14 +97,12 @@ __all__ = [
     "is_locally_tree", "graph_to_dict", "graph_from_dict", "load_graph", "save_graph",
     "VoteParams", "sigma_for_beta", "outcome_probability", "single_vote_prob",
     "ConditionalDistribution", "conditional_influence", "partition_function",
-    "sample_many", "sample_outcome", "influence_oracle",
+    "sample_many", "influence_oracle",
     "IsingModel", "KPointQuery", "coupling_from_hierarchy", "k_point",
     "ising_conditional", "chain_conditional", "chain_xy",
-    "coalition_value", "CoalitionFunction", "build_coalition_function",
-    "ShareMatrix", "shapley_shares", "shares_by_paths",
+    "ShareMatrix", "shares_by_paths",
     "NormalFormGame", "prisoners_dilemma", "game_to_dict", "game_from_dict",
-    "load_game", "save_game", "influence_tables", "symmetric_influence",
-    "table_oracle", "pre_payoff", "TransformedGame", "transform_from_tables",
+    "load_game", "save_game", "pre_payoff", "TransformedGame",
     "transform_game", "pure_nash", "nash_mask", "symmetric_transform",
     "symmetric_payoffs", "RegimeSummary", "tipping_points", "regime_map",
     "classify_regime", "game_value",

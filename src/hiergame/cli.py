@@ -444,7 +444,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_influence)
 
     p = sub.add_parser("ising", help="spin conditional in the coupled Ising model")
-    add_common(p)
+    p.add_argument("--graph", required=True, help="hierarchy graph JSON file")
+    p.add_argument("--cap", type=int, default=None, help=CAP_HELP)
+    p.add_argument("--out", default=None, help="write output to this file")
     p.add_argument("--target", required=True, help="vertex whose spin to predict")
     p.add_argument("--condition", action="append", type=_condition_flag,
                    metavar="VERTEX=SPIN")

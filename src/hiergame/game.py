@@ -16,14 +16,13 @@ import math
 from dataclasses import dataclass, field
 from itertools import product
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import GameFormatError
 from .graph import HierarchyGraph, deciders as graph_deciders, executives as graph_executives
-from .payoff import (InfluenceOracle, ShareMatrix, oracle_table, require_decided,
-                     shapley_from_table, shares_by_paths)
+from .payoff import oracle_table, require_decided, shapley_from_table, shares_by_paths
 from .vote import VoteParams, influence_oracle
 
 NASH_TOL = 1e-12
@@ -140,39 +139,6 @@ def save_game(g: NormalFormGame, path: str | Path) -> None:
         fh.write("\n")
 
 
-ConditionalTables = Mapping[str, Mapping[tuple[int, ...], float]]
-
-
-def influence_tables(g: HierarchyGraph, params: VoteParams,
-                     lam_order: tuple[str, ...], execs: Iterable[str],
-                     cap: int | None = None) -> dict[str, dict[tuple[int, ...], float]]:
-    """P(executive votes +1 | command pattern) for every executive and every
-    pattern of decider commands on that executive's coordinate."""
-    execs = tuple(execs)
-    table = oracle_table(influence_oracle(g, params, cap), lam_order, execs)
-    return {i: {pattern: float(p[k]) for pattern, p in table.items()} for k, i in enumerate(execs)}
-
-
-def symmetric_influence(x: float, y: float,
-                        lam_order: tuple[str, str] = ("d1", "d2"),
-                        execs: tuple[str, str] = ("1", "2")) -> dict[str, dict[tuple[int, ...], float]]:
-    """Mirror-symmetric two-decider influence tables from the two summary
-    probabilities: y under unanimous +1, x when only the executive's far
-    decider says +1."""
-    first, second = execs
-    return {
-        first: {(1, 1): y, (-1, 1): x, (1, -1): 1.0 - x, (-1, -1): 1.0 - y},
-        second: {(1, 1): y, (1, -1): x, (-1, 1): 1.0 - x, (-1, -1): 1.0 - y},
-    }
-
-
-def table_oracle(tables: ConditionalTables,
-                 lam_order: tuple[str, ...]) -> InfluenceOracle:
-    def oracle(executive: str, commands: Mapping[str, int]) -> float:
-        return tables[executive][tuple(commands[v] for v in lam_order)]
-    return oracle
-
-
 def pre_payoff(g: NormalFormGame, probs: Sequence[float]) -> tuple[float, ...]:
     """Expected base payoffs when executive k (in player order) plays +1
     with probability probs[k].
@@ -265,17 +231,6 @@ def _check_tensor_size(n: int, m: int) -> None:
                          f"{MAX_TENSOR_ENTRIES}")
 
 
-def transform_from_tables(base: NormalFormGame, lam_order: tuple[str, ...],
-                          tables: ConditionalTables, shares: ShareMatrix,
-                          provenance: Mapping[str, object] | None = None) -> TransformedGame:
-    """Assemble the decider game from explicit conditionals and shares; at
-    most MAX_TENSOR_ENTRIES payoffs, checked before the tables are read."""
-    _check_tensor_size(len(base.players), len(lam_order))
-    table = oracle_table(table_oracle(tables, lam_order), lam_order, base.players)
-    rows = [[shares.share(lam, i) for i in base.players] for lam in lam_order]
-    return _decider_game(base, lam_order, _decider_payoffs(base, table, rows), provenance or {})
-
-
 def transform_game(base: NormalFormGame, g: HierarchyGraph, params: VoteParams,
                    mechanism: str = "shapley", cap: int | None = None) -> TransformedGame:
     """Full pipeline from a hierarchy: vote conditionals, payoff shares,
@@ -292,12 +247,11 @@ def transform_game(base: NormalFormGame, g: HierarchyGraph, params: VoteParams,
         if not lam_order:
             raise ValueError("need at least one decider")
         shares, degenerate = shapley_from_table(table)
-        # name the smallest degenerate executive, as shapley_shares does
+        # name the smallest degenerate executive, whatever the player order
         ranked = sorted(range(len(base.players)), key=base.players.__getitem__)
         require_decided(degenerate[ranked], tuple(base.players[k] for k in ranked))
     elif mechanism == "shares":
-        paths = shares_by_paths(g, base.players)
-        shares = [[paths.share(lam, i) for i in base.players] for lam in lam_order]
+        shares = shares_by_paths(g, base.players).values
     else:
         raise ValueError(f"unknown mechanism {mechanism!r}")
     provenance = {
@@ -335,17 +289,19 @@ def symmetric_payoffs(x, y, base: NormalFormGame | None = None) -> tuple[np.ndar
 
     `x` and `y` are floats or arrays of one shape, a batch of points.  The
     payoffs have shape ``np.shape(x) + (4, 4, 2)``, indexed like
-    `TransformedGame.payoffs` of `symmetric_transform`.  The tables of
-    `symmetric_influence` take the code path of `shapley_shares` and
-    `transform_from_tables`, so each tensor is theirs bit for bit.  A
-    point is degenerate when |2y - 1| < DEGENERACY_TOL: no share is defined
-    there and its payoffs are meaningless.
+    `TransformedGame.payoffs` of `symmetric_transform`.  Each executive
+    plays +1 with probability y under unanimous +1 commands and x when only
+    its far decider (the second for the first executive, the first for the
+    second) says +1; mirrored commands mirror the probability.  The stacked
+    table of these conditionals takes `transform_game`'s route through
+    `shapley_from_table` and `_decider_payoffs`.  A point is degenerate
+    when |2y - 1| < DEGENERACY_TOL: no share is defined there and its
+    payoffs are meaningless.
     """
     base = base if base is not None else prisoners_dilemma()
     x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-    tables = symmetric_influence(x, y, SYMMETRIC_DECIDERS, base.players)
-    table = oracle_table(table_oracle(tables, SYMMETRIC_DECIDERS), SYMMETRIC_DECIDERS,
-                         base.players)
+    table = {(1, 1): np.array([y, y]), (1, -1): np.array([1.0 - x, x]),
+             (-1, 1): np.array([x, 1.0 - x]), (-1, -1): np.array([1.0 - y, 1.0 - y])}
     shares, degenerate = shapley_from_table(table)
     return _decider_payoffs(base, table, shares), degenerate.any(axis=0)
 

@@ -50,37 +50,6 @@ def require_decided(degenerate, execs: tuple[str, ...]) -> None:
                                        f"{execs[int(np.argmax(degenerate))]!r} undecided")
 
 
-@dataclass(frozen=True)
-class CoalitionFunction:
-    executive: str
-    deciders: tuple[str, ...]
-    table: Mapping[frozenset[str], float]
-
-    def value(self, coalition: Iterable[str]) -> float:
-        return self.table[frozenset(coalition)]
-
-
-def build_coalition_function(oracle: InfluenceOracle, executive: str,
-                             lam: Iterable[str]) -> CoalitionFunction:
-    """Tabulate the coalition value over every subset of deciders."""
-    lam = tuple(sorted(set(lam)))
-    values, degenerate = _coalition_values(oracle_table(oracle, lam, (executive,)))
-    require_decided(degenerate, (executive,))
-    return CoalitionFunction(executive, lam, {frozenset(lam[j] for j in k): float(value[0])
-                                              for k, value in values.items()})
-
-
-def coalition_value(oracle: InfluenceOracle, executive: str,
-                    coalition: Iterable[str], lam: Iterable[str]) -> float:
-    """Normalized pull of the coalition on one executive:
-    (P(+1 | +1 exactly on K) - P(+1 | all -1)) / (2 P(+1 | all +1) - 1).
-    Raises DegenerateInfluenceError when the denominator vanishes."""
-    coalition, lam = frozenset(coalition), frozenset(lam)
-    if not coalition <= lam:
-        raise ValueError("coalition must be a subset of the deciders")
-    return build_coalition_function(oracle, executive, lam).value(coalition)
-
-
 @np.errstate(invalid="ignore")
 def shapley_from_table(table: Mapping[tuple[int, ...], float]):
     """Shapley share of each decider in one executive's coalition game, and
@@ -103,39 +72,23 @@ def shapley_from_table(table: Mapping[tuple[int, ...], float]):
     return shares, degenerate
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ShareMatrix:
-    """Share of each executive's payoff attributed to each decider."""
+    """Share of each executive's payoff attributed to each decider:
+    ``values[d, k]`` is the share of ``deciders[d]`` in the payoff of
+    ``executives[k]``."""
 
     deciders: tuple[str, ...]
     executives: tuple[str, ...]
-    values: Mapping[tuple[str, str], float]
-
-    def share(self, decider: str, executive: str) -> float:
-        return self.values[(decider, executive)]
-
-    def column_sum(self, executive: str) -> float:
-        return sum(self.values[(lam, executive)] for lam in self.deciders)
-
-
-def shapley_shares(oracle: InfluenceOracle, lam: Iterable[str],
-                   execs: Iterable[str]) -> ShareMatrix:
-    """Shapley value of each decider in every executive's coalition game."""
-    lam = tuple(sorted(set(lam)))
-    execs = tuple(sorted(set(execs)))
-    if not lam:
-        raise ValueError("need at least one decider")
-    shares, degenerate = shapley_from_table(oracle_table(oracle, lam, execs))
-    require_decided(degenerate, execs)
-    rows = np.array(shares).T.tolist()  # per executive, one share per decider
-    return ShareMatrix(lam, execs, {(member, i): v for i, row in zip(execs, rows)
-                                    for member, v in zip(lam, row)})
+    values: np.ndarray
 
 
 def shares_by_paths(g: HierarchyGraph,
                     execs: Iterable[str] | None = None) -> ShareMatrix:
     """Structural alternative: share = sum over directed decider-to-executive
-    paths of the product of edge weights.  Acyclic graphs only.
+    paths of the product of edge weights.  Acyclic graphs only.  Rows follow
+    the sorted deciders; columns follow `execs` in the order given, or the
+    sorted executives when `execs` is None.
 
     One pass in reverse topological order carries, for every vertex, the
     path sums from it to each executive; a path ends at its executive."""
@@ -143,7 +96,7 @@ def shares_by_paths(g: HierarchyGraph,
     if order is None:
         raise CyclicGraphError("path shares need an acyclic hierarchy")
     lam = tuple(sorted(deciders(g)))
-    execs = tuple(sorted(execs if execs is not None else executives(g)))
+    execs = tuple(execs) if execs is not None else tuple(sorted(executives(g)))
     for i in execs:
         g.require_vertex(i)
     column = {i: k for k, i in enumerate(execs)}
@@ -155,5 +108,5 @@ def shares_by_paths(g: HierarchyGraph,
         if v in column:
             sums[column[v]] = 1.0
         downstream[v] = sums
-    values = {(member, i): downstream[member][column[i]] for i in execs for member in lam}
-    return ShareMatrix(lam, execs, values)
+    values = [[downstream[member][column[i]] for i in execs] for member in lam]
+    return ShareMatrix(lam, execs, np.array(values, dtype=float).reshape(len(lam), len(execs)))

@@ -120,12 +120,9 @@ def default_cap() -> int:
     if raw is None:
         return DEFAULT_CAP
     try:
-        value = int(raw)
+        return int(raw)
     except ValueError as exc:
         raise ValueError(f"{CAP_ENV_VAR} must be an integer, got {raw!r}") from exc
-    if value < 1:
-        raise ValueError(f"{CAP_ENV_VAR} must be positive")
-    return value
 
 
 def _check_cap(width: int, limit: int) -> None:
@@ -355,9 +352,12 @@ def _sum_product(scopes: Sequence[tuple[str, ...]],
     The cap bounds log2 of the largest table an elimination step sums
     over: the eliminated spin and its neighbours.  Entry c of the result
     sums the patterns whose key j is +1 exactly where bit j of c is set;
-    with no keys the one entry is the total.
+    with no keys the one entry is the total.  A cap below 1 is a ValueError,
+    whether it comes from `cap` or from the environment.
     """
     limit = default_cap() if cap is None else cap
+    if limit < 1:
+        raise ValueError(f"the enumeration cap must be at least 1, got {limit}")
     plan = _elimination_plan(tuple(scopes), tuple(keys), limit)
     made: list[np.ndarray | None] = tables() + [np.ones(2)] * plan.unheld
     for step in plan.steps:
@@ -939,13 +939,6 @@ def sample_many(g: HierarchyGraph, condition: Mapping[str, int],
         spins -= 1
     bits.update(zip(order, (row for block in blocks for row in block.view(np.int8))))
     return bits
-
-
-def sample_outcome(g: HierarchyGraph, condition: Mapping[str, int],
-                   params: VoteParams, seed: int) -> dict[str, int]:
-    """One full spin assignment drawn by ancestral sampling."""
-    draws = sample_many(g, condition, params, 1, seed)
-    return {v: int(arr[0]) for v, arr in draws.items()}
 
 
 def influence_oracle(g: HierarchyGraph, params: VoteParams,

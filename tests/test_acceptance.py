@@ -18,6 +18,7 @@ import pytest
 
 import helpers
 import hiergame as hg
+from hiergame.payoff import oracle_table, require_decided, shapley_from_table
 from hiergame.vote import VoteParams
 
 
@@ -168,6 +169,16 @@ def _with_spectator(base, rng: random.Random):
     return HierarchyGraph(vertices, edges, base.free_float, base.noise_sigma)
 
 
+def _shapley(g):
+    """Shapley shares of g's sorted deciders (rows) in each of its sorted
+    executives' coalition games (columns), by transform_game's route."""
+    lam, execs = tuple(sorted(hg.deciders(g))), tuple(sorted(hg.executives(g)))
+    oracle = hg.influence_oracle(g, VoteParams.from_graph(g))
+    shares, degenerate = shapley_from_table(oracle_table(oracle, lam, execs))
+    require_decided(degenerate, execs)
+    return lam, execs, np.array(shares)
+
+
 def test_c5_shapley_closed_form_and_axioms():
     worst = 0.0
     for a, c in ((1, 1), (2, 2), (3, 3), (2, 3), (1, 4), (4, 2), (2, 5)):
@@ -175,21 +186,19 @@ def test_c5_shapley_closed_form_and_axioms():
         oracle = hg.influence_oracle(g, VoteParams.from_graph(g))
         x = oracle("1", {"d1": -1, "d2": 1})
         y = oracle("1", {"d1": 1, "d2": 1})
-        shares = hg.shapley_shares(oracle, hg.deciders(g), hg.executives(g))
-        worst = max(worst, abs(shares.share("d1", "1") - (y - x) / (2 * y - 1)))
-        worst = max(worst, abs(shares.share("d2", "1") - (x + y - 1) / (2 * y - 1)))
+        _, _, ((d1,), (d2,)) = _shapley(g)
+        worst = max(worst, abs(d1 - (y - x) / (2 * y - 1)))
+        worst = max(worst, abs(d2 - (x + y - 1) / (2 * y - 1)))
 
     rng = random.Random(33)
     eff_worst = dummy_worst = 0.0
     for _ in range(100):
         base = helpers.random_dag(rng, rng.randint(3, 8))
-        g = _with_spectator(base, rng)
-        oracle = hg.influence_oracle(g, VoteParams.from_graph(g))
-        shares = hg.shapley_shares(oracle, hg.deciders(g), hg.executives(g))
-        for e in sorted(hg.executives(g)):
-            eff_worst = max(eff_worst, abs(shares.column_sum(e) - 1.0))
+        lam, execs, shares = _shapley(_with_spectator(base, rng))
+        for k, e in enumerate(execs):
+            eff_worst = max(eff_worst, abs(shares[:, k].sum() - 1.0))
             if e != "ez":
-                dummy_worst = max(dummy_worst, abs(shares.share("dz", e)))
+                dummy_worst = max(dummy_worst, abs(shares[lam.index("dz"), k]))
 
     ok = worst <= 1e-12 and eff_worst <= 1e-12 and dummy_worst <= 1e-12
     _report("5 Shapley closed form, efficiency, dummy", ok,

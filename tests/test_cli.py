@@ -244,6 +244,39 @@ def test_cap_exit(tmp_path):
     assert main(argv + ["--cap", "8"]) == EXIT_OK
 
 
+def test_cap_below_one_exit(tmp_path, capsys, monkeypatch):
+    # a cap below 1 is an invalid input (exit 3), not an over-cap sum (exit 4)
+    graph = _write_graph(tmp_path, hg.crossed_chains())
+    runs = (["influence", "--graph", graph] + _CONDITION,
+            ["ising", "--graph", graph, "--target", "1"] + _CONDITION)
+    for argv in runs:
+        for cap in ("0", "-3"):
+            assert main(argv + ["--cap", cap]) == EXIT_INVARIANT
+            lines = capsys.readouterr().err.splitlines()
+            assert len(lines) == 1
+            assert json.loads(lines[0]) == {
+                "error": "ValueError",
+                "message": f"the enumeration cap must be at least 1, got {cap}"}
+        monkeypatch.setenv("HIERGAME_CAP", "-3")
+        assert main(argv) == EXIT_INVARIANT
+        assert "at least 1, got -3" in capsys.readouterr().err
+        monkeypatch.delenv("HIERGAME_CAP")
+        assert main(argv + ["--cap", "1"]) == EXIT_CAP
+        assert "EnumerationCapError" in capsys.readouterr().err
+
+
+def test_ising_has_no_mode_flag(tmp_path, capsys):
+    # the spin model has no response mode, so `ising` takes no --mode
+    graph = _write_graph(tmp_path, hg.crossed_chains())
+    with pytest.raises(SystemExit) as exc:
+        main(["ising", "--graph", graph, "--target", "1", "--mode", "gaussian"] + _CONDITION)
+    assert exc.value.code == EXIT_PARSE
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "ArgumentError" and "--mode" in err["message"]
+
+
 def test_degenerate_exit(tmp_path):
     g = hg.crossed_chains(noise_sigma=hg.sigma_for_beta(1e-6))
     graph = _write_graph(tmp_path, g)

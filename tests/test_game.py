@@ -11,10 +11,10 @@ import pytest
 
 import helpers
 import hiergame as hg
-from hiergame.game import (REGIME_LABELS, NormalFormGame, TransformedGame,
-                           nash_mask, pre_payoff, regime_map, symmetric_influence,
-                           symmetric_payoffs, table_oracle, transform_from_tables)
-from hiergame.payoff import ShareMatrix
+from hiergame.game import (REGIME_LABELS, NormalFormGame, TransformedGame, _decider_game,
+                           _decider_payoffs, nash_mask, pre_payoff, regime_map,
+                           symmetric_payoffs)
+from hiergame.payoff import shapley_from_table
 
 
 def test_prisoners_dilemma_table():
@@ -76,6 +76,25 @@ def _all_plus_profile():
     return {"d1": {"1": 1, "2": 1}, "d2": {"1": 1, "2": 1}}
 
 
+def _mirror_tables(x, y):
+    """{executive: {command pattern: P(+1)}} at a symmetric influence point:
+    y under unanimous +1, x when only the executive's far decider says +1."""
+    return {"1": {(1, 1): y, (-1, 1): x, (1, -1): 1.0 - x, (-1, -1): 1.0 - y},
+            "2": {(1, 1): y, (1, -1): x, (-1, 1): 1.0 - x, (-1, -1): 1.0 - y}}
+
+
+def _stacked(tables, execs):
+    """The same conditionals as a stacked {pattern: P(+1) per executive}."""
+    return {p: np.array([tables[i][p] for i in execs]) for p in tables[execs[0]]}
+
+
+def _explicit_game(base, lam, tables, shares):
+    """The decider game of explicit conditionals and share rows (one row
+    per decider), through the one tensor assembly."""
+    payoffs = _decider_payoffs(base, _stacked(tables, base.players), shares)
+    return _decider_game(base, lam, payoffs, {})
+
+
 def _profile_payoff(pd, lam, tables, profile):
     """pre_payoff under a command profile: each executive's probability
     from its table at the commands it receives."""
@@ -86,16 +105,16 @@ def test_pre_payoff_points():
     pd = hg.prisoners_dilemma()
     lam = ("d1", "d2")
     for y in (0.6, 0.85, 1.0):
-        tables = symmetric_influence(0.3, y)
+        tables = _mirror_tables(0.3, y)
         u = _profile_payoff(pd, lam, tables, _all_plus_profile())
         assert u[0] == pytest.approx(2.0 * y - 1.0, abs=1e-14)
         assert u[1] == pytest.approx(u[0], abs=1e-14)
     # coin-flip influence washes every command out
-    tables = symmetric_influence(0.5, 0.5)
+    tables = _mirror_tables(0.5, 0.5)
     assert _profile_payoff(pd, lam, tables, _all_plus_profile()) == \
         pytest.approx((0.0, 0.0), abs=1e-15)
     # deterministic influence recovers the commanded cell
-    tables = symmetric_influence(0.0, 1.0)
+    tables = _mirror_tables(0.0, 1.0)
     profile = {"d1": {"1": 1, "2": 1}, "d2": {"1": -1, "2": -1}}
     # each executive follows its own near decider at these corners
     u = _profile_payoff(pd, lam, tables, profile)
@@ -122,9 +141,7 @@ def test_identity_tables_recover_base_dilemma():
         "1": {p: 1.0 if p[0] == 1 else 0.0 for p in product((1, -1), repeat=2)},
         "2": {p: 1.0 if p[1] == 1 else 0.0 for p in product((1, -1), repeat=2)},
     }
-    shares = ShareMatrix(lam, ("1", "2"), {("d1", "1"): 1.0, ("d2", "1"): 0.0,
-                                           ("d1", "2"): 0.0, ("d2", "2"): 1.0})
-    tg = transform_from_tables(pd, lam, tables, shares)
+    tg = _explicit_game(pd, lam, tables, [[1.0, 0.0], [0.0, 1.0]])
     eqs = hg.pure_nash(tg)
     # only the own-executive coordinate matters, so defection there is
     # dominant and the other coordinate is arbitrary
@@ -151,8 +168,9 @@ def test_transform_matches_brute_force(m, n):
         for i in base.players:
             tables[i] = {p: rng.uniform(0.05, 0.95) for p in product((1, -1), repeat=m)}
             tables[i][(1,) * m] = rng.uniform(0.6, 0.95)
-        shares = hg.shapley_shares(table_oracle(tables, lam), lam, base.players)
-        tg = transform_from_tables(base, lam, tables, shares)
+        shares, degenerate = shapley_from_table(_stacked(tables, base.players))
+        assert not degenerate.any()
+        tg = _explicit_game(base, lam, tables, shares)
         assert tg.payoffs.shape == (2 ** n,) * m + (m,)
         brute = helpers.brute_decider_game(base.payoffs, list(base.players), list(lam), tables)
         assert len(brute) == 2 ** (n * m)
@@ -259,32 +277,9 @@ def test_decider_tensors_are_pinned():
         "c0300d88e9368be14a4e273220075a4843e745d0ddc627071abafdcfd52e5dd8"
 
 
-def _composed_transform(base, g, params, mechanism):
-    """The decider game by the public route: influence tables, then shares
-    read back through table_oracle (or path shares), then the assembly."""
-    lam = tuple(sorted(hg.deciders(g)))
-    tables = hg.influence_tables(g, params, lam, base.players)
-    shares = (hg.shapley_shares(table_oracle(tables, lam), lam, base.players)
-              if mechanism == "shapley" else hg.shares_by_paths(g, base.players))
-    return transform_from_tables(base, lam, tables, shares)
-
-
-def test_transform_game_matches_composed_route(monkeypatch):
-    # transform_game reads each conditional once into one table; the tensor
-    # must be bitwise what the composed route gives, for any player order
-    pool = _transform_pool()
-    for g, base in pool:
-        for mode, mechanism in product(("tanh", "gaussian"), ("shapley", "shares")):
-            params = hg.VoteParams.from_graph(g, mode=mode)
-            tg = hg.transform_game(base, g, params, mechanism=mechanism)
-            composed = _composed_transform(base, g, params, mechanism)
-            assert np.array_equal(tg.payoffs, composed.payoffs)
-            assert (tg.deciders, tg.executives, tg.strategies, tg.labels) == \
-                (composed.deciders, composed.executives, composed.strategies, composed.labels)
-
-    # one oracle_table pass of n * 2^m oracle calls, and none of the
-    # composed route's steps
-    g, base = next((g, base) for g, base in pool if len(hg.deciders(g)) == 3)
+def test_transform_game_reads_one_table(monkeypatch):
+    # one oracle_table pass of n * 2^m oracle calls, under either mechanism
+    g, base = next((g, base) for g, base in _transform_pool() if len(hg.deciders(g)) == 3)
     passes, calls = [], []
     real_oracle, real_table = hg.game.influence_oracle, hg.game.oracle_table
 
@@ -300,14 +295,8 @@ def test_transform_game_matches_composed_route(monkeypatch):
         passes.append(args)
         return real_table(*args)
 
-    def forbidden(*args, **kwargs):
-        raise AssertionError("transform_game left its one-table route")
-
     monkeypatch.setattr(hg.game, "influence_oracle", counting_oracle)
     monkeypatch.setattr(hg.game, "oracle_table", counting_table)
-    for name in ("influence_tables", "table_oracle", "transform_from_tables"):
-        monkeypatch.setattr(hg.game, name, forbidden)
-    monkeypatch.setattr(hg.payoff, "shapley_shares", forbidden)
     for mechanism in ("shapley", "shares"):
         passes.clear()
         calls.clear()
@@ -338,7 +327,6 @@ def test_transform_refuses_oversized_tensor(monkeypatch):
     # 10 executives under 3 deciders: (2^10)^3 x 3 payoffs, far above the
     # limit, refused before any conditional is computed or table read
     g = helpers.fan_hierarchy(10, 3)
-    lam = tuple(sorted(hg.deciders(g)))
     base = _random_base(random.Random(31), sorted(hg.executives(g)))
     params = hg.VoteParams.from_graph(g)
     limit = str(hg.game.MAX_TENSOR_ENTRIES)
@@ -349,9 +337,6 @@ def test_transform_refuses_oversized_tensor(monkeypatch):
         for mechanism in ("shapley", "shares"):
             with pytest.raises(ValueError, match=f"2\\^10\\)\\^3 x 3 payoffs.*{limit}"):
                 hg.transform_game(base, g, params, mechanism=mechanism)
-        shares = ShareMatrix(lam, base.players, {})
-        with pytest.raises(ValueError, match=limit):
-            transform_from_tables(base, lam, {}, shares)
     assert calls == []
     # the limit counts profiles times deciders, inclusive: crossed chains
     # give a 4 x 4 x 2 tensor
@@ -421,25 +406,17 @@ def test_pure_nash_ties():
     assert len(hg.pure_nash(tg)) == 16
 
 
-def _shapley_tensor(x, y):
-    # the general path: Shapley shares through a table oracle, then the
-    # tensor assembled from explicit tables
-    pd = hg.prisoners_dilemma()
-    lam = ("d1", "d2")
-    tables = symmetric_influence(x, y, lam, pd.players)
-    shares = hg.shapley_shares(table_oracle(tables, lam), lam, pd.players)
-    return transform_from_tables(pd, lam, tables, shares).payoffs
-
-
 def test_batched_symmetric_pipeline_is_exact():
     # both exact tipping lines, both band edges, interior points, and a
-    # height where |2y - 1| < 1e-12 leaves no share defined
+    # height where |2y - 1| < 1e-12 leaves no share defined; every other
+    # point's tensor is checked against the brute-force decider game
     degenerate_y = 0.5 + 1e-13
     points = []
     for y in (degenerate_y, 0.51, 0.6, 0.75, 0.9, 0.99):
         lower, upper = hg.tipping_points(y)
         points += [(x, y) for x in (lower, upper, 1.0 - y, y, 0.05, 0.3, 0.5, 0.7, 0.95)]
     x, y = (np.array(v) for v in zip(*points))
+    pd = hg.prisoners_dilemma()
     payoffs, degenerate = symmetric_payoffs(x, y)
     mask = nash_mask(payoffs)
     codes, values = regime_map(x, y)
@@ -454,7 +431,11 @@ def test_batched_symmetric_pipeline_is_exact():
             continue
         tg = hg.symmetric_transform(xk, yk)
         assert np.array_equal(payoffs[k], tg.payoffs)
-        assert np.array_equal(payoffs[k], _shapley_tensor(xk, yk))
+        brute = helpers.brute_decider_game(pd.payoffs, ["1", "2"], ["d1", "d2"],
+                                           _mirror_tables(xk, yk))
+        for profile, expected in brute.items():
+            idx = tuple(tg.strategies.index(vec) for vec in profile)
+            assert payoffs[k][idx] == pytest.approx(expected, abs=1e-12)
         eqs = tuple(tuple(int(v) for v in idx) for idx in np.argwhere(mask[k]))
         assert eqs == hg.pure_nash(tg)
         ties += len(eqs) > 1

@@ -2,12 +2,13 @@
 
 import random
 
+import numpy as np
 import pytest
 
 import helpers
 import hiergame as hg
 from hiergame.graph import Edge, HierarchyGraph, Vertex
-from hiergame.payoff import build_coalition_function, coalition_value
+from hiergame.payoff import _coalition_values, oracle_table, require_decided, shapley_from_table
 
 
 def _oracle(g, params=None):
@@ -16,12 +17,27 @@ def _oracle(g, params=None):
     return hg.influence_oracle(g, params)
 
 
+def _coalitions(oracle, executive, lam):
+    """One executive's coalition values, keyed by frozensets of decider
+    names, after the degeneracy check."""
+    values, degenerate = _coalition_values(oracle_table(oracle, lam, (executive,)))
+    require_decided(degenerate, (executive,))
+    return {frozenset(lam[j] for j in k): float(v[0]) for k, v in values.items()}
+
+
+def _shapley(oracle, lam, execs):
+    """Shapley shares as a (deciders x executives) array, by the route
+    transform_game takes."""
+    shares, degenerate = shapley_from_table(oracle_table(oracle, lam, execs))
+    require_decided(degenerate, execs)
+    return np.array(shares)
+
+
 def test_coalition_endpoints():
     g = hg.two_decider_chain(2, 3)
-    oracle = _oracle(g)
-    lam = ("d1", "d2")
-    assert coalition_value(oracle, "1", (), lam) == 0.0
-    assert coalition_value(oracle, "1", lam, lam) == pytest.approx(1.0, abs=1e-14)
+    values = _coalitions(_oracle(g), "1", ("d1", "d2"))
+    assert values[frozenset()] == 0.0
+    assert values[frozenset({"d1", "d2"})] == pytest.approx(1.0, abs=1e-14)
 
 
 def test_two_decider_closed_form():
@@ -30,23 +46,18 @@ def test_two_decider_closed_form():
         oracle = _oracle(g)
         x = oracle("1", {"d1": -1, "d2": 1})
         y = oracle("1", {"d1": 1, "d2": 1})
-        assert coalition_value(oracle, "1", ("d2",), ("d1", "d2")) == \
+        assert _coalitions(oracle, "1", ("d1", "d2"))[frozenset({"d2"})] == \
             pytest.approx((x + y - 1.0) / (2.0 * y - 1.0), abs=1e-13)
-        shares = hg.shapley_shares(oracle, ("d1", "d2"), ("1",))
-        assert shares.share("d1", "1") == pytest.approx(
-            (y - x) / (2.0 * y - 1.0), abs=1e-12)
-        assert shares.share("d2", "1") == pytest.approx(
-            (x + y - 1.0) / (2.0 * y - 1.0), abs=1e-12)
-        assert shares.column_sum("1") == pytest.approx(1.0, abs=1e-12)
+        (d1,), (d2,) = _shapley(oracle, ("d1", "d2"), ("1",))
+        assert d1 == pytest.approx((y - x) / (2.0 * y - 1.0), abs=1e-12)
+        assert d2 == pytest.approx((x + y - 1.0) / (2.0 * y - 1.0), abs=1e-12)
+        assert d1 + d2 == pytest.approx(1.0, abs=1e-12)
 
 
 def test_benchmark_shares_split_evenly():
     g = hg.crossed_chains()
-    oracle = _oracle(g)
-    shares = hg.shapley_shares(oracle, hg.deciders(g), hg.executives(g))
-    for i in ("1", "2"):
-        assert shares.share("d1", i) == pytest.approx(0.5, abs=1e-12)
-        assert shares.share("d2", i) == pytest.approx(0.5, abs=1e-12)
+    shares = _shapley(_oracle(g), ("d1", "d2"), ("1", "2"))
+    assert shares == pytest.approx(np.full((2, 2), 0.5), abs=1e-12)
 
 
 def test_three_decider_star_symmetry():
@@ -55,11 +66,9 @@ def test_three_decider_star_symmetry():
     third = 1.0 / 3.0
     edges = (Edge("d1", "e", third), Edge("d2", "e", third), Edge("d3", "e", third))
     g = HierarchyGraph(vertices, edges, 0.5, 1.0)
-    oracle = _oracle(g)
-    shares = hg.shapley_shares(oracle, hg.deciders(g), ("e",))
-    for lam in ("d1", "d2", "d3"):
-        assert shares.share(lam, "e") == pytest.approx(third, abs=1e-12)
-    assert shares.column_sum("e") == pytest.approx(1.0, abs=1e-12)
+    shares = _shapley(_oracle(g), ("d1", "d2", "d3"), ("e",))
+    assert shares == pytest.approx(np.full((3, 1), third), abs=1e-12)
+    assert shares.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_shares_sum_to_one_on_random_graphs():
@@ -67,10 +76,10 @@ def test_shares_sum_to_one_on_random_graphs():
     checked = 0
     for _ in range(8):
         g = helpers.random_dag(rng, 8)
-        oracle = _oracle(g)
-        shares = hg.shapley_shares(oracle, hg.deciders(g), hg.executives(g))
-        for i in hg.executives(g):
-            assert shares.column_sum(i) == pytest.approx(1.0, abs=1e-12)
+        execs = tuple(sorted(hg.executives(g)))
+        shares = _shapley(_oracle(g), tuple(sorted(hg.deciders(g))), execs)
+        for column in shares.sum(axis=0):
+            assert column == pytest.approx(1.0, abs=1e-12)
             checked += 1
     assert checked >= 8
 
@@ -83,51 +92,40 @@ def test_dummy_decider_gets_nothing():
     edges = (Edge("d1", "m", 1.0), Edge("m", "e", 1.0),
              Edge("m", "w", 0.5), Edge("d2", "w", 0.5))
     g = HierarchyGraph(vertices, edges, 0.5, 1.0)
-    oracle = _oracle(g)
-    shares = hg.shapley_shares(oracle, ("d1", "d2"), ("e",))
-    assert abs(shares.share("d2", "e")) < 1e-14
-    assert shares.share("d1", "e") == pytest.approx(1.0, abs=1e-13)
+    (d1,), (d2,) = _shapley(_oracle(g), ("d1", "d2"), ("e",))
+    assert abs(d2) < 1e-14
+    assert d1 == pytest.approx(1.0, abs=1e-13)
     paths = hg.shares_by_paths(g)
-    assert paths.share("d2", "e") == 0.0
-    assert paths.share("d1", "e") == 1.0
+    assert (paths.deciders, paths.executives) == (("d1", "d2"), ("e",))
+    assert paths.values.tolist() == [[1.0], [0.0]]
 
 
 def test_degenerate_influence_raises():
     flat = lambda executive, commands: 0.5
     with pytest.raises(hg.DegenerateInfluenceError):
-        coalition_value(flat, "e", ("d1",), ("d1", "d2"))
+        _coalitions(flat, "e", ("d1", "d2"))
     with pytest.raises(hg.DegenerateInfluenceError):
-        hg.shapley_shares(flat, ("d1", "d2"), ("e",))
-
-
-def test_coalition_argument_checks():
-    g = hg.two_decider_chain(1, 1)
-    oracle = _oracle(g)
-    with pytest.raises(ValueError):
-        coalition_value(oracle, "1", ("ghost",), ("d1", "d2"))
-    with pytest.raises(ValueError):
-        hg.shapley_shares(oracle, (), ("1",))
+        _shapley(flat, ("d1", "d2"), ("e",))
 
 
 def test_coalition_function_table():
     g = hg.two_decider_chain(2, 2)
-    oracle = _oracle(g)
-    cf = build_coalition_function(oracle, "1", ("d1", "d2"))
-    assert len(cf.table) == 4
-    assert cf.value(()) == 0.0
-    assert cf.value(("d1", "d2")) == pytest.approx(1.0, abs=1e-14)
+    values = _coalitions(_oracle(g), "1", ("d1", "d2"))
+    assert len(values) == 4
+    assert values[frozenset()] == 0.0
+    assert values[frozenset({"d1", "d2"})] == pytest.approx(1.0, abs=1e-14)
     # equal arms make the two singleton coalitions interchangeable
-    assert cf.value(("d1",)) == pytest.approx(cf.value(("d2",)), abs=1e-12)
+    assert values[frozenset({"d1"})] == pytest.approx(values[frozenset({"d2"})], abs=1e-12)
 
 
 def test_path_shares_examples():
-    assert hg.shares_by_paths(hg.single_chain(5)).share("d1", "1") == 1.0
+    chain = hg.shares_by_paths(hg.single_chain(5))
+    assert (chain.deciders, chain.executives, chain.values.tolist()) == (("d1",), ("1",), [[1.0]])
 
     shares = hg.shares_by_paths(hg.crossed_chains(a=2, b=4, c=4, d=2))
-    for lam in ("d1", "d2"):
-        for i in ("1", "2"):
-            assert shares.share(lam, i) == 0.5
-        assert shares.column_sum(i) == 1.0
+    assert (shares.deciders, shares.executives) == (("d1", "d2"), ("1", "2"))
+    assert shares.values.tolist() == [[0.5, 0.5], [0.5, 0.5]]
+    assert shares.values.sum(axis=0).tolist() == [1.0, 1.0]
 
     # parallel branches add up
     vertices = (Vertex("d1", "decider"), Vertex("p", "agent"),
@@ -135,12 +133,27 @@ def test_path_shares_examples():
     edges = (Edge("d1", "p", 1.0), Edge("d1", "q", 1.0),
              Edge("p", "e", 0.5), Edge("q", "e", 0.5))
     g = HierarchyGraph(vertices, edges, 0.5, 1.0)
-    assert hg.shares_by_paths(g).share("d1", "e") == 1.0
+    assert hg.shares_by_paths(g).values.tolist() == [[1.0]]
+
+
+def test_path_shares_keep_the_given_executive_order():
+    # the default columns are the sorted executives; given ones keep their order
+    vertices = (Vertex("d1", "decider"), Vertex("d2", "decider"),
+                Vertex("a", "executive"), Vertex("b", "executive"))
+    edges = (Edge("d1", "a", 1.0), Edge("d1", "b", 0.25), Edge("d2", "b", 0.75))
+    g = HierarchyGraph(vertices, edges, 0.5, 1.0)
+    default = hg.shares_by_paths(g)
+    assert default.executives == ("a", "b")
+    assert default.values.tolist() == [[1.0, 0.25], [0.0, 0.75]]
+    given = hg.shares_by_paths(g, ["b", "a"])
+    assert (given.deciders, given.executives) == (("d1", "d2"), ("b", "a"))
+    assert given.values.tolist() == [[0.25, 1.0], [0.75, 0.0]]
 
 
 def test_path_shares_long_chain():
     shares = hg.shares_by_paths(hg.single_chain(3000))
-    assert shares.values == {("d1", "1"): 1.0}
+    assert (shares.deciders, shares.executives, shares.values.tolist()) == \
+        (("d1",), ("1",), [[1.0]])
 
 
 def _path_sum(g, v, target):
@@ -156,8 +169,10 @@ def test_path_shares_match_path_enumeration():
     for _ in range(10):
         g = helpers.random_dag(rng, rng.randint(3, 12), extra=rng.randint(0, 6))
         shares = hg.shares_by_paths(g)
-        for (member, i), value in shares.values.items():
-            assert value == pytest.approx(_path_sum(g, member, i), abs=1e-12)
+        assert shares.values.shape == (len(shares.deciders), len(shares.executives))
+        for d, member in enumerate(shares.deciders):
+            for k, i in enumerate(shares.executives):
+                assert shares.values[d, k] == pytest.approx(_path_sum(g, member, i), abs=1e-12)
 
 
 def test_path_shares_need_acyclic():

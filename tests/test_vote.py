@@ -389,6 +389,32 @@ def test_enumeration_cap(monkeypatch):
         hg.conditional_influence(big, lam, {"v299"}, cond, VoteParams.from_graph(big))
 
 
+def test_cap_below_one_is_refused(monkeypatch):
+    # a cap below 1 is bad input, not a sum over the cap, whether it comes
+    # from an argument or from the environment
+    g = hg.crossed_chains()
+    params = VoteParams.from_graph(g)
+    lam, cond = {"d1", "d2"}, {"d1": 1, "d2": 1}
+    model = hg.coupling_from_hierarchy(g)
+    for cap in (0, -3):
+        refused = pytest.raises(ValueError, match=f"enumeration cap must be at least 1, got {cap}")
+        with refused:
+            hg.conditional_influence(g, lam, {"1"}, cond, params, cap=cap)
+        with refused:
+            hg.partition_function(g, lam, cond, params, cap=cap)
+        with refused:
+            hg.ising_conditional(model, "1", cond, cap)
+        with refused:
+            hg.k_point(model, hg.KPointQuery(cond, {"1": 1}), cap)
+        monkeypatch.setenv("HIERGAME_CAP", str(cap))
+        with refused:
+            hg.conditional_influence(g, lam, {"1"}, cond, params)
+        monkeypatch.delenv("HIERGAME_CAP")
+    # 1 is a cap, though no elimination step of this graph fits under it
+    with pytest.raises(hg.EnumerationCapError):
+        hg.conditional_influence(g, lam, {"1"}, cond, params, cap=1)
+
+
 def test_long_chain_conditional_is_exact():
     # a chain's elimination tables have two spins at most, whatever its length
     for beta, free_float in ((5.0, 0.5), (3.0, 0.3)):
@@ -726,7 +752,7 @@ def test_sampler_is_deterministic():
     for v in g.vertex_ids:
         assert np.array_equal(a[v], b[v])
     assert any(not np.array_equal(a[v], c[v]) for v in g.vertex_ids)
-    single = hg.sample_outcome(g, cond, params, seed=7)
+    single = {v: int(draws[0]) for v, draws in hg.sample_many(g, cond, params, 1, seed=7).items()}
     assert set(single) == set(g.vertex_ids)
     assert all(s in (1, -1) for s in single.values())
     assert single["d1"] == 1 and single["d2"] == -1
