@@ -379,6 +379,86 @@ def test_sweep_readme_csvs_are_pinned(tmp_path, flags, digest):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+_CHAIN_ROWS = ((1, 1), (1, 3), (2, 3), (2, 5), (3, 4), (4, 4), (4, 7), (6, 2), (8, 8))
+
+
+@pytest.mark.parametrize("sweeps, digest", [
+    # one row of the README grid at a y whose repr %.15g shortens
+    ([["--vary", "x=0.005:0.995:199", "--fix", "y=0.8400000000000001"]],
+     "154766289e6311816bd2cd9482b3ca1e932c2067185ce5925aea527c3860ab1b"),
+    # nine chain geometries over beta, concatenated
+    ([["--vary", "beta=0.5:2:99", "--fix", f"a={a}", "--fix", f"c={c}"]
+      for a, c in _CHAIN_ROWS],
+     "07a61ed0db7b101ee49721cf1aad959647a08e92d88afdaa813a7f59913306f5"),
+    # three varied chain axes, 6400 points: two chunks
+    ([["--vary", "a=1:4:4", "--vary", "c=1:8:8", "--vary", "beta=0.5:2:200",
+       "--fix", "D=0.3"]],
+     "8831cba8238a00e91c9cae20f71548d9c36ac08884d4d5ee895355e385c0794d"),
+    # nan values on the tipping lines, a value of exactly 0 at the triple
+    # point and empty nash cells at y = 1/2
+    ([["--vary", "x=0.1:0.9:9", "--vary", "y=0.5:0.8:4"]],
+     "97b24e5ba685a6495e527aa6b95def67792de35583695968776cb7741f22dbe2"),
+])
+def test_sweep_csvs_are_pinned(capsys, sweeps, digest):
+    h = hashlib.sha256()
+    for argv in sweeps:
+        assert main(["sweep"] + argv) == EXIT_OK
+        h.update(capsys.readouterr().out.encode())
+    assert h.hexdigest() == digest
+
+
+def test_sweep_error_in_a_later_chunk_follows_its_rows(capsys, monkeypatch):
+    # a bad point in the second chunk: stdout holds the header and the rows
+    # of the first chunk, then the point's error is one JSON line and exit 3
+    argv = ["sweep", "--vary", "x=0.005:0.995:199", "--vary", "y=0.505:0.995:99"]
+    assert main(argv) == EXIT_OK
+    before = "".join(capsys.readouterr().out.splitlines(keepends=True)[:1 + cli.SWEEP_CHUNK])
+    real_chunks = cli.SweepSpec.chunks
+
+    def chunks_with(bad):
+        def chunks(spec):
+            for n, columns in enumerate(real_chunks(spec)):
+                if n == 1:
+                    for name, at, value in bad:
+                        columns[name] = columns[name].copy()
+                        columns[name][at] = value
+                yield columns
+        return chunks
+
+    # the first failing point in grid order names itself; at one point x
+    # is checked before y
+    cases = (
+        ([("y", 7, 0.25), ("x", 9, 1.0)], "the regime map needs 1/2 <= y < 1, got 0.25"),
+        ([("y", 9, math.nan), ("x", 12, 1.0)], "the regime map needs 1/2 <= y < 1, got nan"),
+        ([("x", 3, math.nan), ("y", 5, 1.0)], "x must lie inside (0, 1), got nan"),
+        ([("x", 12, 0.0), ("y", 12, 1.0)], "x must lie inside (0, 1), got 0.0"),
+        ([("y", 4095, 0.4999999999999999)],
+         "the regime map needs 1/2 <= y < 1, got 0.4999999999999999"),
+    )
+    for bad, message in cases:
+        monkeypatch.setattr(cli.SweepSpec, "chunks", chunks_with(bad))
+        assert main(argv) == EXIT_INVARIANT
+        captured = capsys.readouterr()
+        assert captured.out == before
+        assert captured.err == json.dumps({"error": "ValueError", "message": message}) + "\n"
+    monkeypatch.undo()
+    # a fixed y of nan is refused before any row
+    assert main(["sweep", "--vary", "x=0.005:0.995:199", "--fix", "y=nan"]) == EXIT_INVARIANT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == json.dumps(
+        {"error": "ValueError", "message": "fixed y must lie inside (0, 1)"}) + "\n"
+    # a chain point whose y rounds to 1 at index 4404, in the second chunk
+    assert main(["sweep", "--vary", "beta=0.5:25:6000", "--fix", "a=2",
+                 "--fix", "c=2"]) == EXIT_INVARIANT
+    captured = capsys.readouterr()
+    assert len(captured.out.splitlines()) == 1 + cli.SWEEP_CHUNK
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == \
+        "629fa3f56374da6b1e7dd3ac650c858830842a046c0d3c4c1229bd9fd6015a53"
+    assert captured.err == json.dumps(
+        {"error": "ValueError", "message": "the regime map needs 1/2 <= y < 1, got 1.0"}) + "\n"
+
+
 def test_sweep_grid_bound(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     t0 = time.perf_counter()
