@@ -59,10 +59,6 @@ CAP_HELP = ("enumeration cap: log2 of the largest table an exact sum may build "
             f"(default {DEFAULT_CAP}, or the {CAP_ENV_VAR} environment variable)")
 
 
-def _fmt(value: float) -> str:
-    return "%.15g" % value
-
-
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -210,7 +206,7 @@ def _tensor_from_payload(data: dict) -> TransformedGame:
 def _build_transform(args) -> TransformedGame:
     g = load_graph(args.graph)
     base = load_game(args.game)
-    params = VoteParams.from_graph(g, args.mode)
+    params = VoteParams.from_graph(g, args.mode or "tanh")  # nash leaves --mode unset
     return transform_game(base, g, params, mechanism=args.mechanism, cap=args.cap)
 
 
@@ -222,6 +218,9 @@ def cmd_transform(args) -> int:
 
 def cmd_nash(args) -> int:
     if args.tensor is not None:
+        if args.mode is not None or args.cap is not None:
+            raise ValueError("nash --tensor takes no --mode or --cap: "
+                             "they apply to --graph and --game")
         try:
             with open(args.tensor, "r", encoding="utf-8") as fh:
                 tg = _tensor_from_payload(json.load(fh))
@@ -344,11 +343,13 @@ def _chain_point(a: float, c: float, beta: float, d: float) -> tuple[float, floa
 
 
 def _sweep_xy(columns: dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """(x, y) of a chunk of grid points, each checked in grid order."""
+    """(x, y) of a chunk of grid points; the first point off the map, in
+    grid order, raises its `_map_domain` error."""
     if "x" in columns:
         x, y = columns["x"], columns["y"]
-        for point in zip(x.tolist(), y.tolist()):
-            _map_domain(*point)
+        off = np.flatnonzero(~((0.0 < x) & (x < 1.0) & (0.5 <= y) & (y < 1.0)))
+        if off.size:
+            _map_domain(x[off[0]].item(), y[off[0]].item())
         return x, y
     # chain points keep the scalar closed form on math: numpy's cosh and sinh
     # may differ from libm by an ulp, enough to move a 15-digit CSV cell
@@ -374,9 +375,13 @@ def _sweep_text(spec: SweepSpec):
     with the first piece.  Each chunk places its points on the regime map
     and lists the pure equilibria of the decider games they induce; the
     nash cell is empty where the game degenerates (y = 1/2, where commands
-    carry no influence to attribute)."""
+    carry no influence to attribute).  A fixed x or y is formatted once,
+    into the row format; each chunk is one format call."""
     lead = tuple(n for n in spec.names if n not in ("x", "y"))
     text = ",".join(lead + ("x", "y", "regime", "value", "nash")) + "\n"
+    fixed = {name: ("%.15g" % value).replace("%", "%%") for name, value in spec.fixed}
+    row_fmt = ",".join(fixed.get(n, "%.15g") for n in lead + ("x", "y")) + ",%s,%.15g,%s\n"
+    labels = np.array(REGIME_LABELS, dtype=object)
     profiles = _nash_profiles()
     bits = 1 << np.arange(len(profiles))
     for columns in spec.chunks():
@@ -386,11 +391,10 @@ def _sweep_text(spec: SweepSpec):
         keys = (nash_mask(payoffs).reshape(len(x), -1) @ bits) * ~degenerate
         nash = {key: "|".join(p for b, p in enumerate(profiles) if key >> b & 1)
                 for key in np.unique(keys).tolist()}
-        cells = zip(*[columns[n].tolist() for n in lead], x.tolist(), y.tolist())
-        text += "".join(
-            ",".join(map(_fmt, row)) + f",{REGIME_LABELS[c]},{_fmt(v)},{nash[k]}\n"
-            for row, c, v, k in zip(cells, code.tolist(), value.tolist(), keys.tolist()))
-        yield text
+        cells = [columns[n] for n in lead] + [v for n, v in (("x", x), ("y", y)) if n not in fixed]
+        cells += [labels[code], value, [nash[k] for k in keys.tolist()]]
+        rows = np.array(cells, dtype=object).T
+        yield text + (row_fmt * len(x)) % tuple(rows.ravel().tolist())
         text = ""
 
 
@@ -403,8 +407,7 @@ def cmd_sweep(args) -> int:
     with (open(spec.out, "w", encoding="utf-8") if spec.out is not None
           else contextlib.nullcontext(sys.stdout)) as fh:
         fh.write(first)
-        for piece in pieces:
-            fh.write(piece)
+        fh.writelines(pieces)
     return EXIT_OK
 
 
@@ -423,13 +426,14 @@ def build_parser() -> argparse.ArgumentParser:
                     "transformed games, equilibria, sweeps.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, graph=True, game=False):
+    def add_common(p, graph=True, game=False, cap=True):
         if graph:
             p.add_argument("--graph", required=True, help="hierarchy graph JSON file")
         if game:
             p.add_argument("--game", required=True, help="base game JSON file")
         p.add_argument("--mode", choices=("tanh", "gaussian"), default="tanh")
-        p.add_argument("--cap", type=int, default=None, help=CAP_HELP)
+        if cap:
+            p.add_argument("--cap", type=int, default=None, help=CAP_HELP)
         p.add_argument("--out", default=None, help="write output to this file")
 
     p = sub.add_parser("validate", help="check a graph file against all invariants")
@@ -463,10 +467,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--game", default=None)
     p.add_argument("--mechanism", choices=("shapley", "shares"), default="shapley")
     add_common(p, graph=False)
-    p.set_defaults(func=cmd_nash)
+    # unset unless given, so that --tensor can refuse it
+    p.set_defaults(func=cmd_nash, mode=None)
 
     p = sub.add_parser("sample", help="forward-sample executive votes")
-    add_common(p)
+    add_common(p, cap=False)
     p.add_argument("--condition", action="append", type=_condition_flag,
                    metavar="VERTEX=SPIN")
     p.add_argument("--samples", type=int, default=10000)

@@ -277,6 +277,47 @@ def test_ising_has_no_mode_flag(tmp_path, capsys):
     assert err["error"] == "ArgumentError" and "--mode" in err["message"]
 
 
+def test_sample_has_no_cap_flag(tmp_path, capsys):
+    # sampling does no exact sum, so `sample` takes no --cap
+    graph = _write_graph(tmp_path, hg.crossed_chains())
+    with pytest.raises(SystemExit) as exc:
+        main(["sample", "--graph", graph, "--samples", "10", "--cap", "0"] + _CONDITION)
+    assert exc.value.code == EXIT_PARSE
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "ArgumentError" and "--cap" in err["message"]
+
+
+def test_nash_tensor_refuses_mode_and_cap(tmp_path, capsys):
+    # a tensor file already holds the game, so --mode and --cap have
+    # nothing to act on; with --graph and --game both still apply
+    graph = _write_graph(tmp_path, hg.crossed_chains())
+    game = _write_game(tmp_path)
+    tensors = {mode: str(tmp_path / f"{mode}.json") for mode in ("tanh", "gaussian")}
+    for mode, tensor in tensors.items():
+        assert main(["transform", "--graph", graph, "--game", game, "--mode", mode,
+                     "--out", tensor]) == EXIT_OK
+    for extra in (["--mode", "tanh"], ["--cap", "22"], ["--cap", "0", "--mode", "gaussian"]):
+        assert main(["nash", "--tensor", tensors["tanh"]] + extra) == EXIT_INVARIANT
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {
+            "error": "ValueError",
+            "message": "nash --tensor takes no --mode or --cap: they apply to --graph and --game"}
+    nash = {}
+    for mode, tensor in tensors.items():
+        assert main(["nash", "--tensor", tensor]) == EXIT_OK
+        nash[mode] = capsys.readouterr().out
+    assert nash["tanh"] != nash["gaussian"]
+    files = ["nash", "--graph", graph, "--game", game]
+    assert main(files) == EXIT_OK
+    assert capsys.readouterr().out == nash["tanh"]
+    assert main(files + ["--mode", "gaussian", "--cap", "22"]) == EXIT_OK
+    assert capsys.readouterr().out == nash["gaussian"]
+    assert main(files + ["--cap", "1"]) == EXIT_CAP
+
+
 def test_degenerate_exit(tmp_path):
     g = hg.crossed_chains(noise_sigma=hg.sigma_for_beta(1e-6))
     graph = _write_graph(tmp_path, g)
