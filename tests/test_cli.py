@@ -133,6 +133,44 @@ def test_influence_requires_full_condition(tmp_path, capsys):
                      "--condition", "d2=+1"]) == EXIT_INVARIANT
 
 
+# the one 3-decider graph of test_game's transform pool, as JSON
+_THREE_DECIDERS = {
+    "vertices": [{"id": "v0", "role": "agent"}, {"id": "v1", "role": "agent"},
+                 {"id": "v2", "role": "decider"}, {"id": "v3", "role": "decider"},
+                 {"id": "v4", "role": "executive"}, {"id": "v5", "role": "executive"},
+                 {"id": "v6", "role": "decider"}],
+    "edges": [{"from": "v1", "to": "v0", "weight": 0.42976919345158615},
+              {"from": "v2", "to": "v1", "weight": 0.43909544615176466},
+              {"from": "v3", "to": "v0", "weight": 0.1758484866687668},
+              {"from": "v1", "to": "v4", "weight": 1.0},
+              {"from": "v0", "to": "v5", "weight": 0.34652892602075697},
+              {"from": "v6", "to": "v0", "weight": 0.39438231987964706},
+              {"from": "v6", "to": "v1", "weight": 0.5609045538482352},
+              {"from": "v2", "to": "v5", "weight": 0.653471073979243}],
+    "free_float": 0.572184409937582, "noise_sigma": 0.6554300259595989}
+
+
+@pytest.mark.parametrize("graph, conditions, digest", [
+    # crossed chains under all four command vectors
+    (hg.graph_to_dict(hg.crossed_chains()),
+     [["d1=+1", "d2=+1"], ["d1=+1", "d2=-1"], ["d1=-1", "d2=+1"], ["d1=-1", "d2=-1"]],
+     "52f3ee946883eaf10848f975721a234ecd536a489e90b52f076f53b5fcdaf350"),
+    # three deciders, the first of them commanding -1
+    (_THREE_DECIDERS, [["v2=-1", "v3=+1", "v6=-1"]],
+     "0691e56ddd43b9726dd44e05c445072d21a61b5b276e24d69d4c695a9754cb0a"),
+])
+def test_influence_output_is_pinned(tmp_path, capsys, graph, conditions, digest):
+    # `influence` stdout in both modes, pinned byte for byte
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(graph))
+    h = hashlib.sha256()
+    for mode, condition in itertools.product(("tanh", "gaussian"), conditions):
+        argv = ["influence", "--graph", str(path), "--mode", mode]
+        assert main(argv + [f"--condition={c}" for c in condition]) == EXIT_OK
+        h.update(capsys.readouterr().out.encode())
+    assert h.hexdigest() == digest
+
+
 def test_ising_command(tmp_path):
     graph = _write_graph(tmp_path, hg.two_decider_chain(2, 3))
     out = str(tmp_path / "ising.json")
