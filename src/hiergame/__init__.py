@@ -79,7 +79,7 @@ from .vote import (
     ConditionalDistribution,
     VoteParams,
     conditional_influence,
-    influence_oracle,
+    influence_table,
     outcome_probability,
     partition_function,
     sample_many,
@@ -97,7 +97,7 @@ __all__ = [
     "is_locally_tree", "graph_to_dict", "graph_from_dict", "load_graph", "save_graph",
     "VoteParams", "sigma_for_beta", "outcome_probability", "single_vote_prob",
     "ConditionalDistribution", "conditional_influence", "partition_function",
-    "sample_many", "influence_oracle",
+    "sample_many", "influence_table",
     "IsingModel", "KPointQuery", "coupling_from_hierarchy", "k_point",
     "ising_conditional", "chain_conditional", "chain_xy",
     "ShareMatrix", "shares_by_paths",

@@ -43,7 +43,7 @@ from .game import (
 )
 from .graph import deciders, executives, load_graph, validate_graph
 from .ising import chain_xy, coupling_from_hierarchy, ising_conditional
-from .vote import CAP_ENV_VAR, DEFAULT_CAP, VoteParams, influence_oracle, sample_many
+from .vote import DEFAULT_CAP, VoteParams, conditional_influence, sample_many
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -56,7 +56,7 @@ SWEEP_PARAMS = ("a", "c", "beta", "D", "x", "y")
 MAX_SWEEP_POINTS = 10**7
 SWEEP_CHUNK = 4096  # grid points evaluated and written at a time
 CAP_HELP = ("enumeration cap: log2 of the largest table an exact sum may build "
-            f"(default {DEFAULT_CAP}, or the {CAP_ENV_VAR} environment variable)")
+            f"(default {DEFAULT_CAP})")
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -150,8 +150,9 @@ def cmd_influence(args) -> int:
     g = load_graph(args.graph)
     params = VoteParams.from_graph(g, args.mode)
     condition = _decider_condition(g, args.condition)
-    oracle = influence_oracle(g, params, args.cap)
-    table = {i: oracle(i, condition) for i in sorted(executives(g))}
+    lam = deciders(g)
+    table = {i: conditional_influence(g, lam, {i}, condition, params, args.cap).plus_prob(i)
+             for i in sorted(executives(g))}
     _emit_json({
         "condition": condition,
         "mode": params.mode,
@@ -190,6 +191,9 @@ def _tensor_payload(tg: TransformedGame) -> dict:
 def _tensor_from_payload(data: dict) -> TransformedGame:
     try:
         labels = {1: str(data["labels"]["+1"]), -1: str(data["labels"]["-1"])}
+        if labels[1] == labels[-1]:
+            raise GameFormatError(f"tensor labels must name +1 and -1 distinctly, "
+                                  f"got {labels[1]!r} for both")
         reverse = {v: k for k, v in labels.items()}
         strategies = tuple(tuple(reverse[m] for m in strat) for strat in data["strategies"])
         payoffs = np.asarray(data["payoffs"], dtype=float)
@@ -200,6 +204,10 @@ def _tensor_from_payload(data: dict) -> TransformedGame:
         raise GameFormatError(f"malformed tensor data: {exc}") from exc
     if payoffs.shape != (len(strategies),) * len(tg.deciders) + (len(tg.deciders),):
         raise GameFormatError("tensor shape does not match deciders and strategies")
+    if len(set(strategies)) != len(strategies) or \
+            any(len(s) != len(tg.executives) for s in strategies):
+        raise GameFormatError("tensor strategies must be distinct command vectors "
+                              "with one move per executive")
     return tg
 
 

@@ -22,8 +22,8 @@ import numpy as np
 
 from .errors import GameFormatError
 from .graph import HierarchyGraph, deciders as graph_deciders, executives as graph_executives
-from .payoff import oracle_table, require_decided, shapley_from_table, shares_by_paths
-from .vote import VoteParams, influence_oracle
+from .payoff import require_decided, shapley_from_table, shares_by_paths
+from .vote import VoteParams, influence_table
 
 NASH_TOL = 1e-12
 BOUNDARY_TOL = 1e-9
@@ -64,6 +64,8 @@ class NormalFormGame:
         n = len(self.players)
         if n == 0:
             raise ValueError("game needs at least one player")
+        if len(set(self.players)) != n:
+            raise ValueError(f"player names must be distinct, got {list(self.players)}")
         expected = set(product((1, -1), repeat=n))
         if set(self.payoffs) != expected:
             raise ValueError("payoff table must cover every spin profile exactly once")
@@ -174,7 +176,7 @@ def _profile_gather(n: int, m: int) -> tuple[tuple, ...]:
 def _decider_payoffs(base: NormalFormGame, table: Mapping[tuple[int, ...], np.ndarray],
                      shares: Sequence[np.ndarray]) -> np.ndarray:
     """The decider-game tensor, shape B + (2^n,) * m + (m,) over batch axes
-    B: `table` is an `oracle_table` over the players (shape (n,) + B), and
+    B: `table` is an `influence_table` over the players (shape (n,) + B), and
     decider d receives sum_k shares[d][k] times executive k's expected
     payoff from `pre_payoff`."""
     n, m = len(base.players), len(shares)
@@ -235,25 +237,26 @@ def transform_game(base: NormalFormGame, g: HierarchyGraph, params: VoteParams,
                    mechanism: str = "shapley", cap: int | None = None) -> TransformedGame:
     """Full pipeline from a hierarchy: vote conditionals, payoff shares,
     decider game.  `mechanism` picks the share rule (shapley or shares).  The
-    conditionals are read once, into one `oracle_table` for shares and tensor,
-    after the tensor is known to fit MAX_TENSOR_ENTRIES."""
+    conditionals are read once, into one `influence_table` for shares and
+    tensor, after the arguments are checked and the tensor is known to fit
+    MAX_TENSOR_ENTRIES."""
+    if mechanism not in ("shapley", "shares"):
+        raise ValueError(f"unknown mechanism {mechanism!r}")
     lam_order = tuple(sorted(graph_deciders(g)))
+    if mechanism == "shapley" and not lam_order:
+        raise ValueError("need at least one decider")
     execs = graph_executives(g)
     if set(base.players) != execs:
         raise ValueError("game players must match the graph's executives")
     _check_tensor_size(len(base.players), len(lam_order))
-    table = oracle_table(influence_oracle(g, params, cap), lam_order, base.players)
+    table = influence_table(g, params, lam_order, base.players, cap)
     if mechanism == "shapley":
-        if not lam_order:
-            raise ValueError("need at least one decider")
         shares, degenerate = shapley_from_table(table)
         # name the smallest degenerate executive, whatever the player order
         ranked = sorted(range(len(base.players)), key=base.players.__getitem__)
         require_decided(degenerate[ranked], tuple(base.players[k] for k in ranked))
     elif mechanism == "shares":
         shares = shares_by_paths(g, base.players).values
-    else:
-        raise ValueError(f"unknown mechanism {mechanism!r}")
     provenance = {
         "mechanism": mechanism,
         "mode": params.mode,

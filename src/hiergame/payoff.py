@@ -11,15 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, product
-from typing import Callable, Iterable, Mapping
+from itertools import combinations
+from typing import Iterable, Mapping
 
 import numpy as np
 
 from .errors import CyclicGraphError, DegenerateInfluenceError
 from .graph import HierarchyGraph, deciders, executives
-
-InfluenceOracle = Callable[[str, Mapping[str, int]], float]
 
 DEGENERACY_TOL = 1e-12
 
@@ -34,13 +32,6 @@ def _coalition_values(table: Mapping[tuple[int, ...], float]):
     none = table[(-1,) * m]
     return ({frozenset(j for j, s in enumerate(pattern) if s == 1): np.divide(p - none, span)
              for pattern, p in table.items()}, abs(span) < DEGENERACY_TOL)
-
-
-def oracle_table(oracle: InfluenceOracle, lam: tuple[str, ...], execs: tuple[str, ...]):
-    """{command pattern over `lam`: P(+1) of each of `execs`, in order on a
-    leading axis}, one oracle call per executive and pattern."""
-    return {pattern: np.array([oracle(i, dict(zip(lam, pattern))) for i in execs], dtype=float)
-            for pattern in product((1, -1), repeat=len(lam))}
 
 
 def require_decided(degenerate, execs: tuple[str, ...]) -> None:

@@ -18,6 +18,7 @@ import os
 import threading
 import time
 from dataclasses import dataclass
+from itertools import product
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -29,7 +30,6 @@ MODE_TANH = "tanh"
 MODE_GAUSSIAN = "gaussian"
 
 DEFAULT_CAP = 22
-CAP_ENV_VAR = "HIERGAME_CAP"
 # draws times vertices that sample_many may hold, one int8 spin each
 MAX_SAMPLE_SPINS = 10**8
 
@@ -113,16 +113,6 @@ class VoteParams:
     @classmethod
     def from_beta(cls, beta: float, free_float: float, mode: str = MODE_TANH) -> "VoteParams":
         return cls(free_float, sigma_for_beta(beta), mode)
-
-
-def default_cap() -> int:
-    raw = os.environ.get(CAP_ENV_VAR)
-    if raw is None:
-        return DEFAULT_CAP
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{CAP_ENV_VAR} must be an integer, got {raw!r}") from exc
 
 
 def _check_cap(width: int, limit: int) -> None:
@@ -352,10 +342,10 @@ def _sum_product(scopes: Sequence[tuple[str, ...]],
     The cap bounds log2 of the largest table an elimination step sums
     over: the eliminated spin and its neighbours.  Entry c of the result
     sums the patterns whose key j is +1 exactly where bit j of c is set;
-    with no keys the one entry is the total.  A cap below 1 is a ValueError,
-    whether it comes from `cap` or from the environment.
+    with no keys the one entry is the total.  A cap of None means
+    DEFAULT_CAP; a cap below 1 is a ValueError.
     """
-    limit = default_cap() if cap is None else cap
+    limit = DEFAULT_CAP if cap is None else cap
     if limit < 1:
         raise ValueError(f"the enumeration cap must be at least 1, got {limit}")
     plan = _elimination_plan(tuple(scopes), tuple(keys), limit)
@@ -941,25 +931,25 @@ def sample_many(g: HierarchyGraph, condition: Mapping[str, int],
     return bits
 
 
-def influence_oracle(g: HierarchyGraph, params: VoteParams,
-                     cap: int | None = None) -> Callable[[str, Mapping[str, int]], float]:
-    """Callable (executive, commands) -> P(executive votes +1 | commands),
-    with commands giving one spin per decider.
+def influence_table(g: HierarchyGraph, params: VoteParams, lam: Sequence[str],
+                    execs: Sequence[str],
+                    cap: int | None = None) -> dict[tuple[int, ...], np.ndarray]:
+    """{command pattern over the deciders `lam`: P(+1) of each of `execs`,
+    in order}, the patterns in ``product((1, -1), repeat=len(lam))`` order.
 
-    Results are cached by the sign-canonical command vector, the one whose
-    first decider says +1: P(+1 | -commands) is the canonical
-    distribution's P(-1), bit for bit what `conditional_influence` gives
-    for the flipped commands.
+    One conditional per executive and sign-canonical pattern, the one whose
+    first decider says +1: its P(-1) is the mirrored pattern's P(+1), bit
+    for bit what `conditional_influence` gives for the mirrored commands.
     """
-    lam = deciders(g)
-    cache: dict[tuple[str, tuple[tuple[str, int], ...]], ConditionalDistribution] = {}
-
-    def oracle(executive: str, commands: Mapping[str, int]) -> float:
-        flipped = bool(commands) and commands[min(commands)] == -1
-        canonical = {v: -s for v, s in commands.items()} if flipped else dict(commands)
-        key = (executive, tuple(sorted(canonical.items())))
-        if key not in cache:
-            cache[key] = conditional_influence(g, lam, {executive}, canonical, params, cap)
-        return cache[key].prob({executive: -1 if flipped else 1})
-
-    return oracle
+    lam = tuple(lam)
+    patterns = list(product((1, -1), repeat=len(lam)))
+    table = {pattern: np.empty(len(execs)) for pattern in patterns}
+    for pattern in patterns[:(len(patterns) + 1) // 2]:
+        condition = dict(zip(lam, pattern))
+        plus, mirror = table[pattern], table[tuple(-s for s in pattern)]
+        for k, i in enumerate(execs):
+            probs = conditional_influence(g, lam, {i}, condition, params, cap).table
+            # () is its own mirror: its P(+1) is written last
+            mirror[k] = probs[(-1,)]
+            plus[k] = probs[(1,)]
+    return table

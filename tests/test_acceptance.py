@@ -18,7 +18,7 @@ import pytest
 
 import helpers
 import hiergame as hg
-from hiergame.payoff import oracle_table, require_decided, shapley_from_table
+from hiergame.payoff import require_decided, shapley_from_table
 from hiergame.vote import VoteParams
 
 
@@ -173,8 +173,8 @@ def _shapley(g):
     """Shapley shares of g's sorted deciders (rows) in each of its sorted
     executives' coalition games (columns), by transform_game's route."""
     lam, execs = tuple(sorted(hg.deciders(g))), tuple(sorted(hg.executives(g)))
-    oracle = hg.influence_oracle(g, VoteParams.from_graph(g))
-    shares, degenerate = shapley_from_table(oracle_table(oracle, lam, execs))
+    table = hg.influence_table(g, VoteParams.from_graph(g), lam, execs)
+    shares, degenerate = shapley_from_table(table)
     require_decided(degenerate, execs)
     return lam, execs, np.array(shares)
 
@@ -183,9 +183,8 @@ def test_c5_shapley_closed_form_and_axioms():
     worst = 0.0
     for a, c in ((1, 1), (2, 2), (3, 3), (2, 3), (1, 4), (4, 2), (2, 5)):
         g = hg.two_decider_chain(a, c)
-        oracle = hg.influence_oracle(g, VoteParams.from_graph(g))
-        x = oracle("1", {"d1": -1, "d2": 1})
-        y = oracle("1", {"d1": 1, "d2": 1})
+        table = hg.influence_table(g, VoteParams.from_graph(g), ("d1", "d2"), ("1",))
+        (x,), (y,) = table[(-1, 1)], table[(1, 1)]
         _, _, ((d1,), (d2,)) = _shapley(g)
         worst = max(worst, abs(d1 - (y - x) / (2 * y - 1)))
         worst = max(worst, abs(d2 - (x + y - 1) / (2 * y - 1)))

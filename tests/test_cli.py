@@ -212,6 +212,28 @@ def test_nash_rejects_malformed_tensor(tmp_path):
     assert main(["nash", "--tensor", str(bad)]) == EXIT_PARSE
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("labels", {"+1": "C", "-1": "C"}, "labels must name +1 and -1 distinctly, got 'C' for both"),
+    ("strategies", [["C", "C"]] * 4, "strategies must be distinct command vectors"),
+    ("strategies", [["C"], ["D"], ["C", "D"], ["D", "D"]], "one move per executive"),
+])
+def test_nash_refuses_ambiguous_tensor(tmp_path, capsys, field, value, message):
+    # equal labels or repeated or short strategies make profiles ambiguous:
+    # exit 2, not an equilibrium over them
+    graph = _write_graph(tmp_path, hg.crossed_chains())
+    tensor = tmp_path / "tensor.json"
+    assert main(["transform", "--graph", graph, "--game", _write_game(tmp_path),
+                 "--out", str(tensor)]) == EXIT_OK
+    data = _read_json(tensor)
+    data[field] = value
+    tensor.write_text(json.dumps(data))
+    assert main(["nash", "--tensor", str(tensor)]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "GameFormatError" and message in err["message"]
+
+
 def test_sample_determinism(tmp_path):
     graph = _write_graph(tmp_path, hg.crossed_chains())
     first = tmp_path / "s1.json"
@@ -282,7 +304,34 @@ def test_cap_exit(tmp_path):
     assert main(argv + ["--cap", "8"]) == EXIT_OK
 
 
-def test_cap_below_one_exit(tmp_path, capsys, monkeypatch):
+def test_transform_without_decider_exit(tmp_path, capsys):
+    # no decider to share to is an invalid input (exit 3), refused before
+    # any sum can go over the cap (exit 4)
+    g = hg.HierarchyGraph((hg.Vertex("1", "executive"), hg.Vertex("2", "executive")),
+                          (hg.Edge("1", "2", 1.0), hg.Edge("2", "1", 1.0)), 0.5, 1.0)
+    argv = ["transform", "--graph", _write_graph(tmp_path, g), "--game", _write_game(tmp_path)]
+    for cap in ([], ["--cap", "1"]):
+        assert main(argv + cap) == EXIT_INVARIANT
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ValueError", "message": "need at least one decider"}
+
+
+def test_transform_refuses_repeated_players(tmp_path, capsys):
+    # a game over players 1, 1, 2 would count executive 1 twice
+    path = tmp_path / "game.json"
+    data = hg.game_to_dict(hg.NormalFormGame(
+        ("1", "2", "3"), {s: (1.0, 2.0, 3.0) for s in itertools.product((1, -1), repeat=3)}))
+    data["players"] = ["1", "1", "2"]
+    path.write_text(json.dumps(data))
+    graph = _write_graph(tmp_path, hg.crossed_chains())
+    for mechanism in ("shapley", "shares"):
+        assert main(["transform", "--graph", graph, "--game", str(path),
+                     "--mechanism", mechanism]) == EXIT_PARSE
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "GameFormatError" and "distinct" in err["message"]
+
+
+def test_cap_below_one_exit(tmp_path, capsys):
     # a cap below 1 is an invalid input (exit 3), not an over-cap sum (exit 4)
     graph = _write_graph(tmp_path, hg.crossed_chains())
     runs = (["influence", "--graph", graph] + _CONDITION,
@@ -295,10 +344,6 @@ def test_cap_below_one_exit(tmp_path, capsys, monkeypatch):
             assert json.loads(lines[0]) == {
                 "error": "ValueError",
                 "message": f"the enumeration cap must be at least 1, got {cap}"}
-        monkeypatch.setenv("HIERGAME_CAP", "-3")
-        assert main(argv) == EXIT_INVARIANT
-        assert "at least 1, got -3" in capsys.readouterr().err
-        monkeypatch.delenv("HIERGAME_CAP")
         assert main(argv + ["--cap", "1"]) == EXIT_CAP
         assert "EnumerationCapError" in capsys.readouterr().err
 

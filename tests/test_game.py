@@ -41,6 +41,9 @@ def test_game_validation():
     with pytest.raises(ValueError, match="labels"):
         NormalFormGame(("1",), {(1,): (0.0,), (-1,): (0.0,)},
                        {1: "C", -1: "C"})
+    # a repeated name would count one executive's payoff twice
+    with pytest.raises(ValueError, match=r"distinct, got \['1', '1', '2'\]"):
+        NormalFormGame(("1", "1", "2"), {s: (0.0,) * 3 for s in product((1, -1), repeat=3)})
 
 
 def test_game_round_trip(tmp_path):
@@ -63,6 +66,10 @@ def test_game_format_errors(tmp_path):
     missing = {k: v for k, v in good.items() if k != "labels"}
     with pytest.raises(hg.GameFormatError):
         hg.game_from_dict(missing)
+
+    repeated = dict(good, players=["1", "1"])
+    with pytest.raises(hg.GameFormatError, match="distinct"):
+        hg.game_from_dict(repeated)
 
     bad_json = tmp_path / "broken.json"
     bad_json.write_text("{not json")
@@ -184,9 +191,8 @@ def test_transform_matches_symmetric_tensor():
     for dims in ((4, 4, 4, 4), (2, 3, 3, 2)):
         g = hg.crossed_chains(*dims)
         params = hg.VoteParams.from_graph(g)
-        oracle = hg.influence_oracle(g, params)
-        x = oracle("1", {"d1": -1, "d2": 1})
-        y = oracle("1", {"d1": 1, "d2": 1})
+        table = hg.influence_table(g, params, ("d1", "d2"), ("1",))
+        (x,), (y,) = table[(-1, 1)], table[(1, 1)]
         tg = hg.transform_game(pd, g, params)
         sym = hg.symmetric_transform(x, y)
         assert tg.deciders == sym.deciders == ("d1", "d2")
@@ -215,7 +221,7 @@ def test_transform_mechanisms_agree_only_under_symmetry():
 
 def test_shapley_transform_runs_each_conditional_once(monkeypatch):
     # the Shapley shares read the influence tables: 2 executives x 4 patterns,
-    # of which the oracle computes the 2 whose first decider says +1
+    # of which influence_table sums the 2 whose first decider says +1
     original = hg.vote.conditional_influence
     calls = []
 
@@ -278,31 +284,30 @@ def test_decider_tensors_are_pinned():
 
 
 def test_transform_game_reads_one_table(monkeypatch):
-    # one oracle_table pass of n * 2^m oracle calls, under either mechanism
+    # one influence_table pass of n * 2^(m-1) conditionals, each under a
+    # sign-canonical command vector, under either mechanism
     g, base = next((g, base) for g, base in _transform_pool() if len(hg.deciders(g)) == 3)
+    first = min(hg.deciders(g))
     passes, calls = [], []
-    real_oracle, real_table = hg.game.influence_oracle, hg.game.oracle_table
-
-    def counting_oracle(*args):
-        oracle = real_oracle(*args)
-
-        def counted(executive, commands):
-            calls.append((executive, tuple(sorted(commands.items()))))
-            return oracle(executive, commands)
-        return counted
+    real_table, real_conditional = hg.game.influence_table, hg.vote.conditional_influence
 
     def counting_table(*args):
         passes.append(args)
         return real_table(*args)
 
-    monkeypatch.setattr(hg.game, "influence_oracle", counting_oracle)
-    monkeypatch.setattr(hg.game, "oracle_table", counting_table)
+    def counting_conditional(g, a, b, condition, *args):
+        calls.append((tuple(b), tuple(sorted(condition.items()))))
+        return real_conditional(g, a, b, condition, *args)
+
+    monkeypatch.setattr(hg.game, "influence_table", counting_table)
+    monkeypatch.setattr(hg.vote, "conditional_influence", counting_conditional)
     for mechanism in ("shapley", "shares"):
         passes.clear()
         calls.clear()
         hg.transform_game(base, g, hg.VoteParams.from_graph(g), mechanism=mechanism)
         assert len(passes) == 1
-        assert len(calls) == len(set(calls)) == len(base.players) * 2 ** 3
+        assert len(calls) == len(set(calls)) == len(base.players) * 2 ** 2
+        assert all(dict(condition)[first] == 1 for _, condition in calls)
 
 
 def test_transform_degeneracy_names_smallest_executive():
@@ -314,10 +319,14 @@ def test_transform_degeneracy_names_smallest_executive():
         hg.transform_game(base, g, hg.VoteParams.from_graph(g), mechanism="shapley")
 
 
+def _decider_free_cycle():
+    """A valid hierarchy of two executives on a cycle: no decider to share to."""
+    return hg.HierarchyGraph((hg.Vertex("1", "executive"), hg.Vertex("2", "executive")),
+                             (hg.Edge("1", "2", 1.0), hg.Edge("2", "1", 1.0)), 0.5, 1.0)
+
+
 def test_transform_needs_a_decider():
-    # a valid hierarchy of two executives on a cycle has no decider to share to
-    g = hg.HierarchyGraph((hg.Vertex("1", "executive"), hg.Vertex("2", "executive")),
-                          (hg.Edge("1", "2", 1.0), hg.Edge("2", "1", 1.0)), 0.5, 1.0)
+    g = _decider_free_cycle()
     assert hg.validate_graph(g).ok
     with pytest.raises(ValueError, match="at least one decider"):
         hg.transform_game(hg.prisoners_dilemma(), g, hg.VoteParams.from_graph(g))
@@ -333,10 +342,18 @@ def test_transform_refuses_oversized_tensor(monkeypatch):
     calls = []
     with monkeypatch.context() as mp:
         mp.setattr(hg.vote, "conditional_influence", lambda *args: calls.append(args))
-        mp.setattr(hg.game, "oracle_table", lambda *args: calls.append(args))
+        mp.setattr(hg.game, "influence_table", lambda *args: calls.append(args))
         for mechanism in ("shapley", "shares"):
             with pytest.raises(ValueError, match=f"2\\^10\\)\\^3 x 3 payoffs.*{limit}"):
                 hg.transform_game(base, g, params, mechanism=mechanism)
+        # so are an unknown mechanism, and a Shapley transform with no
+        # decider, whatever the cap
+        pd = hg.prisoners_dilemma()
+        for g, mechanism, cap, message in (
+                (hg.crossed_chains(), "bogus", None, "unknown mechanism 'bogus'"),
+                (_decider_free_cycle(), "shapley", 1, "need at least one decider")):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                hg.transform_game(pd, g, hg.VoteParams.from_graph(g), mechanism, cap)
     assert calls == []
     # the limit counts profiles times deciders, inclusive: crossed chains
     # give a 4 x 4 x 2 tensor
@@ -557,11 +574,8 @@ def test_end_to_end_regimes():
     for dims, beta, regime, expected_eq in cases:
         g = hg.crossed_chains(*dims, noise_sigma=hg.sigma_for_beta(beta))
         params = hg.VoteParams.from_graph(g)
-        oracle = hg.influence_oracle(g, params)
-        x = oracle("1", {"d1": -1, "d2": 1})
-        y = oracle("1", {"d1": 1, "d2": 1})
-        x_bar = oracle("2", {"d1": 1, "d2": -1})
-        y_bar = oracle("2", {"d1": 1, "d2": 1})
+        table = hg.influence_table(g, params, ("d1", "d2"), ("1", "2"))
+        (x, _), (_, x_bar), (y, y_bar) = table[(-1, 1)], table[(1, -1)], table[(1, 1)]
         summary = hg.classify_regime(x, y, x_bar, y_bar)
         assert summary.regime == regime
         tg = hg.transform_game(pd, g, params)
@@ -570,12 +584,8 @@ def test_end_to_end_regimes():
         assert tg.payoffs[eqs[0] + (0,)] == pytest.approx(summary.value, abs=1e-12)
     # frozen spot checks for the first two rows
     g = hg.crossed_chains()
-    params = hg.VoteParams.from_graph(g)
-    oracle = hg.influence_oracle(g, params)
-    assert oracle("1", {"d1": 1, "d2": 1}) == pytest.approx(
-        0.668214882193, abs=1e-9)
+    table = hg.influence_table(g, hg.VoteParams.from_graph(g), ("d1", "d2"), ("1",))
+    assert table[(1, 1)][0] == pytest.approx(0.668214882193, abs=1e-9)
     g = hg.crossed_chains(1, 5, 5, 1)
-    params = hg.VoteParams.from_graph(g)
-    oracle = hg.influence_oracle(g, params)
-    assert oracle("1", {"d1": -1, "d2": 1}) == pytest.approx(
-        0.373657196623, abs=1e-9)
+    table = hg.influence_table(g, hg.VoteParams.from_graph(g), ("d1", "d2"), ("1",))
+    assert table[(-1, 1)][0] == pytest.approx(0.373657196623, abs=1e-9)

@@ -302,23 +302,16 @@ def _complete_model(n: int, j: float, beta: float) -> IsingModel:
     return IsingModel(tuple(names), couplings, beta)
 
 
-def test_k_point_cap(monkeypatch):
+def test_k_point_cap():
     # the cap bounds log2 of the largest table elimination needs: every
     # interior vertex of a complete coupling graph meets the other ten
     model = _complete_model(13, 0.1, 1.0)  # 11 interior vertices
     query = KPointQuery({"v00": 1}, {"v12": 1})
     with pytest.raises(hg.EnumerationCapError):
         hg.k_point(model, query, cap=10)
+    hg.k_point(model, query, cap=11)
     # the 11 interior vertices of a path only ever meet two at a time
     hg.k_point(_path_model(12, 1.0, 1.0), query, cap=2)
-    monkeypatch.setenv("HIERGAME_CAP", "10")
-    with pytest.raises(hg.EnumerationCapError):
-        hg.k_point(model, query)
-    monkeypatch.setenv("HIERGAME_CAP", "11")
-    hg.k_point(model, query)
-    monkeypatch.setenv("HIERGAME_CAP", "soft")
-    with pytest.raises(ValueError):
-        hg.k_point(model, query)
 
 
 def _split_corridor_cases(rng):

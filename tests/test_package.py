@@ -1,6 +1,7 @@
-"""The package's public names."""
+"""The package's public names and the README example."""
 
 import ast
+import re
 from pathlib import Path
 
 import hiergame as hg
@@ -17,3 +18,12 @@ def test_all_lists_exactly_the_reexported_names():
     namespace = {}
     exec("from hiergame import *", namespace)
     assert all(namespace[name] is getattr(hg, name) for name in hg.__all__)
+
+
+def test_readme_quick_start_runs(capsys):
+    # README's one python block runs as written and prints what it says
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, re.DOTALL | re.MULTILINE)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
+    assert capsys.readouterr().out.startswith("((0, 0),)\n")

@@ -1,6 +1,7 @@
 """Coalition values and decider share attribution."""
 
 import random
+from itertools import product
 
 import numpy as np
 import pytest
@@ -8,34 +9,33 @@ import pytest
 import helpers
 import hiergame as hg
 from hiergame.graph import Edge, HierarchyGraph, Vertex
-from hiergame.payoff import _coalition_values, oracle_table, require_decided, shapley_from_table
+from hiergame.payoff import _coalition_values, require_decided, shapley_from_table
 
 
-def _oracle(g, params=None):
-    if params is None:
-        params = hg.VoteParams.from_graph(g)
-    return hg.influence_oracle(g, params)
+def _table(g, execs):
+    """The influence table of g's sorted deciders over `execs`."""
+    return hg.influence_table(g, hg.VoteParams.from_graph(g), sorted(hg.deciders(g)), execs)
 
 
-def _coalitions(oracle, executive, lam):
-    """One executive's coalition values, keyed by frozensets of decider
-    names, after the degeneracy check."""
-    values, degenerate = _coalition_values(oracle_table(oracle, lam, (executive,)))
+def _coalitions(table, executive, lam):
+    """The coalition values of the one executive of `table`, keyed by
+    frozensets of decider names, after the degeneracy check."""
+    values, degenerate = _coalition_values(table)
     require_decided(degenerate, (executive,))
     return {frozenset(lam[j] for j in k): float(v[0]) for k, v in values.items()}
 
 
-def _shapley(oracle, lam, execs):
+def _shapley(table, execs):
     """Shapley shares as a (deciders x executives) array, by the route
     transform_game takes."""
-    shares, degenerate = shapley_from_table(oracle_table(oracle, lam, execs))
+    shares, degenerate = shapley_from_table(table)
     require_decided(degenerate, execs)
     return np.array(shares)
 
 
 def test_coalition_endpoints():
     g = hg.two_decider_chain(2, 3)
-    values = _coalitions(_oracle(g), "1", ("d1", "d2"))
+    values = _coalitions(_table(g, ("1",)), "1", ("d1", "d2"))
     assert values[frozenset()] == 0.0
     assert values[frozenset({"d1", "d2"})] == pytest.approx(1.0, abs=1e-14)
 
@@ -43,12 +43,11 @@ def test_coalition_endpoints():
 def test_two_decider_closed_form():
     for a, c in ((2, 3), (1, 4), (3, 3)):
         g = hg.two_decider_chain(a, c)
-        oracle = _oracle(g)
-        x = oracle("1", {"d1": -1, "d2": 1})
-        y = oracle("1", {"d1": 1, "d2": 1})
-        assert _coalitions(oracle, "1", ("d1", "d2"))[frozenset({"d2"})] == \
+        table = _table(g, ("1",))
+        (x,), (y,) = table[(-1, 1)], table[(1, 1)]
+        assert _coalitions(table, "1", ("d1", "d2"))[frozenset({"d2"})] == \
             pytest.approx((x + y - 1.0) / (2.0 * y - 1.0), abs=1e-13)
-        (d1,), (d2,) = _shapley(oracle, ("d1", "d2"), ("1",))
+        (d1,), (d2,) = _shapley(table, ("1",))
         assert d1 == pytest.approx((y - x) / (2.0 * y - 1.0), abs=1e-12)
         assert d2 == pytest.approx((x + y - 1.0) / (2.0 * y - 1.0), abs=1e-12)
         assert d1 + d2 == pytest.approx(1.0, abs=1e-12)
@@ -56,7 +55,7 @@ def test_two_decider_closed_form():
 
 def test_benchmark_shares_split_evenly():
     g = hg.crossed_chains()
-    shares = _shapley(_oracle(g), ("d1", "d2"), ("1", "2"))
+    shares = _shapley(_table(g, ("1", "2")), ("1", "2"))
     assert shares == pytest.approx(np.full((2, 2), 0.5), abs=1e-12)
 
 
@@ -66,7 +65,7 @@ def test_three_decider_star_symmetry():
     third = 1.0 / 3.0
     edges = (Edge("d1", "e", third), Edge("d2", "e", third), Edge("d3", "e", third))
     g = HierarchyGraph(vertices, edges, 0.5, 1.0)
-    shares = _shapley(_oracle(g), ("d1", "d2", "d3"), ("e",))
+    shares = _shapley(_table(g, ("e",)), ("e",))
     assert shares == pytest.approx(np.full((3, 1), third), abs=1e-12)
     assert shares.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -77,7 +76,7 @@ def test_shares_sum_to_one_on_random_graphs():
     for _ in range(8):
         g = helpers.random_dag(rng, 8)
         execs = tuple(sorted(hg.executives(g)))
-        shares = _shapley(_oracle(g), tuple(sorted(hg.deciders(g))), execs)
+        shares = _shapley(_table(g, execs), execs)
         for column in shares.sum(axis=0):
             assert column == pytest.approx(1.0, abs=1e-12)
             checked += 1
@@ -92,7 +91,7 @@ def test_dummy_decider_gets_nothing():
     edges = (Edge("d1", "m", 1.0), Edge("m", "e", 1.0),
              Edge("m", "w", 0.5), Edge("d2", "w", 0.5))
     g = HierarchyGraph(vertices, edges, 0.5, 1.0)
-    (d1,), (d2,) = _shapley(_oracle(g), ("d1", "d2"), ("e",))
+    (d1,), (d2,) = _shapley(_table(g, ("e",)), ("e",))
     assert abs(d2) < 1e-14
     assert d1 == pytest.approx(1.0, abs=1e-13)
     paths = hg.shares_by_paths(g)
@@ -101,16 +100,16 @@ def test_dummy_decider_gets_nothing():
 
 
 def test_degenerate_influence_raises():
-    flat = lambda executive, commands: 0.5
+    flat = {pattern: np.full(1, 0.5) for pattern in product((1, -1), repeat=2)}
     with pytest.raises(hg.DegenerateInfluenceError):
         _coalitions(flat, "e", ("d1", "d2"))
     with pytest.raises(hg.DegenerateInfluenceError):
-        _shapley(flat, ("d1", "d2"), ("e",))
+        _shapley(flat, ("e",))
 
 
 def test_coalition_function_table():
     g = hg.two_decider_chain(2, 2)
-    values = _coalitions(_oracle(g), "1", ("d1", "d2"))
+    values = _coalitions(_table(g, ("1",)), "1", ("d1", "d2"))
     assert len(values) == 4
     assert values[frozenset()] == 0.0
     assert values[frozenset({"d1", "d2"})] == pytest.approx(1.0, abs=1e-14)

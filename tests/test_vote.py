@@ -361,7 +361,7 @@ def test_pruned_partition_counts_free_deciders():
         2.0 ** len(hg.deciders(g))
 
 
-def test_enumeration_cap(monkeypatch):
+def test_enumeration_cap():
     # the cap bounds log2 of the largest table elimination needs; on a
     # complete DAG every free vertex meets every other one, so the last
     # vertex needs a table over all 14
@@ -374,24 +374,16 @@ def test_enumeration_cap(monkeypatch):
     hg.conditional_influence(g, lam, {"v13"}, cond, params, cap=14)
     # target "v6": v13, then v12, ..., then v7 go, leaving a table over 7
     hg.conditional_influence(g, lam, {"v6"}, cond, params, cap=7)
-    monkeypatch.setenv("HIERGAME_CAP", "10")
-    with pytest.raises(hg.EnumerationCapError):
-        hg.conditional_influence(g, lam, {"v13"}, cond, params)
-    monkeypatch.setenv("HIERGAME_CAP", "14")
-    hg.conditional_influence(g, lam, {"v13"}, cond, params)
-    monkeypatch.setenv("HIERGAME_CAP", "soft")
-    with pytest.raises(ValueError):
-        hg.conditional_influence(g, lam, {"v13"}, cond, params)
-    # a factor over 300 spins trips the cap before any elimination bookkeeping
-    monkeypatch.delenv("HIERGAME_CAP")
+    # a factor over 300 spins trips the cap before any elimination
+    # bookkeeping; no cap means DEFAULT_CAP
     big = helpers.complete_dag(300)
-    with pytest.raises(hg.EnumerationCapError, match="300 spins"):
+    with pytest.raises(hg.EnumerationCapError,
+                       match=f"300 spins, above the enumeration cap {hg.vote.DEFAULT_CAP}$"):
         hg.conditional_influence(big, lam, {"v299"}, cond, VoteParams.from_graph(big))
 
 
-def test_cap_below_one_is_refused(monkeypatch):
-    # a cap below 1 is bad input, not a sum over the cap, whether it comes
-    # from an argument or from the environment
+def test_cap_below_one_is_refused():
+    # a cap below 1 is bad input, not a sum over the cap
     g = hg.crossed_chains()
     params = VoteParams.from_graph(g)
     lam, cond = {"d1", "d2"}, {"d1": 1, "d2": 1}
@@ -406,10 +398,6 @@ def test_cap_below_one_is_refused(monkeypatch):
             hg.ising_conditional(model, "1", cond, cap)
         with refused:
             hg.k_point(model, hg.KPointQuery(cond, {"1": 1}), cap)
-        monkeypatch.setenv("HIERGAME_CAP", str(cap))
-        with refused:
-            hg.conditional_influence(g, lam, {"1"}, cond, params)
-        monkeypatch.delenv("HIERGAME_CAP")
     # 1 is a cap, though no elimination step of this graph fits under it
     with pytest.raises(hg.EnumerationCapError):
         hg.conditional_influence(g, lam, {"1"}, cond, params, cap=1)
@@ -1113,12 +1101,20 @@ def test_sampler_frequencies_match_enumeration():
     assert abs(freq - p) < 4.0 * se
 
 
-def test_influence_oracle_agrees_with_conditional():
-    g = hg.two_decider_chain(3, 2)
-    params = VoteParams.from_graph(g)
-    oracle = hg.influence_oracle(g, params)
-    for s1 in (1, -1):
-        for s2 in (1, -1):
-            cond = {"d1": s1, "d2": s2}
-            dist = hg.conditional_influence(g, {"d1", "d2"}, {"1"}, cond, params)
-            assert oracle("1", cond) == dist.plus_prob("1")
+def test_influence_table_agrees_with_conditional():
+    # every pattern's entries, canonical or mirrored, are bit for bit the
+    # conditional under that pattern, in both modes and with no decider
+    rng = random.Random(41)
+    graphs = [hg.two_decider_chain(3, 2), hg.crossed_chains(2, 3, 3, 2),
+              helpers.random_dag(rng, 8), helpers.random_digraph(rng, 6),
+              HierarchyGraph((Vertex("1", "executive"), Vertex("2", "executive")),
+                             (Edge("1", "2", 1.0), Edge("2", "1", 1.0)), 0.5, 1.0)]
+    for g, mode in itertools.product(graphs, ("tanh", "gaussian")):
+        params = VoteParams.from_graph(g, mode=mode)
+        lam, execs = sorted(hg.deciders(g)), sorted(hg.executives(g), reverse=True)
+        table = hg.influence_table(g, params, lam, execs)
+        assert list(table) == list(itertools.product((1, -1), repeat=len(lam)))
+        for pattern, plus in table.items():
+            condition = dict(zip(lam, pattern))
+            assert plus.tolist() == [hg.conditional_influence(g, lam, {i}, condition, params)
+                                     .plus_prob(i) for i in execs]
