@@ -238,8 +238,9 @@ def transform_game(base: NormalFormGame, g: HierarchyGraph, params: VoteParams,
     """Full pipeline from a hierarchy: vote conditionals, payoff shares,
     decider game.  `mechanism` picks the share rule (shapley or shares).  The
     conditionals are read once, into one `influence_table` for shares and
-    tensor, after the arguments are checked and the tensor is known to fit
-    MAX_TENSOR_ENTRIES."""
+    tensor, after the arguments are checked, the tensor is known to fit
+    MAX_TENSOR_ENTRIES and path shares, which need an acyclic hierarchy,
+    are taken."""
     if mechanism not in ("shapley", "shares"):
         raise ValueError(f"unknown mechanism {mechanism!r}")
     lam_order = tuple(sorted(graph_deciders(g)))
@@ -249,14 +250,14 @@ def transform_game(base: NormalFormGame, g: HierarchyGraph, params: VoteParams,
     if set(base.players) != execs:
         raise ValueError("game players must match the graph's executives")
     _check_tensor_size(len(base.players), len(lam_order))
+    if mechanism == "shares":  # refuses a cyclic hierarchy before any sum
+        shares = shares_by_paths(g, base.players).values
     table = influence_table(g, params, lam_order, base.players, cap)
     if mechanism == "shapley":
         shares, degenerate = shapley_from_table(table)
         # name the smallest degenerate executive, whatever the player order
         ranked = sorted(range(len(base.players)), key=base.players.__getitem__)
         require_decided(degenerate[ranked], tuple(base.players[k] for k in ranked))
-    elif mechanism == "shares":
-        shares = shares_by_paths(g, base.players).values
     provenance = {
         "mechanism": mechanism,
         "mode": params.mode,

@@ -12,7 +12,7 @@ from __future__ import annotations
 import heapq
 import json
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping

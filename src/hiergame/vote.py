@@ -42,6 +42,10 @@ _PLAN_CACHE = 64
 # multiplied pairwise by broadcasting, which beats one einsum call there
 # and loses to it on smaller steps
 _PAIRWISE_SPINS = 12
+# fan-in groups with at most this many free predecessors are narrow: one
+# numpy program builds all their vote tables; on wider groups such a
+# program holds too much and runs slower than a call per group
+_NARROW_FAN_IN = 3
 # a sampler call that draws fewer uniforms than this fills them inline: a
 # helper thread's start and join cost about as much as filling that many
 _HELPER_UNIFORMS = 1 << 18
@@ -71,6 +75,10 @@ _SMALL_TABLE_BYTES = 512
 _SIGNED_ROWS = 64
 
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
+# ufunc operands: on arrays of a few entries a call costs about half as
+# much with a 0-d array operand as with a Python float
+_ONE = np.array(1.0)
+_HALF = np.array(0.5)
 
 
 def sigma_for_beta(beta: float) -> float:
@@ -481,17 +489,24 @@ def _vote_tables(fixed: Sequence[float], weights: Sequence[float] | np.ndarray, 
         low, high, step = field[:, :1 << j], field[:, 1 << j:2 << j], w[:, j:j + 1]
         np.add(low, step, high)
         np.subtract(low, step, low)
+    _respond(field, probs, params)
+    return probs
+
+
+def _respond(field: np.ndarray, probs: np.ndarray, params: VoteParams) -> None:
+    """Fill `probs` with P(-1) (``probs[0]``) and P(+1) (``probs[1]``) at
+    each `field`, which may be ``probs[1]`` and is overwritten: scale,
+    response, then ``(1 -+ odd) / 2``."""
     np.multiply(field, params.command_scale, field)
     odd = _odd_response(field, params, field)
-    np.subtract(1.0, odd, probs[0])
-    np.add(odd, 1.0, odd)
-    np.multiply(probs, 0.5, probs)
-    return probs
+    np.subtract(_ONE, odd, probs[0])
+    np.add(odd, _ONE, probs[1])
+    np.multiply(probs, _HALF, probs)
 
 
 class _FanIn(NamedTuple):
     """The vote factors of one query whose vertices have `n_free` summed
-    predecessors each: one `_vote_tables` call builds them all."""
+    predecessors each, built together (see `_vote_factors`)."""
 
     n_free: int
     ids: tuple[int, ...]  # each vertex's factor number
@@ -500,14 +515,48 @@ class _FanIn(NamedTuple):
     weights: np.ndarray  # its free predecessors' weights, one row per vertex
 
 
+class _Narrow(NamedTuple):
+    """The table program of a query's narrow groups, those with at most
+    _NARROW_FAN_IN free predecessors (see `_vote_factors`).  The groups come
+    by falling fan-in, their entries in group, row, pattern order:
+    `entry_row` holds each entry's row and `pulls` each row's conditioned
+    predecessors.  `steps[j]` holds -w or +w, by bit j of the pattern, for
+    the leading entries, those whose row has a free predecessor j of weight
+    w.  `ends` holds where each group's entries end."""
+
+    groups: tuple[_FanIn, ...]
+    pulls: tuple[tuple[tuple[str, float], ...], ...]
+    entry_row: np.ndarray
+    steps: tuple[np.ndarray, ...]
+    ends: tuple[int, ...]
+
+
+def _narrow_program(groups: list[_FanIn]) -> _Narrow:
+    groups = sorted(groups, key=lambda group: -group.n_free)
+    rows = np.cumsum([0] + [len(group.ids) for group in groups])
+    entry_row, ends = [np.zeros(0, np.intp)], [0]
+    steps: list[list[np.ndarray]] = [[] for _ in range(groups[0].n_free if groups else 0)]
+    for k, group in enumerate(groups):
+        patterns = np.arange(1 << group.n_free)
+        entry_row.append(np.repeat(np.arange(rows[k], rows[k + 1]), len(patterns)))
+        ends.append(ends[-1] + len(entry_row[-1]))
+        for j in range(group.n_free):
+            w = group.weights[:, j:j + 1]
+            steps[j].append(np.concatenate((-w, w), axis=1)[:, (patterns >> j) & 1].ravel())
+    return _Narrow(tuple(groups), tuple(pulls for group in groups for pulls in group.pulls),
+                   np.concatenate(entry_row), tuple(map(np.concatenate, steps)), tuple(ends[1:]))
+
+
 class _VoteLayout(NamedTuple):
     """What an exact vote query on one graph takes from the conditioned set
     A and the targets B alone, never from the condition's spins or the vote
-    parameters (see `_vote_layout`)."""
+    parameters (see `_vote_layout`): factor scopes, fan-in groups, the
+    narrow groups' entry rows and step weights, and the result's keys."""
 
     roots: int  # pruned vertices without predecessors, each summing to 2
     scopes: tuple[tuple[str, ...], ...]
-    groups: tuple[_FanIn, ...]
+    narrow: _Narrow
+    wide: tuple[_FanIn, ...]  # groups above _NARROW_FAN_IN free predecessors
     targets: tuple[str, ...]  # B sorted: the result's keys
     grid: tuple[tuple[int, ...], ...]  # the target spins of each result entry
     notes: tuple[str, ...]
@@ -523,6 +572,9 @@ def _vote_layout(g: HierarchyGraph, a: frozenset[str], b: frozenset[str]) -> _Vo
     vertex with predecessors a vote factor: a table over its free spin and
     its free predecessors' spins, the conditioned ones pulling with fixed
     spins.  Factors with the same number of free predecessors form a group.
+    The narrow groups' table program (see `_Narrow`) holds k 2^k entries
+    per row of fan-in k; the wide groups' tables, exponential in their
+    fan-in, are left to the sum, which checks the cap first.
     """
     layouts = g.query_layouts
     layout = layouts.get((a, b))
@@ -561,11 +613,13 @@ def _vote_layout(g: HierarchyGraph, a: frozenset[str], b: frozenset[str]) -> _Vo
         notes = ("mid-graph conditioning: condition set does not cover all deciders",)
     grid = tuple(tuple(1 if (code >> j) & 1 else -1 for j in range(len(b)))
                  for code in range(1 << len(b)))
+    fan_ins = [_FanIn(n, tuple(ids), tuple(pinned), tuple(pulls),
+                      np.array(weights).reshape(len(ids), n))
+               for n, (ids, pinned, pulls, weights) in groups.items()]
     layout = _VoteLayout(
         roots, tuple(scopes),
-        tuple(_FanIn(n, tuple(ids), tuple(pinned), tuple(pulls),
-                     np.array(weights).reshape(len(ids), n))
-              for n, (ids, pinned, pulls, weights) in groups.items()),
+        _narrow_program([group for group in fan_ins if group.n_free <= _NARROW_FAN_IN]),
+        tuple(group for group in fan_ins if group.n_free > _NARROW_FAN_IN),
         tuple(sorted(b)), grid, notes)
     if len(layouts) >= _PLAN_CACHE:
         del layouts[next(iter(layouts))]
@@ -573,33 +627,60 @@ def _vote_layout(g: HierarchyGraph, a: frozenset[str], b: frozenset[str]) -> _Vo
     return layout
 
 
+def _vote_factors(layout: _VoteLayout, condition: Mapping[str, int],
+                  params: VoteParams) -> list[np.ndarray]:
+    """The vote factors of the layout's query, in factor order.
+
+    A vertex's fixed field adds the pull of each conditioned predecessor,
+    weight times spin, in predecessor order from 0.0.  The narrow program
+    (see `_Narrow`) gives every entry its row's fixed field, adds step j
+    into the leading entries, and runs one scale and response pass; each
+    wide group calls `_vote_tables`.  Either way an entry sees the same
+    float operations in the same order (x - w and x + -w round alike), and
+    each group's tables get an array of their own, so every factor has the
+    shape and strides `_vote_tables` gives it and einsum sums it in the
+    same order.  A conditioned vertex keeps the half of its own spin.
+    """
+
+    def fixed_fields(rows: tuple) -> list[float]:
+        fixed = []
+        for pulls in rows:
+            field = 0.0
+            for u, w in pulls:
+                field += w * condition[u]
+            fixed.append(field)
+        return fixed
+
+    out: list = [None] * len(layout.scopes)
+
+    def hand_out(group: _FanIn, probs: np.ndarray) -> None:
+        probs = probs.reshape((2, len(group.ids)) + (2,) * group.n_free)
+        for r, (f, v) in enumerate(zip(group.ids, group.pinned)):
+            out[f] = probs[:, r] if v is None else probs[1 if condition[v] == 1 else 0, r]
+
+    narrow = layout.narrow
+    if narrow.groups:
+        field = np.array(fixed_fields(narrow.pulls))[narrow.entry_row]
+        for step in narrow.steps:
+            head = field[:len(step)]
+            np.add(head, step, head)
+        probs = np.empty((2, len(field)))
+        _respond(field, probs, params)
+        for group, start, end in zip(narrow.groups, (0,) + narrow.ends, narrow.ends):
+            hand_out(group, probs[:, start:end].copy())
+    for group in layout.wide:
+        hand_out(group, _vote_tables(fixed_fields(group.pulls), group.weights,
+                                     group.n_free, params))
+    return out
+
+
 def _vote_sum(layout: _VoteLayout, condition: Mapping[str, int], params: VoteParams,
               cap: int | None = None) -> np.ndarray:
     """Summed vote weight over every pattern of the kept vertices outside
-    the condition, per pattern of the layout's targets (see `_sum_product`).
-
-    A vertex's fixed field adds the pull of each conditioned predecessor,
-    weight times spin, in predecessor order from 0.0; then `_vote_tables`
-    builds each group's tables, a conditioned vertex keeping the half of
-    its own spin.
-    """
-
-    def tables() -> list[np.ndarray]:
-        out: list = [None] * len(layout.scopes)
-        for group in layout.groups:
-            fixed = []
-            for pulls in group.pulls:
-                field = 0.0
-                for u, w in pulls:
-                    field += w * condition[u]
-                fixed.append(field)
-            probs = _vote_tables(fixed, group.weights, group.n_free, params)
-            probs = probs.reshape((2, len(fixed)) + (2,) * group.n_free)
-            for r, (f, v) in enumerate(zip(group.ids, group.pinned)):
-                out[f] = probs[:, r] if v is None else probs[1 if condition[v] == 1 else 0, r]
-        return out
-
-    return _sum_product(layout.scopes, tables, layout.targets, cap)
+    the condition, per pattern of the layout's targets (see `_sum_product`),
+    the factors (see `_vote_factors`) built once the plan fits the cap."""
+    return _sum_product(layout.scopes, lambda: _vote_factors(layout, condition, params),
+                        layout.targets, cap)
 
 
 def conditional_influence(g: HierarchyGraph, a: frozenset[str] | set[str],

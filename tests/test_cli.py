@@ -316,6 +316,22 @@ def test_transform_without_decider_exit(tmp_path, capsys):
             "error": "ValueError", "message": "need at least one decider"}
 
 
+def test_transform_shares_on_cycle_exit(tmp_path, capsys):
+    # path shares on a cyclic hierarchy are an invalid input (exit 3),
+    # refused before any sum can go over the cap (exit 4)
+    g = hg.HierarchyGraph(
+        (hg.Vertex("d1", "decider"), hg.Vertex("a", "agent"),
+         hg.Vertex("1", "executive"), hg.Vertex("2", "executive")),
+        (hg.Edge("d1", "a", 0.5), hg.Edge("1", "a", 0.5), hg.Edge("a", "1", 1.0),
+         hg.Edge("a", "2", 1.0)), 0.5, 1.0)
+    argv = ["transform", "--graph", _write_graph(tmp_path, g), "--game", _write_game(tmp_path),
+            "--mechanism", "shares"]
+    for cap in ([], ["--cap", "1"]):
+        assert main(argv + cap) == EXIT_INVARIANT
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "CyclicGraphError", "message": "path shares need an acyclic hierarchy"}
+
+
 def test_transform_refuses_repeated_players(tmp_path, capsys):
     # a game over players 1, 1, 2 would count executive 1 twice
     path = tmp_path / "game.json"

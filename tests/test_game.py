@@ -325,6 +325,15 @@ def _decider_free_cycle():
                              (hg.Edge("1", "2", 1.0), hg.Edge("2", "1", 1.0)), 0.5, 1.0)
 
 
+def _decider_cycle():
+    """A valid hierarchy whose executive 1 feeds back into agent a."""
+    return hg.HierarchyGraph(
+        (hg.Vertex("d1", "decider"), hg.Vertex("a", "agent"),
+         hg.Vertex("1", "executive"), hg.Vertex("2", "executive")),
+        (hg.Edge("d1", "a", 0.5), hg.Edge("1", "a", 0.5), hg.Edge("a", "1", 1.0),
+         hg.Edge("a", "2", 1.0)), 0.5, 1.0)
+
+
 def test_transform_needs_a_decider():
     g = _decider_free_cycle()
     assert hg.validate_graph(g).ok
@@ -346,13 +355,15 @@ def test_transform_refuses_oversized_tensor(monkeypatch):
         for mechanism in ("shapley", "shares"):
             with pytest.raises(ValueError, match=f"2\\^10\\)\\^3 x 3 payoffs.*{limit}"):
                 hg.transform_game(base, g, params, mechanism=mechanism)
-        # so are an unknown mechanism, and a Shapley transform with no
-        # decider, whatever the cap
+        # so are an unknown mechanism, a Shapley transform with no decider
+        # and path shares on a cycle, whatever the cap
         pd = hg.prisoners_dilemma()
-        for g, mechanism, cap, message in (
-                (hg.crossed_chains(), "bogus", None, "unknown mechanism 'bogus'"),
-                (_decider_free_cycle(), "shapley", 1, "need at least one decider")):
-            with pytest.raises(ValueError, match=f"^{message}$"):
+        for g, mechanism, cap, error, message in (
+                (hg.crossed_chains(), "bogus", None, ValueError, "unknown mechanism 'bogus'"),
+                (_decider_free_cycle(), "shapley", 1, ValueError, "need at least one decider"),
+                (_decider_cycle(), "shares", 1, hg.CyclicGraphError,
+                 "path shares need an acyclic hierarchy")):
+            with pytest.raises(error, match=f"^{message}$"):
                 hg.transform_game(pd, g, hg.VoteParams.from_graph(g), mechanism, cap)
     assert calls == []
     # the limit counts profiles times deciders, inclusive: crossed chains

@@ -382,6 +382,23 @@ def test_enumeration_cap():
         hg.conditional_influence(big, lam, {"v299"}, cond, VoteParams.from_graph(big))
 
 
+def test_cap_trip_allocates_nothing_exponential():
+    # a cold query over the cap is refused before any table is built: the
+    # last of 27 free vertices of a complete DAG would need 2^28 entries
+    # alone, and the refusal, layout and plan check included, peaks under 1 MB
+    g = helpers.complete_dag(27)
+    params = VoteParams.from_graph(g)
+    cond = {"d0": 1, "d1": 1}
+    tracemalloc.start()
+    try:
+        with pytest.raises(hg.EnumerationCapError):
+            hg.conditional_influence(g, set(cond), {"v26"}, cond, params, cap=22)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
 def test_cap_below_one_is_refused():
     # a cap below 1 is bad input, not a sum over the cap
     g = hg.crossed_chains()
@@ -713,6 +730,74 @@ def test_vote_tables_match_concatenated_build(mode):
             assert tables.shape == (2, rows, 1 << n_free)
             want = helpers.concatenated_vote_tables(fixed, weights, n_free, params)
             assert np.array_equal(np.concatenate(tables, axis=1), want), (n_free, rows)
+
+
+def _per_group_factors(layout, condition, params):
+    """The factors of a layout as one `_vote_tables` call per fan-in group
+    builds them, narrow groups included."""
+    out = [None] * len(layout.scopes)
+    for group in layout.narrow.groups + layout.wide:
+        fixed = []
+        for pulls in group.pulls:
+            field = 0.0
+            for u, w in pulls:
+                field += w * condition[u]
+            fixed.append(field)
+        probs = vote._vote_tables(fixed, group.weights, group.n_free, params)
+        probs = probs.reshape((2, len(fixed)) + (2,) * group.n_free)
+        for r, (f, v) in enumerate(zip(group.ids, group.pinned)):
+            out[f] = probs[:, r] if v is None else probs[1 if condition[v] == 1 else 0, r]
+    return out
+
+
+def test_narrow_program_repeats_per_group_tables():
+    # every factor the narrow groups' program builds equals, bit for bit,
+    # the one a `_vote_tables` call per group builds, with the same type,
+    # shape and strides, a view of its group's own C-contiguous array; so
+    # the sums agree bit for bit too.  Trees, DAGs, digraphs, crossed chains
+    # and a complete DAG (wide groups); decider, mid-graph (pinned vertices
+    # with predecessors) and empty conditions; both modes and both signs
+    rng = random.Random(1616)
+    graphs = ([helpers.random_tree(rng, 12) for _ in range(3)]
+              + [helpers.random_dag(rng, 12, extra=rng.choice((2, 8))) for _ in range(3)]
+              + [helpers.random_digraph(rng, 11, extra=6) for _ in range(2)]
+              + [hg.crossed_chains(), hg.crossed_chains(3, 2, 4, 1), helpers.complete_dag(8)])
+    seen = {"fan-in 0": 0, "pinned": 0, "narrow": 0, "wide": 0}
+    for g in graphs:
+        ids = sorted(g.vertex_ids)
+        lam = sorted(hg.deciders(g))
+        for a in (lam, rng.sample(ids, 3), []):
+            rest = [v for v in ids if v not in a]
+            layout = vote._vote_layout(g, frozenset(a), frozenset(rest[-1:]))
+            groups = layout.narrow.groups + layout.wide
+            seen["fan-in 0"] += any(group.n_free == 0 for group in groups)
+            seen["pinned"] += any(v is not None for group in groups for v in group.pinned)
+            seen["narrow"] += bool(layout.narrow.groups)
+            seen["wide"] += bool(layout.wide)
+            assert all(group.n_free <= vote._NARROW_FAN_IN for group in layout.narrow.groups)
+            assert all(group.n_free > vote._NARROW_FAN_IN for group in layout.wide)
+            for mode in ("tanh", "gaussian"):
+                params = VoteParams.from_graph(g, mode=mode)
+                for sign in (1, -1):
+                    cond = {v: sign * rng.choice((1, -1)) for v in a}
+                    got = vote._vote_factors(layout, cond, params)
+                    want = _per_group_factors(layout, cond, params)
+                    for group in groups:
+                        bases = set()
+                        for f in group.ids:
+                            x, y = got[f], want[f]
+                            assert type(x) is type(y) and x.shape == y.shape
+                            assert x.strides == y.strides and x.tobytes() == y.tobytes()
+                            if isinstance(x, np.ndarray):
+                                assert x.base.flags.c_contiguous and x.base.size == y.base.size
+                                bases.add(id(x.base))
+                        assert len(bases) <= 1
+                    assert len({id(x.base) for x in got if isinstance(x, np.ndarray)}) == \
+                        sum(any(v is None for v in group.pinned) or group.n_free > 0
+                            for group in groups)
+                    summed = vote._sum_product(layout.scopes, lambda: want, layout.targets)
+                    assert vote._vote_sum(layout, cond, params).tobytes() == summed.tobytes()
+    assert min(seen.values()) > 0, seen
 
 
 def test_argument_validation():
