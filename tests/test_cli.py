@@ -20,6 +20,7 @@ import hiergame as hg
 from hiergame import cli
 from hiergame.cli import (EXIT_CAP, EXIT_DEGENERATE, EXIT_INTERNAL, EXIT_INVARIANT, EXIT_OK,
                           EXIT_PARSE, main)
+from test_vote import _sampler_helper
 
 
 def _write_graph(tmp_path, g, name="graph.json"):
@@ -253,6 +254,59 @@ def test_sample_determinism(tmp_path):
     g = hg.crossed_chains()
     draws = hg.sample_many(g, {"d1": 1, "d2": 1}, hg.VoteParams.from_graph(g), 4000, 11)
     assert freq == {i: float(np.mean(draws[i] == 1)) for i in ("1", "2")}
+
+
+# executives 1 and 2 command later vertices
+_EXECUTIVE_SUCCESSORS = {
+    "vertices": [{"id": "d1", "role": "decider"}, {"id": "d2", "role": "decider"},
+                 {"id": "a", "role": "agent"}, {"id": "1", "role": "executive"},
+                 {"id": "2", "role": "executive"}, {"id": "b", "role": "agent"},
+                 {"id": "3", "role": "executive"}],
+    "edges": [{"from": "d1", "to": "a", "weight": 0.6}, {"from": "d2", "to": "a", "weight": 0.4},
+              {"from": "a", "to": "1", "weight": 1.0},
+              {"from": "1", "to": "2", "weight": 0.7}, {"from": "d2", "to": "2", "weight": 0.3},
+              {"from": "1", "to": "b", "weight": 0.5}, {"from": "a", "to": "b", "weight": 0.5},
+              {"from": "b", "to": "3", "weight": 0.8}, {"from": "2", "to": "3", "weight": 0.2}],
+    "free_float": 0.4, "noise_sigma": 0.8}
+
+_CHAIN_300 = hg.graph_to_dict(hg.single_chain(300, free_float=0.2))
+
+
+@pytest.mark.parametrize("graph, conditions, samples, helper, digest", [
+    # crossed chains under all four command vectors
+    (hg.graph_to_dict(hg.crossed_chains()),
+     [["d1=+1", "d2=+1"], ["d1=+1", "d2=-1"], ["d1=-1", "d2=+1"], ["d1=-1", "d2=-1"]],
+     1000, False, "e52c351308102e8b59d5bd77db5153bcb3d8b4010abfa633722dc224c6ca5fc8"),
+    # a long chain at one draw and at 4000, the latter also with the
+    # uniform-filling helper thread
+    (_CHAIN_300, [["d1=+1"], ["d1=-1"]], 1, False,
+     "27ff20c58e9f4a0b1f47ed736379b983caeb00d84f961bea5b3bf0dcfa2e6c36"),
+    (_CHAIN_300, [["d1=+1"], ["d1=-1"]], 4000, False,
+     "a18ceb784942f72a364164366ef36036a30788dd3ca0b97cbd4b1f0c8d6ab8a0"),
+    (_CHAIN_300, [["d1=+1"], ["d1=-1"]], 4000, True,
+     "a18ceb784942f72a364164366ef36036a30788dd3ca0b97cbd4b1f0c8d6ab8a0"),
+    # fan-in 2 to 11 at 100 draws: tables at fan-in 2 and 3, per-draw
+    # fields above
+    (hg.graph_to_dict(helpers.complete_dag(10)), [["d0=+1", "d1=-1"], ["d0=-1", "d1=-1"]],
+     100, False, "849daa2560988cbee8ed494a0f0a8fe02ad987ba2d3aeecf0e42e85ddf941f3e"),
+    # executives with successors
+    (_EXECUTIVE_SUCCESSORS, [["d1=+1", "d2=-1"], ["d1=-1", "d2=-1"]], 2000, False,
+     "716f3de6f1ab9a1c3e7df7d7b4404e03600412def6d07a8ff10eb1052db9437a"),
+])
+def test_sample_output_is_pinned(tmp_path, capsys, monkeypatch, graph, conditions, samples,
+                                 helper, digest):
+    # `sample` stdout in both modes, pinned byte for byte
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(graph))
+    started = _sampler_helper(monkeypatch, helper)
+    h = hashlib.sha256()
+    for mode, condition in itertools.product(("tanh", "gaussian"), conditions):
+        argv = ["sample", "--graph", str(path), "--mode", mode, "--samples", str(samples),
+                "--seed", "23"]
+        assert main(argv + [f"--condition={c}" for c in condition]) == EXIT_OK
+        h.update(capsys.readouterr().out.encode())
+    assert len(started) == (2 * len(conditions) if helper else 0)
+    assert h.hexdigest() == digest
 
 
 def test_sample_limit_exit(tmp_path, capsys, monkeypatch):
