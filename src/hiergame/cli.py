@@ -254,9 +254,9 @@ def cmd_sample(args) -> int:
     g = load_graph(args.graph)
     params = VoteParams.from_graph(g, args.mode)
     condition = _decider_condition(g, args.condition)
-    draws = sample_many(g, condition, params, args.samples, args.seed)
-    freq = {i: float(np.count_nonzero(draws[i] == 1) / args.samples)
-            for i in sorted(executives(g))}
+    execs = sorted(executives(g))
+    draws = sample_many(g, condition, params, args.samples, args.seed, vertices=execs)
+    freq = {i: float(np.count_nonzero(draws[i] == 1) / args.samples) for i in execs}
     _emit_json({
         "samples": args.samples,
         "seed": args.seed,

@@ -30,7 +30,7 @@ MODE_TANH = "tanh"
 MODE_GAUSSIAN = "gaussian"
 
 DEFAULT_CAP = 22
-# draws times vertices that sample_many may hold, one int8 spin each
+# draws times vertices that sample_many may draw, whatever it returns
 MAX_SAMPLE_SPINS = 10**8
 
 # products that cost about as much as one einsum call: cheaper steps are joined
@@ -896,14 +896,18 @@ def _uniform_rows(seed: int, rows: int, n: int) -> Iterator[np.ndarray]:
 
 
 def sample_many(g: HierarchyGraph, condition: Mapping[str, int],
-                params: VoteParams, n: int, seed: int) -> dict[str, np.ndarray]:
-    """Draw `n` independent full spin assignments by ancestral sampling.
+                params: VoteParams, n: int, seed: int,
+                vertices: Iterable[str] | None = None) -> dict[str, np.ndarray]:
+    """Draw `n` independent full spin assignments by ancestral sampling
+    and return the spins of `vertices` (default: every vertex).
 
-    Requires an acyclic graph conditioned on exactly the decider set, and
-    at most MAX_SAMPLE_SPINS draws times vertices.  In topological order,
-    each vertex with predecessors draws one uniform per draw and is +1
-    where it falls below P(+1 | predecessors): the r-th such vertex reads
-    positions [r n, (r + 1) n) of default_rng(seed)'s stream.  P(+1) comes
+    Requires an acyclic graph conditioned on exactly the decider set, ids
+    of the graph in `vertices`, and at most MAX_SAMPLE_SPINS draws times
+    vertices, every vertex counted whatever `vertices` holds.  In
+    topological order, each vertex with predecessors draws one uniform per
+    draw and is +1 where it falls below P(+1 | predecessors): the r-th
+    such vertex reads positions [r n, (r + 1) n) of default_rng(seed)'s
+    stream.  P(+1) comes
     from the vertex's table over predecessor patterns (`_vote_tables`) or,
     where that table would take more bytes to build than both the `n`
     spins and _SMALL_TABLE_BYTES, from the field of each draw.  Both sum -w
@@ -915,8 +919,14 @@ def sample_many(g: HierarchyGraph, condition: Mapping[str, int],
     it runs only with two usable CPUs and an integer seed, when the call
     draws at least _HELPER_UNIFORMS of them and no recent call found its
     helper sharing a CPU, and the draws of a seed are the same either
-    way.  Returns an int8 array of +-1 per vertex, one
-    byte per vertex per draw; deterministic in `seed`.
+    way.
+
+    Returns {vertex: int8 array of its +-1 spins} for `vertices`, in
+    topological order; deterministic in `seed`, and each array the same
+    whatever else `vertices` holds.  Besides the returned spins, one byte
+    per vertex per draw, the call holds one bool row per vertex that a
+    later vertex still reads, so memory grows with the width of the
+    topological order, not with the number of vertices.
     """
     order = g.topological_order
     if order is None:
@@ -926,8 +936,15 @@ def sample_many(g: HierarchyGraph, condition: Mapping[str, int],
     if n < 1:
         raise ValueError("need at least one sample")
     if n * len(g.vertices) > MAX_SAMPLE_SPINS:
-        raise ValueError(f"{n} draws over {len(g.vertices)} vertices hold more than "
+        raise ValueError(f"{n} draws over {len(g.vertices)} vertices make more than "
                          f"{MAX_SAMPLE_SPINS} spins, the sampling limit")
+    # the vertices whose spins are returned
+    if vertices is None:
+        keep = g.roles.keys()
+    else:
+        keep = frozenset(vertices)
+        for v in sorted(keep - g.roles.keys(), key=str):
+            g.require_vertex(v)
 
     # fan-in k -> weights of the vertices tabled, in order: those whose
     # table, about eight arrays of 2^k floats while built, fits in their n
@@ -943,7 +960,8 @@ def sample_many(g: HierarchyGraph, condition: Mapping[str, int],
             if 64 << len(preds) <= fits:
                 groups.setdefault(len(preds), []).extend([w for _, w in preds])
     # predecessor -> its spins as +-1 bytes, for the per-draw fields summed
-    # predecessor by predecessor: at most _SIGNED_ROWS, the oldest dropped first
+    # predecessor by predecessor: at most _SIGNED_ROWS, the oldest dropped
+    # first, each also dropped once its vertex's mask is no longer read
     signed: dict[str, np.ndarray] = {}
 
     # P(+1) halves only, handed out in topological order; fan-in 1 as
@@ -955,16 +973,29 @@ def sample_many(g: HierarchyGraph, condition: Mapping[str, int],
         tables[k] = zip(flat[::2], flat[1::2]) if k == 1 else iter(plus)
     uniforms = _uniform_rows(seed, drawing, n)
     try:
-        # each vertex's +1 mask, turned into its spins at the end, in blocks
-        # of at most 64 KiB: one block for every vertex would, once freed,
-        # raise the C allocator's mmap threshold, and later calls would keep
-        # that much memory resident
+        # each returned vertex's +1 mask, turned into its spins at the end,
+        # in blocks of at most 64 KiB: one block for every vertex would, once
+        # freed, raise the C allocator's mmap threshold, and later calls
+        # would keep that much memory resident
+        kept = [v for v in order if v in keep]
         per_block = max(1, (1 << 16) // n)
-        blocks = [np.empty((min(per_block, len(order) - i), n), dtype=bool)
-                  for i in range(0, len(order), per_block)]
+        blocks = [np.empty((min(per_block, len(kept) - i), n), dtype=bool)
+                  for i in range(0, len(kept), per_block)]
+        kept_rows = (row for block in blocks for row in block)
+        # every other vertex's mask is a row of `pool`, which it gives back
+        # once the last of its successors in `order` has drawn; `unread`
+        # counts the successors yet to draw of each vertex that some
+        # successor has read
+        pool: list[np.ndarray] = []
+        unread: dict[str, int] = {}
+        succ_map = g.succ_map
         bits: dict[str, np.ndarray] = {}
         picked = np.empty(n, dtype=bool)
-        for v, mask in zip(order, (row for block in blocks for row in block)):
+        for v in order:
+            if v in keep:
+                mask = next(kept_rows)
+            else:
+                mask = pool.pop() if pool else np.empty(n, dtype=bool)
             bits[v] = mask
             preds = g.pred_map[v]
             if not preds:
@@ -1002,14 +1033,24 @@ def sample_many(g: HierarchyGraph, condition: Mapping[str, int],
                 for j, (p, _) in enumerate(preds[1:], 1):
                     code = np.left_shift(bits[p].view(np.uint8), j, dtype=wide) | code
                 np.less(next(uniforms), table.take(code), out=mask)
+            finished = [] if succ_map[v] else [v]
+            for p, _ in preds:
+                left = unread.pop(p, len(succ_map[p])) - 1
+                if left:
+                    unread[p] = left
+                else:
+                    finished.append(p)
+            for p in finished:
+                signed.pop(p, None)
+                if p not in keep:
+                    pool.append(bits.pop(p))
     finally:
         uniforms.close()
     for block in blocks:
         spins = block.view(np.int8)
         spins *= 2
         spins -= 1
-    bits.update(zip(order, (row for block in blocks for row in block.view(np.int8))))
-    return bits
+    return dict(zip(kept, (row for block in blocks for row in block.view(np.int8))))
 
 
 def influence_table(g: HierarchyGraph, params: VoteParams, lam: Sequence[str],

@@ -258,6 +258,18 @@ def complete_dag(n_free: int, n_deciders: int = 2, free_float: float = 0.5,
     return HierarchyGraph(tuple(vertices), tuple(edges), free_float, noise_sigma)
 
 
+def executive_successors() -> HierarchyGraph:
+    """Deciders d1, d2 and executives 1, 2, 3, where executive 1 commands
+    executive 2 and agent b, and executive 2 commands executive 3."""
+    vertices = (Vertex("d1", "decider"), Vertex("d2", "decider"), Vertex("a", "agent"),
+                Vertex("1", "executive"), Vertex("2", "executive"), Vertex("b", "agent"),
+                Vertex("3", "executive"))
+    edges = (Edge("d1", "a", 0.6), Edge("d2", "a", 0.4), Edge("a", "1", 1.0),
+             Edge("1", "2", 0.7), Edge("d2", "2", 0.3), Edge("1", "b", 0.5), Edge("a", "b", 0.5),
+             Edge("b", "3", 0.8), Edge("2", "3", 0.2))
+    return HierarchyGraph(vertices, edges, 0.4, 0.8)
+
+
 def fan_hierarchy(n_execs: int, n_deciders: int) -> HierarchyGraph:
     """Deciders d0.. and executives 0.., every executive listening with
     equal weights to every decider: the widest decider game per vertex."""

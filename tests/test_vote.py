@@ -1156,6 +1156,73 @@ def test_sampler_with_helper_holds_one_byte_per_spin(monkeypatch, wide):
             assert np.array_equal(draws[v], arr), v
 
 
+def test_sampler_returns_the_vertices_asked_for(monkeypatch):
+    # the executives, one vertex, a random subset, none or all: exactly
+    # those come back, each bit for bit the full call's array, while every
+    # other vertex draws into a recycled row
+    rng = random.Random(1717)
+    graphs = [hg.single_chain(30), hg.crossed_chains(), helpers.complete_dag(12),
+              helpers.random_dag(rng, 14, extra=5), helpers.executive_successors()]
+    for g in graphs:
+        ids = sorted(g.vertex_ids)
+        cond = {d: rng.choice((1, -1)) for d in sorted(hg.deciders(g))}
+        subsets = [sorted(hg.executives(g)), [rng.choice(ids)],
+                   rng.sample(ids, len(ids) // 2), [], ids]
+        for mode, n in itertools.product(("tanh", "gaussian"), (1, 64, 5000)):
+            params = VoteParams.from_graph(g, mode)
+            seed = rng.randrange(1 << 30)
+            full = hg.sample_many(g, cond, params, n, seed)
+            for on in (False, True):
+                with monkeypatch.context() as m:
+                    started = _sampler_helper(m, on)
+                    for subset in subsets:
+                        got = hg.sample_many(g, cond, params, n, seed, vertices=subset)
+                        assert got.keys() == set(subset)
+                        for v, arr in got.items():
+                            assert arr.dtype == np.int8
+                            assert np.array_equal(arr, full[v]), (v, mode, n, on)
+                assert len(started) == (len(subsets) if on else 0)
+
+
+@pytest.mark.parametrize("helper", [False, True])
+@pytest.mark.parametrize("g, cond, kept", [
+    (hg.single_chain(2000), {"d1": 1}, {"1"}),
+    # 2000 vertices without successors, each row recycled at once
+    (helpers.fan_hierarchy(2000, 1), {"d0": 1}, {"0"}),
+])
+def test_sampler_holds_only_the_rows_it_returns(monkeypatch, helper, g, cond, kept):
+    # asked for one vertex of 2001, the sampler holds that vertex's draws
+    # and the rows still to be read, not a row per vertex
+    params = VoteParams.from_graph(g)
+    n = 5000
+    started = _sampler_helper(monkeypatch, helper)
+    hg.sample_many(g, cond, params, 10, seed=1, vertices=kept)
+    tracemalloc.start()
+    try:
+        draws = hg.sample_many(g, cond, params, n, 1, vertices=kept)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert draws.keys() == kept
+    assert peak <= 300 * n
+    assert len(started) == (2 if helper else 0)
+
+
+def test_sampler_refuses_unknown_vertices_before_drawing(monkeypatch):
+    g = hg.crossed_chains()
+    params = VoteParams.from_graph(g)
+    cond = {"d1": 1, "d2": -1}
+    calls = []
+    rows = vote._uniform_rows
+    monkeypatch.setattr(vote, "_uniform_rows", lambda *args: calls.append(args) or rows(*args))
+    started = _sampler_helper(monkeypatch, on=True)
+    with pytest.raises(ValueError, match="'ghost'"):
+        hg.sample_many(g, cond, params, 5000, 1, vertices=["1", "ghost"])
+    assert calls == [] and started == []
+    hg.sample_many(g, cond, params, 5000, 1, vertices=["1"])
+    assert len(calls) == 1 and len(started) == 1
+
+
 def test_sampler_rejects_cycles_and_partial_conditions():
     g = three_cycle(1.0)
     with pytest.raises(hg.CyclicGraphError):
