@@ -943,7 +943,7 @@ def sample_many(g: HierarchyGraph, condition: Mapping[str, int],
         keep = g.roles.keys()
     else:
         keep = frozenset(vertices)
-        for v in sorted(keep - g.roles.keys(), key=str):
+        for v in sorted(keep - g.roles.keys()):
             g.require_vertex(v)
 
     # fan-in k -> weights of the vertices tabled, in order: those whose
