@@ -82,6 +82,7 @@ from .vote import (
     influence_table,
     outcome_probability,
     partition_function,
+    sample_counts,
     sample_many,
     sigma_for_beta,
     single_vote_prob,
@@ -97,7 +98,7 @@ __all__ = [
     "is_locally_tree", "graph_to_dict", "graph_from_dict", "load_graph", "save_graph",
     "VoteParams", "sigma_for_beta", "outcome_probability", "single_vote_prob",
     "ConditionalDistribution", "conditional_influence", "partition_function",
-    "sample_many", "influence_table",
+    "sample_many", "sample_counts", "influence_table",
     "IsingModel", "KPointQuery", "coupling_from_hierarchy", "k_point",
     "ising_conditional", "chain_conditional", "chain_xy",
     "ShareMatrix", "shares_by_paths",

@@ -43,7 +43,7 @@ from .game import (
 )
 from .graph import deciders, executives, load_graph, validate_graph
 from .ising import chain_xy, coupling_from_hierarchy, ising_conditional
-from .vote import DEFAULT_CAP, VoteParams, conditional_influence, sample_many
+from .vote import DEFAULT_CAP, VoteParams, conditional_influence, sample_counts
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -255,8 +255,8 @@ def cmd_sample(args) -> int:
     params = VoteParams.from_graph(g, args.mode)
     condition = _decider_condition(g, args.condition)
     execs = sorted(executives(g))
-    draws = sample_many(g, condition, params, args.samples, args.seed, vertices=execs)
-    freq = {i: float(np.count_nonzero(draws[i] == 1) / args.samples) for i in execs}
+    counts = sample_counts(g, condition, params, args.samples, args.seed, vertices=execs)
+    freq = {i: counts[i] / args.samples for i in execs}
     _emit_json({
         "samples": args.samples,
         "seed": args.seed,

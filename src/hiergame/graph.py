@@ -132,15 +132,14 @@ def validate_graph(g: HierarchyGraph) -> ValidationReport:
     violations: list[str] = []
     warnings: list[str] = []
 
-    seen: set[str] = set()
+    ids: set[str] = set()
     for v in g.vertices:
-        if v.id in seen:
+        if v.id in ids:
             violations.append(f"duplicate vertex id {v.id!r}")
-        seen.add(v.id)
+        ids.add(v.id)
         if v.role not in ROLES:
             violations.append(f"vertex {v.id} has unknown role {v.role!r}")
 
-    ids = set(g.vertex_ids)
     seen_edges: set[tuple[str, str]] = set()
     for e in g.edges:
         if e.src not in ids or e.dst not in ids:
@@ -179,8 +178,7 @@ def validate_graph(g: HierarchyGraph) -> ValidationReport:
             warnings.append(f"executive {v.id} has successors")
 
     if g.vertices and not violations:
-        start = g.vertex_ids[0]
-        reached = _reach({start}, g.undirected_adjacency, removed=frozenset())
+        reached = _reach_both_ways(g, g.vertex_ids[0])
         if len(reached) != len(g.vertices):
             missing = sorted(ids - reached)
             violations.append(f"graph is not connected (unreached: {', '.join(missing)})")
@@ -216,6 +214,22 @@ def _reach(sources: set[str], adj: Mapping[str, frozenset[str]],
             if w not in seen and w not in removed:
                 seen.add(w)
                 queue.append(w)
+    return seen
+
+
+def _reach_both_ways(g: HierarchyGraph, start: str) -> set[str]:
+    """Vertices reachable from `start` along edges taken either way, found
+    from the predecessor and successor maps without building
+    `undirected_adjacency`."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        v = stack.pop()
+        for nbrs in (g.pred_map[v], g.succ_map[v]):
+            for w, _ in nbrs:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
     return seen
 
 
@@ -309,13 +323,19 @@ def graph_from_dict(data: Mapping, validate: bool = True) -> HierarchyGraph:
         raise GraphFormatError(f"malformed graph data: {exc}") from exc
     g = HierarchyGraph(vertices, edges, free_float, noise_sigma)
     if validate:
-        report = validate_graph(g)
-        if not report.ok:
-            raise GraphFormatError("; ".join(report.violations))
+        _require_valid(g)
     return g
 
 
+def _require_valid(g: HierarchyGraph) -> None:
+    report = validate_graph(g)
+    if not report.ok:
+        raise GraphFormatError("; ".join(report.violations))
+
+
 def load_graph(path: str | Path, validate: bool = True) -> HierarchyGraph:
+    """Read and, unless `validate` is off, fully validate a graph file, as
+    `graph_from_dict` does; the parsed JSON is let go before validation."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -323,7 +343,11 @@ def load_graph(path: str | Path, validate: bool = True) -> HierarchyGraph:
         raise GraphFormatError(f"cannot read graph file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise GraphFormatError(f"graph file {path} is not valid JSON: {exc}") from exc
-    return graph_from_dict(data, validate=validate)
+    g = graph_from_dict(data, validate=False)
+    del data
+    if validate:
+        _require_valid(g)
+    return g
 
 
 def save_graph(g: HierarchyGraph, path: str | Path) -> None:

@@ -30,7 +30,7 @@ MODE_TANH = "tanh"
 MODE_GAUSSIAN = "gaussian"
 
 DEFAULT_CAP = 22
-# draws times vertices that sample_many may draw, whatever it returns
+# draws times vertices that a sampler call may draw, whatever it reports
 MAX_SAMPLE_SPINS = 10**8
 
 # products that cost about as much as one einsum call: cheaper steps are joined
@@ -895,57 +895,39 @@ def _uniform_rows(seed: int, rows: int, n: int) -> Iterator[np.ndarray]:
         thread.join()
 
 
-def sample_many(g: HierarchyGraph, condition: Mapping[str, int],
-                params: VoteParams, n: int, seed: int,
-                vertices: Iterable[str] | None = None) -> dict[str, np.ndarray]:
-    """Draw `n` independent full spin assignments by ancestral sampling
-    and return the spins of `vertices` (default: every vertex).
-
-    Requires an acyclic graph conditioned on exactly the decider set, ids
-    of the graph in `vertices`, and at most MAX_SAMPLE_SPINS draws times
-    vertices, every vertex counted whatever `vertices` holds.  In
-    topological order, each vertex with predecessors draws one uniform per
-    draw and is +1 where it falls below P(+1 | predecessors): the r-th
-    such vertex reads positions [r n, (r + 1) n) of default_rng(seed)'s
-    stream.  P(+1) comes
-    from the vertex's table over predecessor patterns (`_vote_tables`) or,
-    where that table would take more bytes to build than both the `n`
-    spins and _SMALL_TABLE_BYTES, from the field of each draw.  Both sum -w
-    or +w per predecessor in order from 0.0, so a seed gives the same draws
-    either way; a vertex with one predecessor compares each uniform with
-    both entries of its table and keeps the one its predecessor's spin picks.
-
-    The uniforms may be filled by a second thread (see `_uniform_rows`);
-    it runs only with two usable CPUs and an integer seed, when the call
-    draws at least _HELPER_UNIFORMS of them and no recent call found its
-    helper sharing a CPU, and the draws of a seed are the same either
-    way.
-
-    Returns {vertex: int8 array of its +-1 spins} for `vertices`, in
-    topological order; deterministic in `seed`, and each array the same
-    whatever else `vertices` holds.  Besides the returned spins, one byte
-    per vertex per draw, the call holds one bool row per vertex that a
-    later vertex still reads, so memory grows with the width of the
-    topological order, not with the number of vertices.
-    """
-    order = g.topological_order
-    if order is None:
+def _sampled(g: HierarchyGraph, condition: Mapping[str, int], n: int,
+             vertices: Iterable[str] | None) -> Iterable[str]:
+    """The vertices a sampler call reports (default: every vertex), once
+    every check has passed that must pass before anything is drawn."""
+    if g.topological_order is None:
         raise CyclicGraphError("forward sampling needs an acyclic hierarchy")
-    lam = deciders(g)
-    _validate_assignment(condition, lam, "condition")
+    _validate_assignment(condition, deciders(g), "condition")
     if n < 1:
         raise ValueError("need at least one sample")
     if n * len(g.vertices) > MAX_SAMPLE_SPINS:
         raise ValueError(f"{n} draws over {len(g.vertices)} vertices make more than "
                          f"{MAX_SAMPLE_SPINS} spins, the sampling limit")
-    # the vertices whose spins are returned
     if vertices is None:
-        keep = g.roles.keys()
-    else:
-        keep = frozenset(vertices)
-        for v in sorted(keep - g.roles.keys()):
-            g.require_vertex(v)
+        return g.roles.keys()
+    keep = frozenset(vertices)
+    for v in sorted(keep - g.roles.keys()):
+        g.require_vertex(v)
+    return keep
 
+
+def _drawn_masks(g: HierarchyGraph, condition: Mapping[str, int], params: VoteParams,
+                 n: int, seed: int, keep: Iterable[str],
+                 rows: Iterator[np.ndarray] | None = None) -> Iterator[tuple[str, np.ndarray]]:
+    """(vertex, its +1 mask over the `n` draws) for each vertex of `keep`,
+    in topological order, right after the vertex has drawn; the arguments
+    are those `_sampled` checked.  With `rows`, the vertices of `keep` draw
+    into its successive rows, which the caller holds.  Every other mask is
+    a row of a pool, handed back once the last of its vertex's successors
+    has drawn (at once for a vertex without successors), so it is valid
+    only until the next one is yielded.  See `sample_many` for the draws.
+    """
+    order = g.topological_order
+    held = keep if rows is not None else frozenset()
     # fan-in k -> weights of the vertices tabled, in order: those whose
     # table, about eight arrays of 2^k floats while built, fits in their n
     # spins or in _SMALL_TABLE_BYTES.  Deciders stay predecessors: a fixed
@@ -973,27 +955,16 @@ def sample_many(g: HierarchyGraph, condition: Mapping[str, int],
         tables[k] = zip(flat[::2], flat[1::2]) if k == 1 else iter(plus)
     uniforms = _uniform_rows(seed, drawing, n)
     try:
-        # each returned vertex's +1 mask, turned into its spins at the end,
-        # in blocks of at most 64 KiB: one block for every vertex would, once
-        # freed, raise the C allocator's mmap threshold, and later calls
-        # would keep that much memory resident
-        kept = [v for v in order if v in keep]
-        per_block = max(1, (1 << 16) // n)
-        blocks = [np.empty((min(per_block, len(kept) - i), n), dtype=bool)
-                  for i in range(0, len(kept), per_block)]
-        kept_rows = (row for block in blocks for row in block)
-        # every other vertex's mask is a row of `pool`, which it gives back
-        # once the last of its successors in `order` has drawn; `unread`
-        # counts the successors yet to draw of each vertex that some
-        # successor has read
+        # `unread` counts the successors yet to draw of each vertex that
+        # some successor has read
         pool: list[np.ndarray] = []
         unread: dict[str, int] = {}
         succ_map = g.succ_map
         bits: dict[str, np.ndarray] = {}
         picked = np.empty(n, dtype=bool)
         for v in order:
-            if v in keep:
-                mask = next(kept_rows)
+            if v in held:
+                mask = next(rows)
             else:
                 mask = pool.pop() if pool else np.empty(n, dtype=bool)
             bits[v] = mask
@@ -1033,6 +1004,8 @@ def sample_many(g: HierarchyGraph, condition: Mapping[str, int],
                 for j, (p, _) in enumerate(preds[1:], 1):
                     code = np.left_shift(bits[p].view(np.uint8), j, dtype=wide) | code
                 np.less(next(uniforms), table.take(code), out=mask)
+            if v in keep:
+                yield v, mask
             finished = [] if succ_map[v] else [v]
             for p, _ in preds:
                 left = unread.pop(p, len(succ_map[p])) - 1
@@ -1042,15 +1015,82 @@ def sample_many(g: HierarchyGraph, condition: Mapping[str, int],
                     finished.append(p)
             for p in finished:
                 signed.pop(p, None)
-                if p not in keep:
+                if p not in held:
                     pool.append(bits.pop(p))
     finally:
         uniforms.close()
+
+
+def sample_many(g: HierarchyGraph, condition: Mapping[str, int],
+                params: VoteParams, n: int, seed: int,
+                vertices: Iterable[str] | None = None) -> dict[str, np.ndarray]:
+    """Draw `n` independent full spin assignments by ancestral sampling
+    and return the spins of `vertices` (default: every vertex).
+
+    Requires an acyclic graph conditioned on exactly the decider set, ids
+    of the graph in `vertices`, and at most MAX_SAMPLE_SPINS draws times
+    vertices, every vertex counted whatever `vertices` holds.  In
+    topological order, each vertex with predecessors draws one uniform per
+    draw and is +1 where it falls below P(+1 | predecessors): the r-th
+    such vertex reads positions [r n, (r + 1) n) of default_rng(seed)'s
+    stream.  P(+1) comes
+    from the vertex's table over predecessor patterns (`_vote_tables`) or,
+    where that table would take more bytes to build than both the `n`
+    spins and _SMALL_TABLE_BYTES, from the field of each draw.  Both sum -w
+    or +w per predecessor in order from 0.0, so a seed gives the same draws
+    either way; a vertex with one predecessor compares each uniform with
+    both entries of its table and keeps the one its predecessor's spin picks.
+
+    The uniforms may be filled by a second thread (see `_uniform_rows`);
+    it runs only with two usable CPUs and an integer seed, when the call
+    draws at least _HELPER_UNIFORMS of them and no recent call found its
+    helper sharing a CPU, and the draws of a seed are the same either
+    way.
+
+    Returns {vertex: int8 array of its +-1 spins} for `vertices`, in
+    topological order; deterministic in `seed`, and each array the same
+    whatever else `vertices` holds.  Besides the returned spins, one byte
+    per vertex per draw, the call holds one bool row per vertex that a
+    later vertex still reads, so memory grows with the width of the
+    topological order, not with the number of vertices.  Where only the
+    number of +1 draws is wanted, `sample_counts` gives it without
+    holding the returned spins.
+    """
+    keep = _sampled(g, condition, n, vertices)
+    # each returned vertex's +1 mask, turned into its spins at the end, in
+    # blocks of at most 64 KiB: one block for every vertex would, once
+    # freed, raise the C allocator's mmap threshold, and later calls would
+    # keep that much memory resident
+    kept = [v for v in g.topological_order if v in keep]
+    per_block = max(1, (1 << 16) // n)
+    blocks = [np.empty((min(per_block, len(kept) - i), n), dtype=bool)
+              for i in range(0, len(kept), per_block)]
+    rows = (row for block in blocks for row in block)
+    for _ in _drawn_masks(g, condition, params, n, seed, keep, rows):
+        pass
     for block in blocks:
         spins = block.view(np.int8)
         spins *= 2
         spins -= 1
     return dict(zip(kept, (row for block in blocks for row in block.view(np.int8))))
+
+
+def sample_counts(g: HierarchyGraph, condition: Mapping[str, int],
+                  params: VoteParams, n: int, seed: int,
+                  vertices: Iterable[str] | None = None) -> dict[str, int]:
+    """{vertex: how many of the `n` draws put it at +1} for `vertices`
+    (default: every vertex), in topological order.
+
+    The draws, their requirements and their refusals are those of
+    `sample_many` with the same arguments, so each count equals
+    ``np.count_nonzero(sample_many(...)[v] == 1)``.  Each vertex's draws
+    are counted as soon as they are drawn, so the call holds only the bool
+    rows that a later vertex still reads and the uniforms being read, not
+    one byte per draw of each vertex asked for.
+    """
+    keep = _sampled(g, condition, n, vertices)
+    return {v: int(np.count_nonzero(mask))
+            for v, mask in _drawn_masks(g, condition, params, n, seed, keep)}
 
 
 def influence_table(g: HierarchyGraph, params: VoteParams, lam: Sequence[str],

@@ -320,6 +320,38 @@ def test_sample_holds_only_the_executives_draws(tmp_path, monkeypatch, helper):
     assert len(started) == (2 if helper else 0)
 
 
+@pytest.mark.parametrize("helper", [False, True])
+def test_sample_counts_its_draws_as_they_are_drawn(tmp_path, monkeypatch, helper):
+    # `sample` on 2000 executives, each without successors, at 5000 draws:
+    # it counts each executive's draws and hands the row back, so its peak
+    # stays within the graph load's own peak plus 300 bytes per draw
+    # (keeping the executives' draws needs 2000 bytes per draw, 10 MB)
+    g = helpers.fan_hierarchy(2000, 1)
+    n = 5000
+    path = _write_graph(tmp_path, g)
+    argv = ["sample", "--graph", path, "--seed", "1", "--condition", "d0=+1",
+            "--out", str(tmp_path / "out.json"), "--samples"]
+    started = _sampler_helper(monkeypatch, helper)
+    assert main(argv + ["10"]) == EXIT_OK
+    tracemalloc.start()
+    try:
+        hg.load_graph(path)
+        _, load_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    tracemalloc.start()
+    try:
+        assert main(argv + [str(n)]) == EXIT_OK
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= load_peak + 300 * n
+    assert len(started) == (2 if helper else 0)
+    freq = _read_json(tmp_path / "out.json")["freq_plus"]
+    draws = hg.sample_many(g, {"d0": 1}, hg.VoteParams.from_graph(g), n, 1)
+    assert freq == {i: float(np.mean(draws[i] == 1)) for i in sorted(hg.executives(g))}
+
+
 def test_sample_limit_exit(tmp_path, capsys, monkeypatch):
     g = hg.crossed_chains()
     graph = _write_graph(tmp_path, g)

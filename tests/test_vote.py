@@ -1223,6 +1223,65 @@ def test_sampler_refuses_unknown_vertices_before_drawing(monkeypatch):
     assert len(calls) == 1 and len(started) == 1
 
 
+def test_sample_counts_count_the_plus_draws(monkeypatch):
+    # each count is the number of +1 draws of the same sample_many call,
+    # for the executives, one vertex, a random subset, none or all, helper
+    # thread off and forced on
+    rng = random.Random(1818)
+    graphs = [hg.single_chain(30), hg.crossed_chains(), helpers.complete_dag(12),
+              helpers.random_dag(rng, 14, extra=5), helpers.executive_successors()]
+    for g in graphs:
+        ids = sorted(g.vertex_ids)
+        order = g.topological_order
+        cond = {d: rng.choice((1, -1)) for d in sorted(hg.deciders(g))}
+        subsets = [sorted(hg.executives(g)), [rng.choice(ids)],
+                   rng.sample(ids, len(ids) // 2), [], ids]
+        for mode, n in itertools.product(("tanh", "gaussian"), (1, 64, 5000)):
+            params = VoteParams.from_graph(g, mode)
+            seed = rng.randrange(1 << 30)
+            for on in (False, True):
+                with monkeypatch.context() as m:
+                    started = _sampler_helper(m, on)
+                    for subset in subsets:
+                        draws = hg.sample_many(g, cond, params, n, seed, vertices=subset)
+                        got = hg.sample_counts(g, cond, params, n, seed, vertices=subset)
+                        assert list(got) == [v for v in order if v in subset]
+                        for v, count in got.items():
+                            assert type(count) is int
+                            assert count == np.count_nonzero(draws[v] == 1), (v, mode, n, on)
+                    assert hg.sample_counts(g, cond, params, n, seed) == {
+                        v: np.count_nonzero(arr == 1)
+                        for v, arr in hg.sample_many(g, cond, params, n, seed).items()}
+                assert len(started) == (2 * len(subsets) + 2 if on else 0)
+
+
+def test_sample_counts_refuse_like_sample_many(monkeypatch):
+    # an unknown id is refused before a uniform is drawn or a helper thread
+    # started; cycles, partial conditions and the spin limit as sample_many
+    g = hg.crossed_chains()
+    params = VoteParams.from_graph(g)
+    cond = {"d1": 1, "d2": -1}
+    calls = []
+    rows = vote._uniform_rows
+    monkeypatch.setattr(vote, "_uniform_rows", lambda *args: calls.append(args) or rows(*args))
+    started = _sampler_helper(monkeypatch, on=True)
+    with pytest.raises(ValueError, match="'ghost'"):
+        hg.sample_counts(g, cond, params, 5000, 1, vertices=["1", "ghost"])
+    assert calls == [] and started == []
+    assert hg.sample_counts(g, cond, params, 5000, 1, vertices=["1"]).keys() == {"1"}
+    assert len(calls) == 1 and len(started) == 1
+    cycle = three_cycle(1.0)
+    with pytest.raises(hg.CyclicGraphError):
+        hg.sample_counts(cycle, {}, VoteParams.from_graph(cycle), 10, seed=0)
+    with pytest.raises(ValueError, match="condition"):
+        hg.sample_counts(g, {"d1": 1}, params, 10, seed=0)
+    with pytest.raises(ValueError, match="at least one"):
+        hg.sample_counts(g, cond, params, 0, seed=0)
+    with pytest.raises(ValueError, match="sampling limit"):
+        hg.sample_counts(g, cond, params, vote.MAX_SAMPLE_SPINS, seed=0)
+    assert len(calls) == 1
+
+
 def test_sampler_rejects_cycles_and_partial_conditions():
     g = three_cycle(1.0)
     with pytest.raises(hg.CyclicGraphError):
