@@ -61,11 +61,13 @@ class HierarchyGraph:
     @cached_property
     def pred_map(self) -> dict[str, tuple[tuple[str, float], ...]]:
         """vertex id -> ((predecessor id, weight), ...) in edge order."""
-        out: dict[str, list[tuple[str, float]]] = {v.id: [] for v in self.vertices}
+        out: dict = {v.id: [] for v in self.vertices}
         for e in self.edges:
             if e.dst in out:
                 out[e.dst].append((e.src, e.weight))
-        return {k: tuple(v) for k, v in out.items()}
+        for k, preds in out.items():  # in place: no second map beside it
+            out[k] = tuple(preds)
+        return out
 
     @cached_property
     def topological_order(self) -> tuple[str, ...] | None:
@@ -87,11 +89,14 @@ class HierarchyGraph:
 
     @cached_property
     def succ_map(self) -> dict[str, tuple[tuple[str, float], ...]]:
-        out: dict[str, list[tuple[str, float]]] = {v.id: [] for v in self.vertices}
+        """vertex id -> ((successor id, weight), ...) in edge order."""
+        out: dict = {v.id: [] for v in self.vertices}
         for e in self.edges:
             if e.src in out:
                 out[e.src].append((e.dst, e.weight))
-        return {k: tuple(v) for k, v in out.items()}
+        for k, succs in out.items():  # in place: no second map beside it
+            out[k] = tuple(succs)
+        return out
 
     @cached_property
     def undirected_adjacency(self) -> dict[str, frozenset[str]]:

@@ -23,6 +23,7 @@ from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
+from .broadcast import _Broadcast, _broadcast_step
 from .errors import CyclicGraphError, EnumerationCapError
 from .graph import HierarchyGraph, deciders
 
@@ -143,69 +144,6 @@ class _Einsum(NamedTuple):
             operands += (made[f], sublist)
             made[f] = None
         return np.einsum(*operands, self.sublists[-1], optimize=False)
-
-
-class _Broadcast(NamedTuple):
-    """A wide step: a fixed numpy program of broadcast multiplies and adds.
-
-    Each input is transposed into label order and indexed to broadcast over
-    every label of the step (`views`: axis permutation, index, halves to
-    add).  `products` then multiplies operand j into operand i, in C order,
-    and drops j.  Each label that no other operand holds and the output
-    does not is summed as soon as that holds, by adding its two halves and
-    keeping a length-1 axis; on a length-2 axis that is far faster than
-    `sum`.  What is left has the output's spins in label order.
-    """
-
-    inputs: tuple[int, ...]
-    views: tuple[tuple[tuple[int, ...], tuple, tuple], ...]
-    products: tuple[tuple[int, int, tuple], ...]
-    shape: tuple[int, ...]
-
-    def run(self, made: list[np.ndarray | None]) -> np.ndarray:
-        operands = []
-        for f, (perm, index, halves) in zip(self.inputs, self.views):
-            operands.append(_add_halves(made[f].transpose(perm)[index], halves))
-            made[f] = None
-        for i, j, halves in self.products:
-            product = np.multiply(operands[i], operands.pop(j), order="C")
-            operands[i] = _add_halves(product, halves)
-        return operands[0].reshape(self.shape)
-
-
-def _add_halves(x: np.ndarray, halves: tuple) -> np.ndarray:
-    for low, high in halves:
-        x = np.add(x[low], x[high])
-    return x
-
-
-def _broadcast_step(inputs: tuple[int, ...], sublists: list[tuple[int, ...]],
-                    out: tuple[int, ...], width: int) -> _Broadcast:
-    """Compile a wide step over labels 0..width-1 onto the sorted `out`
-    labels: the pair of operands with the smallest union of labels is
-    multiplied first, and every label is summed as soon as one operand
-    alone holds it."""
-    held = [set(sublist) for sublist in sublists]
-
-    def summed(k: int) -> tuple:
-        others = set(out).union(*(h for i, h in enumerate(held) if i != k))
-        gone = sorted(held[k] - others)
-        held[k].difference_update(gone)
-        return tuple(((slice(None),) * label + (slice(0, 1),),
-                      (slice(None),) * label + (slice(1, 2),)) for label in gone)
-
-    views = []
-    for k, sublist in enumerate(sublists):
-        perm = tuple(sorted(range(len(sublist)), key=sublist.__getitem__))
-        index = tuple(slice(None) if label in held[k] else None for label in range(width))
-        views.append((perm, index, summed(k)))
-    products = []
-    while len(held) > 1:
-        i, j = min(((i, j) for j in range(len(held)) for i in range(j)),
-                   key=lambda pair: (len(held[pair[0]] | held[pair[1]]), pair))
-        held[i] |= held.pop(j)
-        products.append((i, j, summed(i)))
-    return _Broadcast(inputs, tuple(views), tuple(products), (2,) * len(out))
 
 
 class _Plan(NamedTuple):

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import hiergame as hg
 from hiergame import HierarchyGraph, Vertex, Edge, VoteParams
-from hiergame import vote
+from hiergame import broadcast, vote
 from hiergame.vote import _prune_barren
 
 import helpers
@@ -564,6 +564,90 @@ def test_warm_sums_search_no_contraction_path(monkeypatch):
     monkeypatch.setattr(np._core.einsumfunc, "einsum_path", searched)
     warm = hg.conditional_influence(g, a, target, dict.fromkeys(a, 1), params)
     assert warm.table == cold.table and warm.partition == cold.partition
+
+
+def _wide_sums(monkeypatch, queries: list, tiled: bool) -> tuple[list, list]:
+    """Each query's `_vote_sum` bytes from freshly compiled plans, tiled as
+    planned or (`tiled` False) never, and the tiled product count of every
+    wide step run; each step's result must be C-contiguous, in label order."""
+    if not tiled:
+        monkeypatch.setattr(broadcast, "_tile", lambda *args: None)
+    counts = []
+    run = vote._Broadcast.run
+
+    def checked(step, made):
+        out = run(step, made)
+        assert out.shape == step.shape and out.flags.c_contiguous
+        counts.append(sum(tile is not None for _, _, tile, _ in step.products))
+        return out
+
+    monkeypatch.setattr(vote._Broadcast, "run", checked)
+    vote._elimination_plan.cache_clear()
+    try:
+        return [vote._vote_sum(*query).tobytes() for query in queries], counts
+    finally:
+        vote._elimination_plan.cache_clear()
+        monkeypatch.undo()
+
+
+def test_tiled_products_repeat_plain_broadcasts_bitwise(monkeypatch):
+    # dense random DAGs and digraphs with 13 to 18 free vertices: single,
+    # joint and partition sums, both modes, come out bitwise the same with
+    # the wide steps' products tiled as with every product a plain broadcast
+    rng = random.Random(9094)
+    queries = []
+    for make, n, extra, free in ((helpers.random_dag, 14, 75, 13),
+                                 (helpers.random_digraph, 14, 60, 13),
+                                 (helpers.random_dag, 19, 140, 18),
+                                 (helpers.random_digraph, 19, 120, 18)):
+        g = make(rng, n, extra=extra)
+        order = g.topological_order or sorted(g.vertex_ids)
+        a = sorted(hg.deciders(g)) or rng.sample(order, 1)
+        assert len(g.vertices) - len(a) == free
+        condition = {v: rng.choice((1, -1)) for v in a}
+        rest = [v for v in order if v not in condition]
+        for mode in ("tanh", "gaussian"):
+            params = VoteParams.from_graph(g, mode=mode)
+            for b in ({rest[-1]}, {rest[-1], rest[-2]}, set()):
+                queries.append((vote._vote_layout(g, frozenset(a), frozenset(b)),
+                                condition, params))
+    tiled, counts = _wide_sums(monkeypatch, queries, tiled=True)
+    assert sum(counts) > 0
+    plain, counts = _wide_sums(monkeypatch, queries, tiled=False)
+    assert counts and not any(counts)
+    assert tiled == plain
+
+
+def test_tiled_products_bound_the_peak(monkeypatch):
+    # a tiled product's copies hold at most 1.5 times its entries
+    # (_TILE_COPY), so a 20-free-vertex dense conditional peaks at most that
+    # far above its peak with plain broadcasts (measured: the same 25.3 MB)
+    g = helpers.complete_dag(20)
+    query = (vote._vote_layout(g, frozenset({"d0", "d1"}), frozenset({"v19"})),
+             {"d0": 1, "d1": -1}, VoteParams.from_graph(g))
+    peaks = []
+    for tiled in (True, False):
+        if not tiled:
+            monkeypatch.setattr(broadcast, "_tile", lambda *args: None)
+        vote._elimination_plan.cache_clear()
+        try:
+            plan = vote._elimination_plan(query[0].scopes, query[0].targets, vote.DEFAULT_CAP)
+            vote._vote_sum(*query)
+            tracemalloc.start()
+            try:
+                vote._vote_sum(*query)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        finally:
+            vote._elimination_plan.cache_clear()
+            monkeypatch.undo()
+        if tiled:
+            entries = [math.prod(tile[1]) for step in plan.steps + (plan.final,)
+                       if isinstance(step, vote._Broadcast)
+                       for _, _, tile, _ in step.products if tile is not None]
+    assert entries
+    assert peaks[0] <= peaks[1] + 1.5 * 8 * max(entries)
 
 
 def _copy(g: HierarchyGraph) -> HierarchyGraph:
