@@ -27,13 +27,13 @@ ROLES = (ROLE_DECIDER, ROLE_AGENT, ROLE_EXECUTIVE)
 WEIGHT_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Vertex:
     id: str
     role: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Edge:
     src: str
     dst: str

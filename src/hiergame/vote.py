@@ -54,16 +54,18 @@ _HELPER_UNIFORMS = 1 << 18
 # many chunks of at most _CHUNK_ROWS rows each: 128 bytes per draw in all
 _RING_SLOTS = 4
 _CHUNK_ROWS = 4
-# a helper thread pays only on a CPU of its own: checked every
-# _PARALLEL_CHECK seconds, the sampler stops its helper once the two have
-# used less than _PARALLEL_SHARE times the call's wall time in CPU time
-# (on two free CPUs, 1.45-1.67 times at the first check and about 1.8
-# later; taking turns on one CPU, at most 1).  Finding that out costs a
-# call about _PARALLEL_CHECK, so later calls then fill inline for
+# a helper thread pays only on a CPU of its own.  The sampler stops its
+# helper for the rest of a call once it has waited _PARALLEL_CHECK for one
+# chunk, as for a helper that lags.  Once per call, after 10
+# _PARALLEL_CHECK, it also stops it if it has been on a CPU for less than
+# _PARALLEL_SHARE of the time it was ready to run.  At that point, on an
+# idle two-vCPU VM, 338 of 340 calls read 0.75-1 (median 1); with a
+# spinning process on the second vCPU, 266 of 269 read 0.46-0.73 (median
+# 0.62), and there filling inline is as fast.  Later calls then fill inline for
 # _SHARED_CPU_REST seconds, doubled for each call in a row that found the
-# CPU shared, up to 16 times
+# CPU busy, up to 16 times
 _PARALLEL_CHECK = 2e-3
-_PARALLEL_SHARE = 1.2
+_PARALLEL_SHARE = 0.75
 _SHARED_CPU_REST = 0.25
 _shared_cpu_until = 0.0  # perf_counter time until which calls fill inline
 _shared_cpu_doublings = 0  # of the next rest, at most 4
@@ -688,6 +690,18 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _cpu_times() -> tuple[float, float]:
+    """(seconds on a CPU, seconds ready to run but waiting for one) of the
+    calling thread, as Linux's scheduler counts them; (0.0, 0.0) where the
+    system does not report them."""
+    try:
+        with open("/proc/thread-self/schedstat", "rb") as fh:
+            on, queued = fh.read().split()[:2]
+        return int(on) * 1e-9, int(queued) * 1e-9
+    except (OSError, ValueError):
+        return 0.0, 0.0
+
+
 def _uniform_rows(seed: int, rows: int, n: int) -> Iterator[np.ndarray]:
     """`rows` rows of `n` uniforms: row r holds positions [r n, (r + 1) n)
     of default_rng(seed)'s stream, as r + 1 successive ``random(n)`` calls
@@ -697,15 +711,15 @@ def _uniform_rows(seed: int, rows: int, n: int) -> Iterator[np.ndarray]:
     uniforms in all, a helper thread fills chunks of rows into a ring of
     _RING_SLOTS reused buffers ahead of the reader, from its own
     default_rng(seed) moved to each chunk's position with `advance`.  Both
-    threads claim chunks in order: while the chunk the reader needs is
-    being filled, the reader fills the next unclaimed one, so the two share
-    the filling.  The helper pays only while it runs on a CPU of its own:
-    once the two threads have used less than _PARALLEL_SHARE times the
-    call's wall time in CPU time, as when the second CPU is busy and the two
-    threads take turns on one, the reader stops it, goes on alone, and
-    later calls fill inline for a while (see `shared`); a helper that has
-    died is stopped likewise.  The helper is joined when the generator
-    finishes or is closed.
+    threads claim chunks in order and fill each with one call: while the
+    chunk the reader needs is being filled, the reader fills the next
+    unclaimed one, so the two share the filling.  The reader stops the
+    helper and goes on alone once it has waited _PARALLEL_CHECK for one
+    chunk or the helper has died; and, judged once per call, once the
+    reader has been on a CPU for less than _PARALLEL_SHARE of the time it
+    was ready to run, as when the second CPU is busy, in which case later
+    calls fill inline for a while (see `busy`).  The helper is joined when
+    the generator finishes or is closed, after at most one more chunk.
     """
     rng = np.random.default_rng(seed)
     if (rows * n < _HELPER_UNIFORMS or _usable_cpus() < 2
@@ -721,7 +735,6 @@ def _uniform_rows(seed: int, rows: int, n: int) -> Iterator[np.ndarray]:
     held = [-1] * _RING_SLOTS  # the chunk each slot holds, once it is filled
     claimed = reading = 0  # chunks claimed by either thread; the chunk being read
     stop = helper_gone = False
-    helper_cpu = 0.0  # the helper's CPU time up to its last filled row
     cond = threading.Condition()
 
     def fill(source: list, start: int, out: np.ndarray) -> np.ndarray:
@@ -737,9 +750,8 @@ def _uniform_rows(seed: int, rows: int, n: int) -> Iterator[np.ndarray]:
         return ring[c % _RING_SLOTS, :min(per, rows - c * per)]
 
     def helper() -> None:
-        nonlocal claimed, helper_gone, helper_cpu
+        nonlocal claimed, helper_gone
         try:
-            begun = time.thread_time()
             own = [np.random.default_rng(seed), 0]
             while True:
                 with cond:
@@ -749,12 +761,9 @@ def _uniform_rows(seed: int, rows: int, n: int) -> Iterator[np.ndarray]:
                         return
                     c = claimed
                     claimed += 1
-                # row by row, so that a stopped helper is soon joined
-                for i, row in enumerate(slot(c)):
-                    if stop:
-                        return
-                    fill(own, (c * per + i) * n, row)
-                    helper_cpu = time.thread_time() - begun
+                # one call per chunk: a stopped helper is joined once it has
+                # filled at most one more chunk
+                fill(own, c * per * n, slot(c))
                 with cond:
                     held[c % _RING_SLOTS] = c
                     cond.notify()
@@ -765,24 +774,25 @@ def _uniform_rows(seed: int, rows: int, n: int) -> Iterator[np.ndarray]:
 
     mine = [rng, 0]
     spare = None
-    wall = time.perf_counter()
-    check, cpu = wall + _PARALLEL_CHECK, time.thread_time() - _PARALLEL_SHARE * wall
+    begun, start = time.perf_counter(), _cpu_times()
+    judged = False
 
-    def shared() -> bool:
-        """Whether, checked every _PARALLEL_CHECK seconds, the two threads
-        have used less than _PARALLEL_SHARE times the call's wall time in
-        CPU time, the helper's counted to its last filled row (a thread's
-        own clock is exact; the process's trails its other threads by up to
-        a scheduler tick).  If so, later calls fill inline for
-        _SHARED_CPU_REST seconds, doubled for each call in a row that
-        found the CPU shared, up to 16 times."""
+    def busy() -> bool:
+        """Whether the reader, judged once per call 10 _PARALLEL_CHECK
+        after it began, has been on a CPU for less than _PARALLEL_SHARE of
+        the time it was ready to run, as when the second CPU is busy and
+        the reader, its helper and another thread take turns on two (time
+        asleep, waiting for the helper or a lock, counts neither way).  If
+        so, later calls fill inline for _SHARED_CPU_REST seconds, doubled
+        for each call in a row that found the CPU busy, up to 16 times."""
         global _shared_cpu_until, _shared_cpu_doublings
-        nonlocal check
+        nonlocal judged
         now = time.perf_counter()
-        if now < check:
+        if judged or now < begun + 10 * _PARALLEL_CHECK:
             return False
-        check = now + _PARALLEL_CHECK
-        if time.thread_time() + helper_cpu - _PARALLEL_SHARE * now >= cpu:
+        judged = True
+        on, queued = (b - a for a, b in zip(start, _cpu_times()))
+        if on >= _PARALLEL_SHARE * (on + queued):
             _shared_cpu_doublings = 0
             return False
         _shared_cpu_until = now + _SHARED_CPU_REST * 2 ** _shared_cpu_doublings
@@ -792,16 +802,18 @@ def _uniform_rows(seed: int, rows: int, n: int) -> Iterator[np.ndarray]:
     def take(c: int) -> Iterable[np.ndarray]:
         """The rows of chunk c once it is filled; until then the reader
         fills the next unclaimed chunk with a free slot.  Once the helper
-        has died or shares a CPU with the reader (see `shared`), the reader
-        stops it and fills each row of a chunk the helper has not finished
-        into a spare row, which the helper never writes."""
+        has died, has kept the reader waiting _PARALLEL_CHECK for chunk c,
+        or the CPU is busy (see `busy`), the reader stops it and fills each
+        row of a chunk the helper has not finished into a spare row, which
+        the helper never writes."""
         nonlocal claimed, reading, stop, spare
+        patience = _PARALLEL_CHECK
         while True:
             with cond:
                 if reading != c:
                     reading = c  # frees the slot of chunk c - 1
                     cond.notify()
-                if not stop and (helper_gone or shared()):
+                if not stop and (helper_gone or busy() or patience <= 0.0):
                     stop = True
                     cond.notify()
                 if held[c % _RING_SLOTS] == c:
@@ -812,7 +824,9 @@ def _uniform_rows(seed: int, rows: int, n: int) -> Iterator[np.ndarray]:
                     d = claimed
                     claimed += 1
                 else:
-                    cond.wait(_PARALLEL_CHECK)
+                    since = time.perf_counter()
+                    cond.wait(patience)
+                    patience -= time.perf_counter() - since
                     continue
             fill(mine, d * per * n, slot(d))
             with cond:
@@ -981,9 +995,11 @@ def sample_many(g: HierarchyGraph, condition: Mapping[str, int],
 
     The uniforms may be filled by a second thread (see `_uniform_rows`);
     it runs only with two usable CPUs and an integer seed, when the call
-    draws at least _HELPER_UNIFORMS of them and no recent call found its
-    helper sharing a CPU, and the draws of a seed are the same either
-    way.
+    draws at least _HELPER_UNIFORMS of them and no recent call found the
+    second CPU busy, and the draws of a seed are the same either way.  On
+    two idle CPUs it fills whole chunks beside the draws: on a two-vCPU VM,
+    a 1e5-draw call on a 100-vertex arborescence took about 36 ms with it
+    and 61 ms without.
 
     Returns {vertex: int8 array of its +-1 spins} for `vertices`, in
     topological order; deterministic in `seed`, and each array the same

@@ -5,17 +5,21 @@ itertools and math (no numpy, no package internals beyond graph structure),
 so tests compare the package against genuinely separate code paths.  The
 one exception is `brute_sample_many`, which must consume numpy's random
 stream exactly as the sampler does, and `concatenated_vote_tables`, which
-must repeat the package's float operations to compare bit for bit.
+must repeat the package's float operations to compare bit for bit.  The
+last two functions switch the sampler's uniform-filling helper thread on
+or off and inject faults into it, for the tests of that thread.
 """
 
 import itertools
 import math
 import random
+import threading
+import time
 
 import numpy as np
 from scipy.special import erf
 
-from hiergame import Edge, HierarchyGraph, Vertex, outcome_probability
+from hiergame import Edge, HierarchyGraph, Vertex, outcome_probability, vote
 
 
 def response(spin: int, field: float, mode: str, sigma: float) -> float:
@@ -377,3 +381,53 @@ def concatenated_vote_tables(fixed: list, weights: list, n_free: int, params) ->
     probs = np.concatenate((1.0 - odd, 1.0 + odd), axis=1)
     probs *= 0.5
     return probs
+
+
+def sampler_helper(monkeypatch, on: bool) -> list:
+    """Force the sampler's uniform-filling helper thread on (even with one
+    usable CPU, and in the calls after one that found the CPU busy) or off;
+    returns a list that collects each thread started."""
+    monkeypatch.setattr(vote, "_HELPER_UNIFORMS", 1 if on else 1 << 62)
+    monkeypatch.setattr(vote, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(vote, "_SHARED_CPU_REST", 0.0)
+    monkeypatch.setattr(vote, "_shared_cpu_until", 0.0)
+    monkeypatch.setattr(vote, "_shared_cpu_doublings", 0)
+    started = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            started.append(self.name)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Counted)
+    return started
+
+
+def faulty_sampler_helper(monkeypatch, fault: str | None) -> tuple[list, list]:
+    """Make the sampler's helper thread raise on its first fill ("dies"),
+    sleep 0.2 s, using no CPU, before each fill ("lags"), or just fill
+    (None).  Returns a list that collects the helper's uncaught exceptions
+    and one that collects the shape of each array the helper filled."""
+    make = np.random.default_rng
+    fills = []
+
+    class Faulty:
+        def __init__(self, seed):
+            self.inner = make(seed)
+            self.bit_generator = self.inner.bit_generator
+
+        def random(self, out):
+            if fault == "dies":
+                raise RuntimeError("helper died")
+            if fault == "lags":
+                time.sleep(0.2)
+            fills.append(out.shape)
+            return self.inner.random(out=out)
+
+    def rng(seed):
+        return make(seed) if threading.current_thread() is threading.main_thread() else Faulty(seed)
+
+    failures = []
+    monkeypatch.setattr(np.random, "default_rng", rng)
+    monkeypatch.setattr(threading, "excepthook", failures.append)
+    return failures, fills

@@ -21,7 +21,6 @@ import hiergame as hg
 from hiergame import cli
 from hiergame.cli import (EXIT_CAP, EXIT_DEGENERATE, EXIT_INTERNAL, EXIT_INVARIANT, EXIT_OK,
                           EXIT_PARSE, main)
-from test_vote import _sampler_helper
 
 
 def _write_graph(tmp_path, g, name="graph.json"):
@@ -287,7 +286,7 @@ def test_sample_output_is_pinned(tmp_path, capsys, monkeypatch, graph, condition
     # `sample` stdout in both modes, pinned byte for byte
     path = tmp_path / "graph.json"
     path.write_text(json.dumps(graph))
-    started = _sampler_helper(monkeypatch, helper)
+    started = helpers.sampler_helper(monkeypatch, helper)
     h = hashlib.sha256()
     for mode, condition in itertools.product(("tanh", "gaussian"), conditions):
         argv = ["sample", "--graph", str(path), "--mode", mode, "--samples", str(samples),
@@ -308,7 +307,7 @@ def test_sample_holds_only_the_executives_draws(tmp_path, monkeypatch, helper):
     n = 5000
     argv = ["sample", "--graph", _write_graph(tmp_path, g), "--seed", "1",
             "--condition", "d1=+1", "--out", str(tmp_path / "out.json"), "--samples"]
-    started = _sampler_helper(monkeypatch, helper)
+    started = helpers.sampler_helper(monkeypatch, helper)
     assert main(argv + ["10"]) == EXIT_OK
     tracemalloc.start()
     try:
@@ -331,7 +330,7 @@ def test_sample_counts_its_draws_as_they_are_drawn(tmp_path, monkeypatch, helper
     path = _write_graph(tmp_path, g)
     argv = ["sample", "--graph", path, "--seed", "1", "--condition", "d0=+1",
             "--out", str(tmp_path / "out.json"), "--samples"]
-    started = _sampler_helper(monkeypatch, helper)
+    started = helpers.sampler_helper(monkeypatch, helper)
     assert main(argv + ["10"]) == EXIT_OK
     tracemalloc.start()
     try:

@@ -976,26 +976,6 @@ def test_sampler_holds_one_byte_per_spin():
         assert peak <= len(g.vertices) * n + 256 * n
 
 
-def _sampler_helper(monkeypatch, on: bool) -> list:
-    """Force the sampler's uniform-filling helper thread on (even with one
-    usable CPU, and in the calls after one that found its CPU shared) or
-    off; returns a list that collects each thread started."""
-    monkeypatch.setattr(vote, "_HELPER_UNIFORMS", 1 if on else 1 << 62)
-    monkeypatch.setattr(vote, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(vote, "_SHARED_CPU_REST", 0.0)
-    monkeypatch.setattr(vote, "_shared_cpu_until", 0.0)
-    monkeypatch.setattr(vote, "_shared_cpu_doublings", 0)
-    started = []
-
-    class Counted(threading.Thread):
-        def start(self):
-            started.append(self.name)
-            super().start()
-
-    monkeypatch.setattr(threading, "Thread", Counted)
-    return started
-
-
 def test_sampler_threaded_equals_inline_equals_brute_force(monkeypatch):
     # fan-ins 0 to 9 hit the fan-in-1 compares, tables of small and large
     # fan-in and the per-draw field; roots
@@ -1025,7 +1005,7 @@ def test_sampler_threaded_equals_inline_equals_brute_force(monkeypatch):
                 want = helpers.brute_sample_many(g, cond, params, n, seed)
                 for on in (False, True):
                     with monkeypatch.context() as m:
-                        started = _sampler_helper(m, on)
+                        started = helpers.sampler_helper(m, on)
                         got = hg.sample_many(g, cond, params, n, seed)
                     assert started == (["hiergame-uniforms"] if on else [])
                     assert got.keys() == want.keys()
@@ -1038,7 +1018,7 @@ def test_sampler_helper_runs_only_where_it_pays(monkeypatch):
     g = hg.single_chain(40)
     params = VoteParams.from_graph(g)
     big = vote._HELPER_UNIFORMS // 40 + 1
-    started = _sampler_helper(monkeypatch, on=True)
+    started = helpers.sampler_helper(monkeypatch, on=True)
     monkeypatch.setattr(vote, "_HELPER_UNIFORMS", 40 * big)
     hg.sample_many(g, {"d1": 1}, params, big - 1, seed=3)
     assert started == []
@@ -1059,7 +1039,7 @@ def test_sampler_joins_its_helper_thread(monkeypatch):
     cond = {"d0": 1, "d1": -1}
     params = VoteParams.from_graph(g)
     before = threading.active_count()
-    started = _sampler_helper(monkeypatch, on=True)
+    started = helpers.sampler_helper(monkeypatch, on=True)
     hg.sample_many(g, cond, params, 3000, seed=1)
     assert threading.active_count() == before
     calls = []
@@ -1081,49 +1061,40 @@ def test_sampler_joins_its_helper_thread(monkeypatch):
     assert not any(t.name == "hiergame-uniforms" for t in threading.enumerate())
 
 
-def _faulty_helper(monkeypatch, fault: str) -> list:
-    """Make the sampler's helper thread raise on its first fill ("dies"),
-    or sleep 0.2 s, using no CPU, before each row it fills ("lags");
-    returns a list that collects the helper's uncaught exceptions."""
-    make = np.random.default_rng
-
-    class Faulty:
-        def __init__(self, seed):
-            self.inner = make(seed)
-            self.bit_generator = self.inner.bit_generator
-
-        def random(self, out):
-            if fault == "dies":
-                raise RuntimeError("helper died")
-            time.sleep(0.2)
-            return self.inner.random(out=out)
-
-    def rng(seed):
-        return make(seed) if threading.current_thread() is threading.main_thread() else Faulty(seed)
-
-    failures = []
-    monkeypatch.setattr(np.random, "default_rng", rng)
-    monkeypatch.setattr(threading, "excepthook", failures.append)
-    return failures
+def test_sampler_helper_fills_a_chunk_per_call(monkeypatch):
+    # the helper fills each chunk it claims, _CHUNK_ROWS rows of 5000 or
+    # the last chunk's 3, with one call on the chunk's slot: it takes the
+    # interpreter lock once per chunk, not once per row
+    g = hg.single_chain(400)
+    params = VoteParams.from_graph(g)
+    want = helpers.brute_sample_many(g, {"d1": 1}, params, 5000, 6)
+    _, fills = helpers.faulty_sampler_helper(monkeypatch, None)
+    started = helpers.sampler_helper(monkeypatch, on=True)
+    got = hg.sample_many(g, {"d1": 1}, params, 5000, 6)
+    assert started == ["hiergame-uniforms"]
+    assert fills, "the helper filled nothing"
+    assert set(fills) <= {(vote._CHUNK_ROWS, 5000), (399 % vote._CHUNK_ROWS, 5000)}
+    for v, arr in want.items():
+        assert np.array_equal(got[v], arr), v
 
 
 @pytest.mark.parametrize("fault", ["dies", "lags"])
 def test_sampler_survives_a_failing_helper(monkeypatch, fault):
-    # a helper that dies on its first chunk, or lags and so leaves the two
-    # threads under the CPU share that pays for it, leaves its chunks to
-    # the reader, which may already have filled later ones: it moves its
+    # a helper that dies on its first chunk, or lags and so keeps the
+    # reader waiting _PARALLEL_CHECK for a chunk, leaves its chunks to the
+    # reader, which may already have filled later ones: it moves its
     # generator back, and the draws stay those of the stream
     g = hg.single_chain(200)
     params = VoteParams.from_graph(g)
     want = helpers.brute_sample_many(g, {"d1": 1}, params, 5000, 9)
-    failures = _faulty_helper(monkeypatch, fault)
-    started = _sampler_helper(monkeypatch, on=True)
+    failures, fills = helpers.faulty_sampler_helper(monkeypatch, fault)
+    started = helpers.sampler_helper(monkeypatch, on=True)
     before = time.perf_counter()
     got = hg.sample_many(g, {"d1": 1}, params, 5000, 9)
     assert started == ["hiergame-uniforms"]
     assert [str(f.exc_value) for f in failures] == (["helper died"] if fault == "dies" else [])
-    if fault == "lags":
-        assert vote._shared_cpu_until > 0.0, "the helper was not found sharing a CPU"
+    # a lagging helper was stopped after its first chunk of 50
+    assert len(fills) == (0 if fault == "dies" else 1)
     # the reader waited out the lagging helper once at most, at the join
     assert time.perf_counter() - before < 1.0
     for v, arr in want.items():
@@ -1131,19 +1102,28 @@ def test_sampler_survives_a_failing_helper(monkeypatch, fault):
 
 
 def test_sampler_rests_its_helper_after_a_shared_cpu(monkeypatch):
-    # a call that finds its two threads sharing one CPU stops its helper,
-    # and calls in the next _SHARED_CPU_REST seconds start none; the rest
-    # doubles for each such call in a row, up to 16 times, and a check that
-    # finds a CPU for each thread resets it.  The draws are the stream's
-    # throughout.
+    # a call whose reader was on a CPU for less than _PARALLEL_SHARE of
+    # the time it was ready to run stops its helper, and calls in the next
+    # _SHARED_CPU_REST seconds start none; the rest doubles for each such
+    # call in a row, up to 16 times, and a call that finds the CPU its own,
+    # or that has no scheduler counts to judge by, resets it.  The draws
+    # are the stream's throughout.
     g = hg.single_chain(200)
     params = VoteParams.from_graph(g)
     want = helpers.brute_sample_many(g, {"d1": 1}, params, 5000, 4)
-    started = _sampler_helper(monkeypatch, on=True)
+    started = helpers.sampler_helper(monkeypatch, on=True)
     monkeypatch.setattr(vote, "_SHARED_CPU_REST", 100.0)
-    # a check at every chunk, each finding the CPU shared
-    monkeypatch.setattr(vote, "_PARALLEL_CHECK", 0.0)
-    monkeypatch.setattr(vote, "_PARALLEL_SHARE", 1e9)
+    monkeypatch.setattr(vote, "_PARALLEL_CHECK", 0.0)  # judged at the first chunk
+    # the reader's scheduler counts, each read a CPU share of `share` later
+    share = [0.5]
+    counts = [0.0, 0.0]
+
+    def cpu_times():
+        counts[0] += share[0]
+        counts[1] += 1.0 - share[0]
+        return tuple(counts)
+
+    monkeypatch.setattr(vote, "_cpu_times", cpu_times)
     runs = []
 
     def run(helper: bool) -> float:
@@ -1154,21 +1134,30 @@ def test_sampler_rests_its_helper_after_a_shared_cpu(monkeypatch):
         return vote._shared_cpu_until - time.perf_counter()
 
     assert 99.0 < run(True) <= 100.0
-    assert 99.0 < run(False) <= 100.0  # resting: no helper, no check
+    assert 99.0 < run(False) <= 100.0  # resting: no helper, no judgement
     rests = []
     for _ in range(5):
         monkeypatch.setattr(vote, "_shared_cpu_until", 0.0)
         rests.append(run(True))
     assert [round(r, -2) for r in rests] == [200.0, 400.0, 800.0, 1600.0, 1600.0]
     monkeypatch.setattr(vote, "_shared_cpu_until", 0.0)
-    monkeypatch.setattr(vote, "_PARALLEL_SHARE", 0.0)
+    share[0] = vote._PARALLEL_SHARE
     run(True)
-    assert vote._shared_cpu_doublings == 0
-    monkeypatch.setattr(vote, "_PARALLEL_SHARE", 1e9)
+    assert vote._shared_cpu_doublings == 0 and vote._shared_cpu_until == 0.0
+    share[0] = 0.5
     assert 99.0 < run(True) <= 100.0
+    monkeypatch.setattr(vote, "_shared_cpu_until", 0.0)
+    monkeypatch.setattr(vote, "_cpu_times", lambda: (0.0, 0.0))
+    run(True)
+    assert vote._shared_cpu_doublings == 0 and vote._shared_cpu_until == 0.0
     for got in runs:
         for v, arr in want.items():
             assert np.array_equal(got[v], arr), v
+    # where the system reports them, the counts are seconds that only grow
+    before = vote._cpu_times()
+    sum(range(10**5))
+    after = vote._cpu_times()
+    assert all(isinstance(t, float) and 0.0 <= a <= t for a, t in zip(before, after))
 
 
 def test_sampler_helpers_under_contention(monkeypatch):
@@ -1179,7 +1168,7 @@ def test_sampler_helpers_under_contention(monkeypatch):
     params = VoteParams.from_graph(g)
     want = {seed: helpers.brute_sample_many(g, {"d1": 1}, params, 3000, seed)
             for seed in range(4)}
-    _sampler_helper(monkeypatch, on=True)
+    helpers.sampler_helper(monkeypatch, on=True)
     got = {}
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -1213,16 +1202,18 @@ def test_sampler_with_helper_holds_one_byte_per_spin(monkeypatch, wide):
     # off.)
     if wide:
         g, cond = helpers.complete_dag(70), {"d0": 1, "d1": -1}
-        _faulty_helper(monkeypatch, "lags")
+        _, fills = helpers.faulty_sampler_helper(monkeypatch, "lags")
     else:
         g, cond = hg.single_chain(2000), {"d1": 1}
     n = 5000
     assert (len(g.vertices) - len(hg.deciders(g))) * n >= vote._HELPER_UNIFORMS
     params = VoteParams.from_graph(g)
     before = threading.active_count()
-    started = _sampler_helper(monkeypatch, on=True)
+    started = helpers.sampler_helper(monkeypatch, on=True)
     hg.sample_many(g, cond, params, 10, seed=1)
-    monkeypatch.setattr(vote, "_shared_cpu_until", 0.0)
+    if wide:
+        fills.clear()
+    begun = time.perf_counter()
     tracemalloc.start()
     try:
         draws = hg.sample_many(g, cond, params, n, seed=1)
@@ -1234,7 +1225,9 @@ def test_sampler_with_helper_holds_one_byte_per_spin(monkeypatch, wide):
     assert len(started) == 2
     assert threading.active_count() == before
     if wide:
-        assert vote._shared_cpu_until > 0.0, "the helper was not stopped"
+        # stopped after its first chunk of 17, it was waited for once
+        assert len(fills) == 1, "the helper was not stopped"
+        assert time.perf_counter() - begun < 1.0
         want = helpers.brute_sample_many(g, cond, params, n, 1)
         for v, arr in want.items():
             assert np.array_equal(draws[v], arr), v
@@ -1258,7 +1251,7 @@ def test_sampler_returns_the_vertices_asked_for(monkeypatch):
             full = hg.sample_many(g, cond, params, n, seed)
             for on in (False, True):
                 with monkeypatch.context() as m:
-                    started = _sampler_helper(m, on)
+                    started = helpers.sampler_helper(m, on)
                     for subset in subsets:
                         got = hg.sample_many(g, cond, params, n, seed, vertices=subset)
                         assert got.keys() == set(subset)
@@ -1279,7 +1272,7 @@ def test_sampler_holds_only_the_rows_it_returns(monkeypatch, helper, g, cond, ke
     # and the rows still to be read, not a row per vertex
     params = VoteParams.from_graph(g)
     n = 5000
-    started = _sampler_helper(monkeypatch, helper)
+    started = helpers.sampler_helper(monkeypatch, helper)
     hg.sample_many(g, cond, params, 10, seed=1, vertices=kept)
     tracemalloc.start()
     try:
@@ -1299,7 +1292,7 @@ def test_sampler_refuses_unknown_vertices_before_drawing(monkeypatch):
     calls = []
     rows = vote._uniform_rows
     monkeypatch.setattr(vote, "_uniform_rows", lambda *args: calls.append(args) or rows(*args))
-    started = _sampler_helper(monkeypatch, on=True)
+    started = helpers.sampler_helper(monkeypatch, on=True)
     with pytest.raises(ValueError, match="'ghost'"):
         hg.sample_many(g, cond, params, 5000, 1, vertices=["1", "ghost"])
     assert calls == [] and started == []
@@ -1325,7 +1318,7 @@ def test_sample_counts_count_the_plus_draws(monkeypatch):
             seed = rng.randrange(1 << 30)
             for on in (False, True):
                 with monkeypatch.context() as m:
-                    started = _sampler_helper(m, on)
+                    started = helpers.sampler_helper(m, on)
                     for subset in subsets:
                         draws = hg.sample_many(g, cond, params, n, seed, vertices=subset)
                         got = hg.sample_counts(g, cond, params, n, seed, vertices=subset)
@@ -1348,7 +1341,7 @@ def test_sample_counts_refuse_like_sample_many(monkeypatch):
     calls = []
     rows = vote._uniform_rows
     monkeypatch.setattr(vote, "_uniform_rows", lambda *args: calls.append(args) or rows(*args))
-    started = _sampler_helper(monkeypatch, on=True)
+    started = helpers.sampler_helper(monkeypatch, on=True)
     with pytest.raises(ValueError, match="'ghost'"):
         hg.sample_counts(g, cond, params, 5000, 1, vertices=["1", "ghost"])
     assert calls == [] and started == []
