@@ -774,8 +774,7 @@ def _uniform_rows(seed: int, rows: int, n: int) -> Iterator[np.ndarray]:
 
     mine = [rng, 0]
     spare = None
-    begun, start = time.perf_counter(), _cpu_times()
-    judged = False
+    judge_at, start = time.perf_counter() + 10 * _PARALLEL_CHECK, _cpu_times()
 
     def busy() -> bool:
         """Whether the reader, judged once per call 10 _PARALLEL_CHECK
@@ -786,11 +785,11 @@ def _uniform_rows(seed: int, rows: int, n: int) -> Iterator[np.ndarray]:
         so, later calls fill inline for _SHARED_CPU_REST seconds, doubled
         for each call in a row that found the CPU busy, up to 16 times."""
         global _shared_cpu_until, _shared_cpu_doublings
-        nonlocal judged
+        nonlocal judge_at
         now = time.perf_counter()
-        if judged or now < begun + 10 * _PARALLEL_CHECK:
+        if now < judge_at:
             return False
-        judged = True
+        judge_at = math.inf
         on, queued = (b - a for a, b in zip(start, _cpu_times()))
         if on >= _PARALLEL_SHARE * (on + queued):
             _shared_cpu_doublings = 0
