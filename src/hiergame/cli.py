@@ -22,6 +22,7 @@ from itertools import product
 
 import numpy as np
 
+from .elimination import DEFAULT_CAP
 from .errors import (
     CyclicGraphError,
     DegenerateInfluenceError,
@@ -43,7 +44,7 @@ from .game import (
 )
 from .graph import deciders, executives, load_graph, validate_graph
 from .ising import chain_xy, coupling_from_hierarchy, ising_conditional
-from .vote import DEFAULT_CAP, VoteParams, conditional_influence, sample_counts
+from .vote import VoteParams, conditional_influence, sample_counts
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -68,7 +69,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _emit_json(payload: dict, out: str | None) -> None:
-    _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", out)
+    _emit(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n", out)
 
 
 def _spin(text: str) -> int:

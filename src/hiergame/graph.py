@@ -110,7 +110,7 @@ class HierarchyGraph:
     @cached_property
     def query_layouts(self) -> dict:
         """Structure of the exact queries asked of this graph, by query;
-        filled and bounded by `vote._vote_layout`."""
+        filled and bounded through `elimination.stored_in`."""
         return {}
 
     def require_vertex(self, vertex: str) -> None:
@@ -158,10 +158,11 @@ def validate_graph(g: HierarchyGraph) -> ValidationReport:
         if not e.weight > 0.0:
             violations.append(f"edge {e.src}->{e.dst} has non-positive weight {e.weight}")
 
-    if not 0.0 < g.free_float < 1.0:
-        violations.append(f"free_float {g.free_float} outside (0, 1)")
-    if not g.noise_sigma > 0.0:
-        violations.append(f"noise_sigma {g.noise_sigma} must be positive")
+    from .vote import VoteParams  # here: vote imports this module
+    try:  # the first of the vote parameters' rules that D or sigma breaks
+        VoteParams(g.free_float, g.noise_sigma)
+    except ValueError as exc:
+        violations.append(str(exc))
 
     for vid, preds in g.pred_map.items():
         if not preds:
@@ -207,8 +208,8 @@ def has_directed_cycle(g: HierarchyGraph) -> bool:
     return g.topological_order is None
 
 
-def _reach(sources: set[str], adj: Mapping[str, frozenset[str]],
-           removed: frozenset[str]) -> set[str]:
+def reach(sources: set[str], adj: Mapping[str, frozenset[str]],
+          removed: frozenset[str]) -> set[str]:
     """Vertices reachable from `sources` along undirected edges, never
     entering `removed`."""
     seen = set(s for s in sources if s not in removed)
@@ -248,7 +249,7 @@ def _components(adj: Mapping[str, frozenset[str]],
     out = []
     for v in sorted(zone):
         if v not in seen:
-            comp = _reach({v}, adj, removed=outside)
+            comp = reach({v}, adj, removed=outside)
             seen |= comp
             out.append(tuple(sorted(comp)))
     return out
@@ -270,8 +271,8 @@ def nodes_between_adjacency(adj: Mapping[str, frozenset[str]],
     for v in a | b:
         if v not in adj:
             raise ValueError(f"unknown vertex id {v!r}")
-    sees_b = _reach(set(b), adj, removed=frozenset(a))
-    sees_a = _reach(set(a), adj, removed=frozenset(b))
+    sees_b = reach(set(b), adj, removed=frozenset(a))
+    sees_a = reach(set(a), adj, removed=frozenset(b))
     return frozenset((sees_a & sees_b) - a - b)
 
 

@@ -16,9 +16,10 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
+from .elimination import fixed_fields, stored_in, sum_product
 from .errors import MultiEdgeError
-from .graph import HierarchyGraph, _reach, nodes_between_adjacency
-from .vote import _PLAN_CACHE, _SQRT_2_OVER_PI, _sum_product
+from .graph import HierarchyGraph, nodes_between_adjacency, reach
+from .vote import VoteParams
 
 
 @dataclass(frozen=True)
@@ -34,8 +35,8 @@ class IsingModel:
     beta: float
 
     def __post_init__(self) -> None:
-        if self.beta <= 0.0:
-            raise ValueError("beta must be positive")
+        if not 0.0 < self.beta < math.inf:
+            raise ValueError(f"beta must be positive and finite, got {self.beta}")
         ids = set(self.vertices)
         seen: set[tuple[str, str]] = set()
         for u, v, _ in self.couplings:
@@ -46,8 +47,8 @@ class IsingModel:
             if (u, v) in seen:
                 raise ValueError(f"duplicate coupling for pair ({u!r}, {v!r})")
             seen.add((u, v))
-        if self.vertices and len(_reach({self.vertices[0]}, self.adjacency,
-                                        removed=frozenset())) != len(self.vertices):
+        if self.vertices and len(reach({self.vertices[0]}, self.adjacency,
+                                       removed=frozenset())) != len(self.vertices):
             raise ValueError("coupling graph is not connected")
 
     @cached_property
@@ -65,7 +66,7 @@ class IsingModel:
     @cached_property
     def corridor_layouts(self) -> dict:
         """Structure of the corridor sums asked of this model, by query;
-        filled and bounded by `_corridor`."""
+        filled and bounded through `elimination.stored_in`."""
         return {}
 
     def coupling(self, u: str, v: str) -> float:
@@ -76,10 +77,11 @@ class IsingModel:
 def coupling_from_hierarchy(g: HierarchyGraph) -> IsingModel:
     """Map a hierarchy to its equivalent pair-coupling model.
 
-    Fails when two directed edges share an unordered vertex pair, since a
-    single symmetric coupling cannot carry both weights.
+    J's scale and beta are `VoteParams`' `command_scale` and `gain`.  Fails
+    when two directed edges share an unordered vertex pair.
     """
-    scale = (1.0 - g.free_float) / g.free_float
+    params = VoteParams.from_graph(g)
+    scale = params.command_scale
     pairs: dict[tuple[str, str], float] = {}
     for e in g.edges:
         key = (e.src, e.dst) if e.src < e.dst else (e.dst, e.src)
@@ -88,9 +90,8 @@ def coupling_from_hierarchy(g: HierarchyGraph) -> IsingModel:
                 f"two directed edges share the unordered pair ({key[0]!r}, {key[1]!r})"
             )
         pairs[key] = e.weight * scale
-    beta = _SQRT_2_OVER_PI / g.noise_sigma
     couplings = tuple((u, v, pairs[(u, v)]) for u, v in sorted(pairs))
-    return IsingModel(tuple(sorted(g.vertex_ids)), couplings, beta)
+    return IsingModel(tuple(sorted(g.vertex_ids)), couplings, params.gain)
 
 
 @dataclass(frozen=True)
@@ -126,23 +127,17 @@ class _Corridor(NamedTuple):
 
     def tables(self, spins: Mapping[str, int], beta: float) -> list[np.ndarray]:
         """The factor tables under fixed `spins`: each field adds J times
-        spin per pull, in coupling order from 0.0."""
-        fields = []
-        for pulls in self.pulls:
-            field = 0.0
-            for u, j in pulls:
-                field += j * spins[u]
-            fields.append(field)
-        h = beta * np.array(fields)
+        spin per pull, in coupling order from 0.0 (`fixed_fields`)."""
+        h = beta * np.array(fixed_fields(self.pulls, spins))
         return list(np.exp(np.stack((-h, h), axis=1))) + list(self.pair_tables)
 
 
+@stored_in("corridor_layouts")
 def _corridor(model: IsingModel, a: frozenset[str], b: frozenset[str],
               keys: tuple[str, ...]) -> _Corridor:
     """The factors of the corridor sum from A to B that sums the interior
     and the `keys`, some of B, with the rest of A and B fixed; built once
-    and kept in `model.corridor_layouts`, which holds at most _PLAN_CACHE
-    of them and drops the oldest first.
+    and kept in `model.corridor_layouts` (see `stored_in`).
 
     Every coupling inside corridor-plus-boundary contributes, in one pass
     over the couplings: between two summed spins as a pair factor, between
@@ -151,13 +146,6 @@ def _corridor(model: IsingModel, a: frozenset[str], b: frozenset[str],
     the boundary or to another interior vertex, so each one is in some
     factor.
     """
-    layouts = model.corridor_layouts
-    layout = layouts.get((a, b, keys))
-    if layout is not None:
-        return layout
-    for v in a | b:
-        if v not in model.adjacency:
-            raise ValueError(f"unknown vertex id {v!r}")
     summed = nodes_between_adjacency(model.adjacency, a, b).union(keys)
     fixed = (a | b) - summed
     pulls: dict[str, list[tuple[str, float]]] = {}
@@ -177,13 +165,9 @@ def _corridor(model: IsingModel, a: frozenset[str], b: frozenset[str],
     bj = model.beta * np.array([j for *_, j in pairs])
     pair_tables = np.exp(np.stack((bj, -bj, -bj, bj), axis=1)).reshape(-1, 2, 2)
     pair_tables.flags.writeable = False
-    layout = _Corridor(tuple((v,) for v in pulls) + tuple((u, v) for u, v, _ in pairs),
-                       tuple(map(tuple, pulls.values())), tuple(pair_tables),
-                       tuple(fixed_pairs))
-    if len(layouts) >= _PLAN_CACHE:
-        del layouts[next(iter(layouts))]
-    layouts[(a, b, keys)] = layout
-    return layout
+    return _Corridor(tuple((v,) for v in pulls) + tuple((u, v) for u, v, _ in pairs),
+                     tuple(map(tuple, pulls.values())), tuple(pair_tables),
+                     tuple(fixed_pairs))
 
 
 def k_point(model: IsingModel, query: KPointQuery, cap: int | None = None) -> float:
@@ -197,15 +181,18 @@ def k_point(model: IsingModel, query: KPointQuery, cap: int | None = None) -> fl
     and one per free vertex coupled to the boundary (all of its pull from
     there), taken by variable elimination; the cap bounds log2 of its
     largest table.  The factors' structure is built once per model and
-    pair of sets (see `_corridor`).
+    pair of sets (see `_corridor`).  A sum out of float range is a ValueError.
     """
     spins = {**query.condition, **query.target}
     layout = _corridor(model, frozenset(query.condition), frozenset(query.target), ())
     const = 0.0
     for u, v, j in layout.fixed_pairs:
         const += j * spins[u] * spins[v]
-    total = _sum_product(layout.scopes, lambda: layout.tables(spins, model.beta), (), cap)
-    return math.exp(model.beta * const) * float(total[0])
+    total = sum_product(layout.scopes, lambda: layout.tables(spins, model.beta), (), cap)
+    try:
+        return _in_range(math.exp(model.beta * const) * float(total[0]), model.beta)
+    except OverflowError:
+        return _in_range(math.inf, model.beta)
 
 
 def ising_conditional(model: IsingModel, vertex: str,
@@ -215,13 +202,21 @@ def ising_conditional(model: IsingModel, vertex: str,
     One corridor sum from the condition to the vertex with the vertex's
     spin as its key gives Z(-1) and Z(+1), and P = Z(+1) / (Z(-1) + Z(+1));
     the couplings among the conditioned vertices cancel.  The cap counts
-    the vertex's spin along with the interior's (see `k_point`).
+    the vertex's spin along with the interior's (see `k_point`); a
+    Z(-1) + Z(+1) that overflows or underflows is a ValueError.
     """
     KPointQuery(condition, {vertex: 1})  # checks the spins as k_point does
     layout = _corridor(model, frozenset(condition), frozenset((vertex,)), (vertex,))
-    z = _sum_product(layout.scopes, lambda: layout.tables(condition, model.beta),
-                     (vertex,), cap)
-    return float(z[1]) / (float(z[0]) + float(z[1]))
+    z = sum_product(layout.scopes, lambda: layout.tables(condition, model.beta),
+                    (vertex,), cap)
+    return float(z[1]) / _in_range(float(z[0]) + float(z[1]), model.beta)
+
+
+def _in_range(value: float, beta: float) -> float:
+    """A positive corridor sum, unless it overflowed or underflowed."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"the corridor sum leaves the floating-point range at beta={beta!r}")
+    return value
 
 
 def chain_conditional(distance: int, beta_j: float, spin_a: int, spin_b: int) -> float:

@@ -6,43 +6,31 @@ D, against zero-mean Gaussian noise of width sigma.  Two response curves
 are supported: the exact Gaussian tail ("gaussian") and its logistic
 approximation ("tanh", the default).  Conditional distributions are exact
 sums over the spin configurations of every vertex that can change them,
-taken by variable elimination, so the size of its largest table is capped.
+taken by variable elimination (`elimination`), so its largest table is capped.
 """
 
 from __future__ import annotations
 
-import functools
-import heapq
 import math
 import os
 import threading
 import time
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .broadcast import _Broadcast, _broadcast_step
-from .errors import CyclicGraphError, EnumerationCapError
+from .elimination import fixed_fields, stored_in, sum_product
+from .errors import CyclicGraphError
 from .graph import HierarchyGraph, deciders
 
 MODE_TANH = "tanh"
 MODE_GAUSSIAN = "gaussian"
 
-DEFAULT_CAP = 22
 # draws times vertices that a sampler call may draw, whatever it reports
 MAX_SAMPLE_SPINS = 10**8
 
-# products that cost about as much as one einsum call: cheaper steps are joined
-_FUSE_PRODUCTS = 1 << 9
-# elimination plans kept for reuse, one per factor scopes, keys and cap; also
-# the query layouts each graph or coupling model keeps
-_PLAN_CACHE = 64
-# steps spanning at least this many spins are wide: their tables are
-# multiplied pairwise by broadcasting, which beats one einsum call there
-# and loses to it on smaller steps
-_PAIRWISE_SPINS = 12
 # fan-in groups with at most this many free predecessors are narrow: one
 # numpy program builds all their vote tables; on wider groups such a
 # program holds too much and runs slower than a call per group
@@ -103,7 +91,9 @@ class VoteParams:
         if not 0.0 < self.free_float < 1.0:
             raise ValueError(f"free_float {self.free_float} outside (0, 1)")
         if not self.noise_sigma > 0.0:
-            raise ValueError("noise_sigma must be positive")
+            raise ValueError(f"noise_sigma {self.noise_sigma} must be positive")
+        if not math.isfinite(self.gain):
+            raise ValueError(f"noise_sigma {self.noise_sigma} makes the gain infinite")
         if self.mode not in (MODE_TANH, MODE_GAUSSIAN):
             raise ValueError(f"unknown mode {self.mode!r}")
 
@@ -124,183 +114,6 @@ class VoteParams:
     @classmethod
     def from_beta(cls, beta: float, free_float: float, mode: str = MODE_TANH) -> "VoteParams":
         return cls(free_float, sigma_for_beta(beta), mode)
-
-
-def _check_cap(width: int, limit: int) -> None:
-    if width > limit:
-        raise EnumerationCapError(
-            f"exact sum needs a table over {width} spins, above the enumeration cap {limit}"
-        )
-
-
-class _Einsum(NamedTuple):
-    """A narrow step: one plain einsum call.  Like `_Broadcast.run`, `run`
-    takes every table made so far and frees the ones it consumes."""
-
-    inputs: tuple[int, ...]
-    sublists: tuple[tuple[int, ...], ...]  # one per input, then the output's
-
-    def run(self, made: list[np.ndarray | None]) -> np.ndarray:
-        operands: list = []
-        for f, sublist in zip(self.inputs, self.sublists):
-            operands += (made[f], sublist)
-            made[f] = None
-        return np.einsum(*operands, self.sublists[-1], optimize=False)
-
-
-class _Plan(NamedTuple):
-    """How `_sum_product` sums one list of factor scopes.
-
-    Tables are numbered as `_sum_product` receives them, then one all-ones
-    table per key that no factor mentions, then one per step in order.  A
-    step consumes the tables it names: one einsum call when it spans fewer
-    than _PAIRWISE_SPINS spins, else a broadcast program (`_Broadcast`);
-    None marks a step that a later one took over.  `final` sums what is
-    left onto the keys, or is None when nothing is.
-    """
-
-    unheld: int
-    steps: tuple[_Einsum | _Broadcast | None, ...]
-    final: _Einsum | _Broadcast | None
-
-
-@functools.lru_cache(maxsize=_PLAN_CACHE)
-def _elimination_plan(scopes: tuple[tuple[str, ...], ...], keys: tuple[str, ...],
-                      limit: int) -> _Plan:
-    """Greedy variable elimination order over the factor scopes: the spin
-    with the fewest neighbours first (ties to the one in fewest factors,
-    then the smallest name), each step summing out one spin from the
-    product of the factors that mention it (Dechter 1999).
-
-    Raises EnumerationCapError as soon as an input factor, the keys or a
-    step span more than `limit` spins; the factors are checked before any
-    bookkeeping, which on a dense graph grows with the cube of its size.
-    A step whose input comes from an earlier step takes over that step's
-    inputs while the joint einsum costs less than one more call; the
-    tables made stay those of single-spin steps.  Every step is compiled
-    here, once per structure (see `_Plan`), so a warm sum searches for no
-    contraction path.
-    """
-    _check_cap(max(map(len, scopes), default=0), limit)
-    _check_cap(len(keys), limit)
-    scopes = list(scopes)
-    holding: dict[str, set[int]] = {}
-    for f, scope in enumerate(scopes):
-        for v in scope:
-            if v in holding:
-                holding[v].add(f)
-            else:
-                holding[v] = {f}
-    # a key that no factor mentions takes either spin freely
-    unheld = [k for k in keys if k not in holding]
-    for k in unheld:
-        holding[k] = {len(scopes)}
-        scopes.append((k,))
-    nbrs: dict[str, set[str]] = {}
-    for v, ids in holding.items():
-        around = set()
-        for f in ids:
-            around.update(scopes[f])
-        around.discard(v)
-        nbrs[v] = around
-
-    # open steps: [inputs, spins spanned, spins kept], None once taken over
-    steps: list[list | None] = []
-    made_by: dict[int, int] = {}
-
-    def absorb(ids: set[int], spins: set[str], out: tuple[str, ...]) -> list:
-        inputs: list[int] = []
-        for f in sorted(ids):
-            s = made_by.get(f)
-            if s is not None:
-                child_inputs, child_spins, _ = steps[s]
-                joint = spins | child_spins
-                if (len(ids) + len(child_inputs)) << len(joint) <= _FUSE_PRODUCTS:
-                    inputs += child_inputs
-                    spins = joint
-                    steps[s] = None
-                    continue
-            inputs.append(f)
-        return [inputs, spins, out]
-
-    key_set = frozenset(keys)
-    rank: dict[str, int] = {}
-    heap = [(len(nbrs[v]), len(ids), v) for v, ids in holding.items() if v not in key_set]
-    heapq.heapify(heap)
-    while heap:
-        degree, count, v = heapq.heappop(heap)
-        if v not in nbrs or (degree, count) != (len(nbrs[v]), len(holding[v])):
-            continue  # eliminated, or its entry is stale
-        around = nbrs.pop(v)
-        ids = holding.pop(v)
-        rank[v] = len(rank)
-        _check_cap(len(around) + 1, limit)
-        new = len(scopes)
-        scopes.append(tuple(around))  # put in label order below
-        made_by[new] = len(steps)
-        steps.append(absorb(ids, around | {v}, scopes[new]))
-        for u in around:
-            u_nbrs = nbrs[u]
-            u_nbrs |= around
-            u_nbrs.discard(u)
-            u_nbrs.discard(v)
-            u_ids = holding[u]
-            u_ids -= ids
-            u_ids.add(new)
-            if u not in key_set:
-                heapq.heappush(heap, (len(u_nbrs), len(u_ids), u))
-    # what no step consumed: the keys' factors and the constant ones
-    live = set().union(*holding.values()) | {f for f, scope in enumerate(scopes) if not scope}
-    final = absorb(live, set(keys), keys[::-1]) if live else None
-    # Spins are labelled in elimination order, then the keys in the order
-    # of the result's axes, and every table a step makes holds its spins in
-    # label order.  A step's summed spins then lead its axes, a wide step
-    # reads the tables made before it without reordering them, and the
-    # final step needs no transpose.
-    rank.update((k, len(rank) + i) for i, k in enumerate(keys[::-1]))
-    for f in made_by:
-        scopes[f] = tuple(sorted(scopes[f], key=rank.__getitem__))
-
-    def compile_step(step: list | None) -> _Einsum | _Broadcast | None:
-        if step is None:
-            return None
-        inputs, spins, out = step
-        label = {u: k for k, u in enumerate(sorted(spins, key=rank.__getitem__))}
-        sublists = [tuple(label[u] for u in scopes[f]) for f in inputs]
-        out_labels = tuple(sorted(label[u] for u in out))
-        if len(spins) < _PAIRWISE_SPINS:
-            return _Einsum(tuple(inputs), tuple(sublists) + (out_labels,))
-        return _broadcast_step(tuple(inputs), sublists, out_labels, len(spins))
-
-    return _Plan(len(unheld), tuple(map(compile_step, steps)), compile_step(final))
-
-
-def _sum_product(scopes: Sequence[tuple[str, ...]],
-                 tables: Callable[[], list[np.ndarray]],
-                 keys: Sequence[str] = (), cap: int | None = None) -> np.ndarray:
-    """Sum over every spin outside `keys` of a product of factors, per
-    pattern of the key spins, by variable elimination.
-
-    Factor f is a table over the spins named in ``scopes[f]``, one axis of
-    length 2 per spin in scope order, index 0 holding -1 and index 1 +1;
-    `tables()` builds them, in scope order, once the plan is known to fit
-    the cap.  The plan (see `_elimination_plan`) depends on the scopes,
-    keys and cap alone, so sums over the same structure share it and only
-    run its steps: plain einsum calls and broadcast multiplies and sums.
-    The cap bounds log2 of the largest table an elimination step sums
-    over: the eliminated spin and its neighbours.  Entry c of the result
-    sums the patterns whose key j is +1 exactly where bit j of c is set;
-    with no keys the one entry is the total.  A cap of None means
-    DEFAULT_CAP; a cap below 1 is a ValueError.
-    """
-    limit = DEFAULT_CAP if cap is None else cap
-    if limit < 1:
-        raise ValueError(f"the enumeration cap must be at least 1, got {limit}")
-    plan = _elimination_plan(tuple(scopes), tuple(keys), limit)
-    made: list[np.ndarray | None] = tables() + [np.ones(2)] * plan.unheld
-    for step in plan.steps:
-        made.append(None if step is None else step.run(made))
-    return np.ones(1) if plan.final is None else plan.final.run(made).reshape(-1)
 
 
 def _prune_barren(g: HierarchyGraph, keep: frozenset[str]) -> tuple[tuple[str, ...], int]:
@@ -502,10 +315,10 @@ class _VoteLayout(NamedTuple):
     notes: tuple[str, ...]
 
 
+@stored_in("query_layouts")
 def _vote_layout(g: HierarchyGraph, a: frozenset[str], b: frozenset[str]) -> _VoteLayout:
     """The layout of query (A, B) on `g`, built once and kept in
-    `g.query_layouts`, which holds at most _PLAN_CACHE layouts and drops the
-    oldest first.
+    `g.query_layouts` (see `stored_in`).
 
     Building it checks that A and B are disjoint sets of vertices of `g`,
     prunes the barren vertices (see `_prune_barren`) and gives each kept
@@ -516,10 +329,6 @@ def _vote_layout(g: HierarchyGraph, a: frozenset[str], b: frozenset[str]) -> _Vo
     per row of fan-in k; the wide groups' tables, exponential in their
     fan-in, are left to the sum, which checks the cap first.
     """
-    layouts = g.query_layouts
-    layout = layouts.get((a, b))
-    if layout is not None:
-        return layout
     for v in a | b:
         g.require_vertex(v)
     if a & b:
@@ -556,41 +365,27 @@ def _vote_layout(g: HierarchyGraph, a: frozenset[str], b: frozenset[str]) -> _Vo
     fan_ins = [_FanIn(n, tuple(ids), tuple(pinned), tuple(pulls),
                       np.array(weights).reshape(len(ids), n))
                for n, (ids, pinned, pulls, weights) in groups.items()]
-    layout = _VoteLayout(
+    return _VoteLayout(
         roots, tuple(scopes),
         _narrow_program([group for group in fan_ins if group.n_free <= _NARROW_FAN_IN]),
         tuple(group for group in fan_ins if group.n_free > _NARROW_FAN_IN),
         tuple(sorted(b)), grid, notes)
-    if len(layouts) >= _PLAN_CACHE:
-        del layouts[next(iter(layouts))]
-    layouts[(a, b)] = layout
-    return layout
 
 
 def _vote_factors(layout: _VoteLayout, condition: Mapping[str, int],
                   params: VoteParams) -> list[np.ndarray]:
     """The vote factors of the layout's query, in factor order.
 
-    A vertex's fixed field adds the pull of each conditioned predecessor,
-    weight times spin, in predecessor order from 0.0.  The narrow program
-    (see `_Narrow`) gives every entry its row's fixed field, adds step j
-    into the leading entries, and runs one scale and response pass; each
-    wide group calls `_vote_tables`.  Either way an entry sees the same
-    float operations in the same order (x - w and x + -w round alike), and
-    each group's tables get an array of their own, so every factor has the
-    shape and strides `_vote_tables` gives it and einsum sums it in the
-    same order.  A conditioned vertex keeps the half of its own spin.
+    A vertex's fixed field sums its conditioned predecessors' pulls (see
+    `fixed_fields`).  The narrow program (see `_Narrow`) gives every entry
+    its row's fixed field, adds step j into the leading entries, and runs
+    one scale and response pass; each wide group calls `_vote_tables`.
+    Either way an entry sees the same float operations in the same order (x
+    - w and x + -w round alike), and each group's tables get an array of
+    their own, so every factor has the shape and strides `_vote_tables`
+    gives it and einsum sums it in the same order.  A conditioned vertex
+    keeps the half of its own spin.
     """
-
-    def fixed_fields(rows: tuple) -> list[float]:
-        fixed = []
-        for pulls in rows:
-            field = 0.0
-            for u, w in pulls:
-                field += w * condition[u]
-            fixed.append(field)
-        return fixed
-
     out: list = [None] * len(layout.scopes)
 
     def hand_out(group: _FanIn, probs: np.ndarray) -> None:
@@ -600,7 +395,7 @@ def _vote_factors(layout: _VoteLayout, condition: Mapping[str, int],
 
     narrow = layout.narrow
     if narrow.groups:
-        field = np.array(fixed_fields(narrow.pulls))[narrow.entry_row]
+        field = np.array(fixed_fields(narrow.pulls, condition))[narrow.entry_row]
         for step in narrow.steps:
             head = field[:len(step)]
             np.add(head, step, head)
@@ -609,7 +404,7 @@ def _vote_factors(layout: _VoteLayout, condition: Mapping[str, int],
         for group, start, end in zip(narrow.groups, (0,) + narrow.ends, narrow.ends):
             hand_out(group, probs[:, start:end].copy())
     for group in layout.wide:
-        hand_out(group, _vote_tables(fixed_fields(group.pulls), group.weights,
+        hand_out(group, _vote_tables(fixed_fields(group.pulls, condition), group.weights,
                                      group.n_free, params))
     return out
 
@@ -617,10 +412,10 @@ def _vote_factors(layout: _VoteLayout, condition: Mapping[str, int],
 def _vote_sum(layout: _VoteLayout, condition: Mapping[str, int], params: VoteParams,
               cap: int | None = None) -> np.ndarray:
     """Summed vote weight over every pattern of the kept vertices outside
-    the condition, per pattern of the layout's targets (see `_sum_product`),
+    the condition, per pattern of the layout's targets (see `sum_product`),
     the factors (see `_vote_factors`) built once the plan fits the cap."""
-    return _sum_product(layout.scopes, lambda: _vote_factors(layout, condition, params),
-                        layout.targets, cap)
+    return sum_product(layout.scopes, lambda: _vote_factors(layout, condition, params),
+                       layout.targets, cap)
 
 
 def conditional_influence(g: HierarchyGraph, a: frozenset[str] | set[str],
@@ -636,7 +431,7 @@ def conditional_influence(g: HierarchyGraph, a: frozenset[str] | set[str],
     other conditioning sets (or cycles) it is the normalized-sum semantics.
     Barren vertices are pruned first (see `_prune_barren`) and the rest is
     summed by variable elimination, whose cap bounds log2 of the largest
-    table one step sums over (see `_sum_product`).  The structure of the
+    table one step sums over (see `sum_product`).  The structure of the
     query is built once per graph and (A, B) (see `_vote_layout`).
     """
     a = frozenset(a)

@@ -182,6 +182,46 @@ def test_ising_command(tmp_path):
     assert _read_json(out)["prob_plus"] == pytest.approx(y_closed, abs=1e-12)
 
 
+def _single_error_line(capsys) -> dict:
+    """The one JSON error object a failed run wrote, once it printed nothing."""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    return json.loads(lines[0])
+
+
+def test_ising_out_of_float_range_exits_invariant(tmp_path, capsys):
+    # Z(-1) and Z(+1) both overflow: no "prob_plus": NaN on stdout
+    g = hg.two_decider_chain(300, 300, noise_sigma=hg.sigma_for_beta(3.0))
+    argv = ["ising", "--graph", _write_graph(tmp_path, g), "--target", "1",
+            "--condition", "d1=+1", "--condition", "d2=-1"]
+    assert main(argv) == EXIT_INVARIANT
+    err = _single_error_line(capsys)
+    assert err["error"] == "ValueError" and "beta" in err["message"]
+
+
+def test_infinite_gain_exits_at_load(tmp_path, capsys):
+    # sqrt(2/pi)/sigma is infinite: influence printed NaN and sample 0.0
+    graph = _write_graph(tmp_path, hg.two_decider_chain(1, 1, noise_sigma=1e-320))
+    for command in ("influence", "sample", "ising"):
+        argv = [command, "--graph", graph, "--condition", "d1=+1", "--condition", "d2=-1"]
+        if command == "ising":
+            argv += ["--target", "1"]
+        assert main(argv) == EXIT_PARSE
+        err = _single_error_line(capsys)
+        assert err["error"] == "GraphFormatError" and "gain" in err["message"]
+    assert main(["validate", "--graph", graph]) == EXIT_INVARIANT
+    assert json.loads(capsys.readouterr().out)["violations"] == \
+        ["noise_sigma 1e-320 makes the gain infinite"]
+
+
+def test_json_output_refuses_non_finite_floats():
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            cli._emit_json({"prob_plus": value}, None)
+
+
 def test_transform_nash_round_trip(tmp_path):
     graph = _write_graph(tmp_path, hg.crossed_chains())
     game = _write_game(tmp_path)
@@ -748,7 +788,7 @@ _FIELDS = st.one_of(
 _DELETE = object()
 _VALUES = st.sampled_from([
     _DELETE, None, math.nan, math.inf, -math.inf, 1e308, -1e308, 0, -1, True, "x", [], {},
-    "ghost", "d1", "1", "decider", "agent", "executive",
+    "ghost", "d1", "1", "decider", "agent", "executive", 1e-320,
 ])
 _CONDITION = ["--condition", "d1=+1", "--condition", "d2=-1"]
 
@@ -778,11 +818,19 @@ def test_mutated_graph_exits_cleanly(field, value):
             _assert_exits_cleanly(argv, (field, value))
 
 
+def _strict_json(text: str):
+    """`text` parsed as JSON that holds no NaN or infinity."""
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
 def _assert_exits_cleanly(argv, context):
     """`main(argv)` in-process ends with a documented exit code other than
-    1 and at most one line on stderr, a JSON error object."""
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+    1 and at most one line on stderr, a JSON error object; a run that
+    succeeds prints strict JSON (sweeps print CSV)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:  # a usage error
@@ -793,6 +841,8 @@ def _assert_exits_cleanly(argv, context):
     assert len(lines) <= 1, (argv, context, lines)
     if lines:
         assert set(json.loads(lines[0])) == {"error", "message"}
+    if code == EXIT_OK and argv[0] != "sweep":
+        _strict_json(out.getvalue())
 
 
 # one field of the crossed_chains() decider-game tensor JSON: a top-level

@@ -106,6 +106,15 @@ def test_validation_catalog():
         (Edge("d", "e", 1.0),), 0.5, 0.0)
     assert any("noise_sigma" in v for v in hg.validate_graph(bad_sigma).violations)
 
+    # a width so small that the gain sqrt(2/pi)/sigma is infinite; the
+    # smallest normal width is still valid
+    tiny_sigma = HierarchyGraph(
+        (Vertex("d", "decider"), Vertex("e", "executive")),
+        (Edge("d", "e", 1.0),), 0.5, 1e-320)
+    assert hg.validate_graph(tiny_sigma).violations == \
+        ("noise_sigma 1e-320 makes the gain infinite",)
+    assert hg.validate_graph(hg.single_chain(1, noise_sigma=2.3e-308)).ok
+
 
 def test_role_degree_consistency_rules():
     labeled_decider_with_preds = HierarchyGraph(

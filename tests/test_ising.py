@@ -8,7 +8,7 @@ import pytest
 
 import helpers
 import hiergame as hg
-from hiergame import vote
+from hiergame import elimination
 from hiergame.ising import IsingModel, KPointQuery
 
 
@@ -258,8 +258,12 @@ def test_model_validation():
     with pytest.raises(ValueError, match="connected"):
         IsingModel(("a", "b", "c", "d"),
                    (("a", "b", 1.0), ("c", "d", 1.0)), 1.0)
-    with pytest.raises(ValueError, match="beta"):
-        IsingModel(("a", "b"), (("a", "b", 1.0),), 0.0)
+    for beta in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="beta"):
+            IsingModel(("a", "b"), (("a", "b", 1.0),), beta)
+    # a noise width whose gain overflows gives no model
+    with pytest.raises(ValueError, match="gain"):
+        hg.coupling_from_hierarchy(hg.two_decider_chain(1, 1, noise_sigma=1e-320))
 
 
 def test_query_validation():
@@ -401,10 +405,41 @@ def test_ising_conditional_cap_counts_the_target():
 
 
 def test_corridor_layout_store_is_bounded():
-    model = _path_model(vote._PLAN_CACHE + 10, 0.7, 1.0)
+    model = _path_model(elimination._PLAN_CACHE + 10, 0.7, 1.0)
     for v in model.vertices[1:]:
         hg.ising_conditional(model, v, {"v00": 1})
         hg.k_point(model, KPointQuery({"v00": 1}, {v: 1}))
-        assert len(model.corridor_layouts) <= vote._PLAN_CACHE
+        assert len(model.corridor_layouts) <= elimination._PLAN_CACHE
     assert hg.ising_conditional(model, "v01", {"v00": 1}) == pytest.approx(
         hg.chain_conditional(1, 0.7, 1, 1), abs=1e-15)
+
+
+@pytest.mark.parametrize("length,beta", [(100, 6.0), (300, 3.0)])
+def test_sums_beyond_float_range_are_refused(length, beta):
+    # both Z(-1) and Z(+1) overflow on these chains under opposed deciders:
+    # a ValueError naming beta, never a NaN
+    g = hg.two_decider_chain(length, length, noise_sigma=hg.sigma_for_beta(beta))
+    model = hg.coupling_from_hierarchy(g)
+    with pytest.raises(ValueError, match="beta"):
+        hg.ising_conditional(model, "1", {"d1": 1, "d2": -1})
+    with pytest.raises(ValueError, match="beta"):
+        hg.k_point(model, KPointQuery({"d1": 1}, {"d2": -1}))
+    # the boundary energy alone overflows math.exp
+    model = IsingModel(("a", "b", "c"), (("a", "b", 1000.0), ("b", "c", 1.0)), 1.0)
+    with pytest.raises(ValueError, match="beta"):
+        hg.k_point(model, KPointQuery({"a": 1}, {"b": 1}))
+    # the short chain at the same beta is still answered
+    g = hg.two_decider_chain(2, 3, noise_sigma=hg.sigma_for_beta(beta))
+    p = hg.ising_conditional(hg.coupling_from_hierarchy(g), "1", {"d1": -1, "d2": 1})
+    assert p == pytest.approx(hg.chain_xy(2, 3, beta)[0], abs=1e-12)
+
+
+def test_coupling_takes_the_vote_constants():
+    # J's scale and beta are VoteParams' command_scale and gain, bit for bit
+    g = hg.two_decider_chain(2, 3, free_float=0.3, noise_sigma=0.7)
+    params = hg.VoteParams.from_graph(g)
+    model = hg.coupling_from_hierarchy(g)
+    assert model.beta == params.gain
+    weights = {tuple(sorted((e.src, e.dst))): e.weight for e in g.edges}
+    assert model.couplings == tuple((u, v, weights[(u, v)] * params.command_scale)
+                                    for u, v in sorted(weights))

@@ -47,3 +47,16 @@ def test_modules_use_every_name_they_import():
                     isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
                 exported.update(ast.literal_eval(node.value))
         assert imported <= read | exported, (path.name, sorted(imported - read - exported))
+
+
+def test_modules_import_no_private_name_of_another():
+    # an underscore name is its module's own: another hiergame module that
+    # needs it should get it under a public name
+    private = []
+    for path in sorted(Path(hg.__file__).resolve().parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        private += [f"{path.stem}: {node.module}.{a.name}" for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom)
+                    and (node.level > 0 or (node.module or "").startswith("hiergame"))
+                    for a in node.names if a.name.startswith("_")]
+    assert not private

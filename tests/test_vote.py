@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import hiergame as hg
 from hiergame import HierarchyGraph, Vertex, Edge, VoteParams
-from hiergame import broadcast, vote
+from hiergame import elimination, vote
 from hiergame.vote import _prune_barren
 
 import helpers
@@ -50,6 +50,11 @@ def test_params_validation():
         VoteParams(0.5, 1.0, mode="fuzzy")
     with pytest.raises(ValueError):
         hg.sigma_for_beta(0.0)
+    # sqrt(2/pi)/sigma overflows: a field of 0 would meet an infinite gain
+    # and give NaN
+    with pytest.raises(ValueError, match="gain"):
+        VoteParams(0.5, 1e-320)
+    assert math.isfinite(VoteParams(0.5, 2.3e-308).gain)
 
 
 def test_gain_round_trip():
@@ -378,7 +383,7 @@ def test_enumeration_cap():
     # bookkeeping; no cap means DEFAULT_CAP
     big = helpers.complete_dag(300)
     with pytest.raises(hg.EnumerationCapError,
-                       match=f"300 spins, above the enumeration cap {hg.vote.DEFAULT_CAP}$"):
+                       match=f"300 spins, above the enumeration cap {elimination.DEFAULT_CAP}$"):
         hg.conditional_influence(big, lam, {"v299"}, cond, VoteParams.from_graph(big))
 
 
@@ -489,13 +494,13 @@ def test_eliminated_sums_match_brute_force_property(family, n, kind, mode, rng):
 def _count_wide_steps(monkeypatch) -> list:
     """Record the output rank of every wide (broadcast) step run."""
     taken = []
-    run = vote._Broadcast.run
+    run = elimination._Broadcast.run
 
     def counted(step, made):
         taken.append(len(step.shape))
         return run(step, made)
 
-    monkeypatch.setattr(vote._Broadcast, "run", counted)
+    monkeypatch.setattr(elimination._Broadcast, "run", counted)
     return taken
 
 
@@ -553,7 +558,7 @@ def test_warm_sums_search_no_contraction_path(monkeypatch):
     params = VoteParams.from_graph(g)
     a = {sorted(g.vertex_ids)[0]}
     target = {sorted(g.vertex_ids)[-1]}
-    vote._elimination_plan.cache_clear()
+    elimination._elimination_plan.cache_clear()
     cold = hg.conditional_influence(g, a, target, dict.fromkeys(a, 1), params)
     assert wide
 
@@ -571,9 +576,9 @@ def _wide_sums(monkeypatch, queries: list, tiled: bool) -> tuple[list, list]:
     planned or (`tiled` False) never, and the tiled product count of every
     wide step run; each step's result must be C-contiguous, in label order."""
     if not tiled:
-        monkeypatch.setattr(broadcast, "_tile", lambda *args: None)
+        monkeypatch.setattr(elimination, "_tile", lambda *args: None)
     counts = []
-    run = vote._Broadcast.run
+    run = elimination._Broadcast.run
 
     def checked(step, made):
         out = run(step, made)
@@ -581,12 +586,12 @@ def _wide_sums(monkeypatch, queries: list, tiled: bool) -> tuple[list, list]:
         counts.append(sum(tile is not None for _, _, tile, _ in step.products))
         return out
 
-    monkeypatch.setattr(vote._Broadcast, "run", checked)
-    vote._elimination_plan.cache_clear()
+    monkeypatch.setattr(elimination._Broadcast, "run", checked)
+    elimination._elimination_plan.cache_clear()
     try:
         return [vote._vote_sum(*query).tobytes() for query in queries], counts
     finally:
-        vote._elimination_plan.cache_clear()
+        elimination._elimination_plan.cache_clear()
         monkeypatch.undo()
 
 
@@ -628,10 +633,11 @@ def test_tiled_products_bound_the_peak(monkeypatch):
     peaks = []
     for tiled in (True, False):
         if not tiled:
-            monkeypatch.setattr(broadcast, "_tile", lambda *args: None)
-        vote._elimination_plan.cache_clear()
+            monkeypatch.setattr(elimination, "_tile", lambda *args: None)
+        elimination._elimination_plan.cache_clear()
         try:
-            plan = vote._elimination_plan(query[0].scopes, query[0].targets, vote.DEFAULT_CAP)
+            plan = elimination._elimination_plan(query[0].scopes, query[0].targets,
+                                                 elimination.DEFAULT_CAP)
             vote._vote_sum(*query)
             tracemalloc.start()
             try:
@@ -640,11 +646,11 @@ def test_tiled_products_bound_the_peak(monkeypatch):
             finally:
                 tracemalloc.stop()
         finally:
-            vote._elimination_plan.cache_clear()
+            elimination._elimination_plan.cache_clear()
             monkeypatch.undo()
         if tiled:
             entries = [math.prod(tile[1]) for step in plan.steps + (plan.final,)
-                       if isinstance(step, vote._Broadcast)
+                       if isinstance(step, elimination._Broadcast)
                        for _, _, tile, _ in step.products if tile is not None]
     assert entries
     assert peaks[0] <= peaks[1] + 1.5 * 8 * max(entries)
@@ -769,16 +775,16 @@ def test_layout_store_is_bounded():
     # more distinct target sets than _PLAN_CACHE: the graph keeps at most
     # _PLAN_CACHE layouts, and a query whose layout was dropped is rebuilt
     # with the same answer
-    g = hg.single_chain(vote._PLAN_CACHE + 10)
+    g = hg.single_chain(elimination._PLAN_CACHE + 10)
     params = VoteParams.from_graph(g)
     targets = sorted(set(g.vertex_ids) - {"d1"})
-    assert len(targets) > vote._PLAN_CACHE
+    assert len(targets) > elimination._PLAN_CACHE
     first = hg.conditional_influence(g, {"d1"}, {targets[0]}, {"d1": 1}, params)
     for t in targets:
         hg.conditional_influence(g, {"d1"}, {t}, {"d1": 1}, params)
-        assert len(g.query_layouts) <= vote._PLAN_CACHE
+        assert len(g.query_layouts) <= elimination._PLAN_CACHE
     hg.partition_function(g, {"d1"}, {"d1": 1}, params)
-    assert len(g.query_layouts) <= vote._PLAN_CACHE
+    assert len(g.query_layouts) <= elimination._PLAN_CACHE
     again = hg.conditional_influence(g, {"d1"}, {targets[0]}, {"d1": 1}, params)
     assert _same(again, first)
 
@@ -879,7 +885,7 @@ def test_narrow_program_repeats_per_group_tables():
                     assert len({id(x.base) for x in got if isinstance(x, np.ndarray)}) == \
                         sum(any(v is None for v in group.pinned) or group.n_free > 0
                             for group in groups)
-                    summed = vote._sum_product(layout.scopes, lambda: want, layout.targets)
+                    summed = elimination.sum_product(layout.scopes, lambda: want, layout.targets)
                     assert vote._vote_sum(layout, cond, params).tobytes() == summed.tobytes()
     assert min(seen.values()) > 0, seen
 
