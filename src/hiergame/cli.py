@@ -332,14 +332,19 @@ class SweepSpec:
             yield columns
 
 
-def _map_domain(x: float, y: float) -> tuple[float, float]:
-    """Check a point against the regime map's domain, which admits y = 1/2,
-    where all three regions meet."""
-    if not 0.0 < x < 1.0:
+def _map_domain(x, y):
+    """Check points, floats or arrays of one shape, against the regime map's
+    domain, which admits y = 1/2, where all three regions meet.  The first
+    point off the map, in order, raises: its x is checked before its y."""
+    x_in = (0.0 < x) & (x < 1.0)
+    on = np.asarray(x_in & (0.5 <= y) & (y < 1.0))
+    if on.all():
+        return x, y
+    first = np.argmin(on)
+    x, y, x_in = (np.ravel(v)[first].item() for v in (x, y, x_in))
+    if not x_in:
         raise ValueError(f"x must lie inside (0, 1), got {x}")
-    if not 0.5 <= y < 1.0:
-        raise ValueError(f"the regime map needs 1/2 <= y < 1, got {y}")
-    return x, y
+    raise ValueError(f"the regime map needs 1/2 <= y < 1, got {y}")
 
 
 def _chain_point(a: float, c: float, beta: float, d: float) -> tuple[float, float]:
@@ -355,11 +360,7 @@ def _sweep_xy(columns: dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """(x, y) of a chunk of grid points; the first point off the map, in
     grid order, raises its `_map_domain` error."""
     if "x" in columns:
-        x, y = columns["x"], columns["y"]
-        off = np.flatnonzero(~((0.0 < x) & (x < 1.0) & (0.5 <= y) & (y < 1.0)))
-        if off.size:
-            _map_domain(x[off[0]].item(), y[off[0]].item())
-        return x, y
+        return _map_domain(columns["x"], columns["y"])
     # chain points keep the scalar closed form on math: numpy's cosh and sinh
     # may differ from libm by an ulp, enough to move a 15-digit CSV cell
     n = len(columns["a"])

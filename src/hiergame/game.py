@@ -267,24 +267,23 @@ def transform_game(base: NormalFormGame, g: HierarchyGraph, params: VoteParams,
     return _decider_game(base, lam_order, _decider_payoffs(base, table, shares), provenance)
 
 
-def nash_mask(payoffs: np.ndarray, tol: float = NASH_TOL) -> np.ndarray:
+def nash_mask(payoffs: np.ndarray) -> np.ndarray:
     """Pure-equilibrium mask of payoff tensors laid out like
     `TransformedGame.payoffs`, over any leading batch axes.  A profile
-    survives when no unilateral deviation gains more than `tol`."""
+    survives when no unilateral deviation gains more than NASH_TOL."""
     m = payoffs.shape[-1]
     mask = np.ones(payoffs.shape[:-1], dtype=bool)
     for d in range(m):
         own = payoffs[..., d]
-        mask &= own >= own.max(axis=d - m, keepdims=True) - tol
+        mask &= own >= own.max(axis=d - m, keepdims=True) - NASH_TOL
     return mask
 
 
-def pure_nash(tg: TransformedGame, tol: float = NASH_TOL) -> tuple[tuple[int, ...], ...]:
+def pure_nash(tg: TransformedGame) -> tuple[tuple[int, ...], ...]:
     """All pure equilibria as profile index tuples (one strategy index per
-    decider), sorted.  A profile survives when no unilateral deviation
-    gains more than `tol`."""
+    decider), sorted, by `nash_mask`."""
     return tuple(sorted(tuple(int(v) for v in idx)
-                        for idx in np.argwhere(nash_mask(tg.payoffs, tol))))
+                        for idx in np.argwhere(nash_mask(tg.payoffs))))
 
 
 def symmetric_payoffs(x, y, base: NormalFormGame | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -337,43 +336,38 @@ def tipping_points(y: float) -> tuple[float, float]:
     return (2.0 - y) / 3.0, (y + 1.0) / 3.0
 
 
-def _line_value(v1, v2, agree_tol: float):
-    return np.where(abs(v1 - v2) <= agree_tol, 0.5 * (v1 + v2), np.nan)
+def _line_value(v1, v2):
+    return np.where(abs(v1 - v2) <= BOUNDARY_TOL, 0.5 * (v1 + v2), np.nan)
 
 
-def regime_map(x, y, boundary_tol: float = BOUNDARY_TOL,
-               agree_tol: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+def regime_map(x, y) -> tuple[np.ndarray, np.ndarray]:
     """Regime code and first-decider equilibrium value at symmetric points,
     elementwise over floats or arrays of (x, y).  Callers check the domain.
 
     Regions in x at fixed y: below (2-y)/3 both deciders command defection
     from their own executive (pd-v1, value -1+2x); between the lines
     unanimous cooperation (-1+2y); above (y+1)/3 the mirrored dilemma
-    (pd-v2, 1-2x).  Points within `boundary_tol` of a line get the code
+    (pd-v2, 1-2x).  Points within BOUNDARY_TOL of a line get the code
     LOWER_LINE or UPPER_LINE; their value is the mean of the two adjacent
-    branches when those agree within `agree_tol` (default `boundary_tol`),
-    and nan where the equilibrium payoff jumps.  Codes index REGIME_LABELS
-    and REGIME_NASH.
+    branches when those agree within BOUNDARY_TOL, and nan where the
+    equilibrium payoff jumps.  Codes index REGIME_LABELS and REGIME_NASH.
     """
-    agree_tol = boundary_tol if agree_tol is None else agree_tol
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     lower, upper = tipping_points(y)
     v1, v_coop, v2 = -1.0 + 2.0 * x, -1.0 + 2.0 * y, 1.0 - 2.0 * x
-    where = [abs(x - lower) <= boundary_tol, abs(x - upper) <= boundary_tol,
+    where = [abs(x - lower) <= BOUNDARY_TOL, abs(x - upper) <= BOUNDARY_TOL,
              x < lower, x < upper]
     code = np.select(where, [LOWER_LINE, UPPER_LINE, PD_V1, COOPERATION], PD_V2)
-    value = np.select(where, [_line_value(v1, v_coop, agree_tol),
-                              _line_value(v_coop, v2, agree_tol), v1, v_coop], v2)
+    value = np.select(where, [_line_value(v1, v_coop), _line_value(v_coop, v2), v1, v_coop], v2)
     return code, value
 
 
 def classify_regime(x: float, y: float, x_bar: float | None = None,
-                    y_bar: float | None = None,
-                    boundary_tol: float = BOUNDARY_TOL) -> RegimeSummary:
+                    y_bar: float | None = None) -> RegimeSummary:
     """Place a symmetric influence point in its equilibrium regime.
 
-    The regions are those of `regime_map`.  Points within `boundary_tol` of
-    a line are flagged "boundary" and carry both adjacent equilibria; the
+    The regions are those of `regime_map`.  Points within BOUNDARY_TOL of a
+    line are flagged "boundary" and carry both adjacent equilibria; the
     value there is nan unless the adjacent branches agree.
     """
     x_bar = x if x_bar is None else x_bar
@@ -386,13 +380,13 @@ def classify_regime(x: float, y: float, x_bar: float | None = None,
         raise ValueError(f"x must lie in [0, 1], got {x}")
     if not 0.5 < y <= 1.0:
         raise ValueError(f"y must lie in (1/2, 1], got {y}")
-    code, value = regime_map(x, y, boundary_tol)
+    code, value = regime_map(x, y)
     code = int(code)
     return RegimeSummary(x, y, x_bar, y_bar, REGIME_LABELS[code], REGIME_NASH[code],
                          float(value))
 
 
-def game_value(x: float, y: float, boundary_tol: float = BOUNDARY_TOL) -> float:
+def game_value(x: float, y: float) -> float:
     """Equilibrium payoff of the first decider at a symmetric point.
 
     Piecewise: -1+2x in pd-v1, -1+2y under cooperation, 1-2x in pd-v2.
@@ -404,7 +398,7 @@ def game_value(x: float, y: float, boundary_tol: float = BOUNDARY_TOL) -> float:
         raise ValueError(f"x must lie in [0, 1], got {x}")
     if not 0.5 <= y <= 1.0:
         raise ValueError(f"y must lie in [1/2, 1], got {y}")
-    _, value = regime_map(x, y, boundary_tol, max(boundary_tol, 1e-9))
+    _, value = regime_map(x, y)
     if math.isnan(value):
         raise ValueError("equilibrium payoff jumps at this tipping point")
     return float(value)

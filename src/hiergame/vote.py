@@ -23,7 +23,7 @@ import numpy as np
 
 from .elimination import fixed_fields, stored_in, sum_product
 from .errors import CyclicGraphError
-from .graph import HierarchyGraph, deciders
+from .graph import WEIGHT_TOL, HierarchyGraph, deciders
 
 MODE_TANH = "tanh"
 MODE_GAUSSIAN = "gaussian"
@@ -165,7 +165,7 @@ def single_vote_prob(weights: Mapping[str, float], commands: Mapping[str, int],
                      params: VoteParams) -> float:
     """Probability that one vertex votes +1 given its predecessors' spins.
 
-    `weights` are the normalized predecessor weights; `commands` assigns a
+    `weights` sum to 1 within WEIGHT_TOL; `commands` assigns a
     spin (+1 or -1) to every predecessor.
     """
     if not weights:
@@ -178,7 +178,7 @@ def single_vote_prob(weights: Mapping[str, float], commands: Mapping[str, int],
         if s not in (1, -1):
             raise ValueError(f"command for {v!r} must be +1 or -1, got {s!r}")
         total += w * s
-    if abs(sum(weights.values()) - 1.0) > 1e-9:
+    if abs(sum(weights.values()) - 1.0) > WEIGHT_TOL:
         raise ValueError("predecessor weights must sum to 1")
     return float(outcome_probability(1, params.command_scale * total, params))
 

@@ -102,6 +102,8 @@ def test_single_vote_input_errors():
         hg.single_vote_prob({"a": 1.0}, {"a": 2}, TANH1)
     with pytest.raises(ValueError):
         hg.single_vote_prob({"a": 0.4}, {"a": 1}, TANH1)
+    with pytest.raises(ValueError, match="sum to 1"):  # off by more than WEIGHT_TOL
+        hg.single_vote_prob({"a": 0.5, "b": 0.5 + 1e-10}, {"a": 1, "b": 1}, TANH1)
 
 
 def test_single_vote_monotone_in_field():
