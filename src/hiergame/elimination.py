@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import heapq
+import string
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -37,6 +38,8 @@ _PAIRWISE_SPINS = 12
 _TILE_RUN = 4
 _TILE_MAX = 5
 _TILE_COPY = 1.5
+# einsum's letters for sublist labels 0, 1, ...
+_LETTERS = string.ascii_uppercase + string.ascii_lowercase
 
 
 def _check_cap(width: int, limit: int) -> None:
@@ -48,17 +51,26 @@ def _check_cap(width: int, limit: int) -> None:
 
 class _Einsum(NamedTuple):
     """A narrow step: one plain einsum call.  Like `_Broadcast.run`, `run`
-    takes every table made so far and frees the ones it consumes."""
+    takes every table made so far and frees the ones it consumes.
+
+    `subscripts` spells the step's label sublists, one per input and then
+    the output's, as einsum's own reading of sublists does (`_LETTERS`),
+    so the call is the sublist call's, compiled once."""
 
     inputs: tuple[int, ...]
-    sublists: tuple[tuple[int, ...], ...]  # one per input, then the output's
+    subscripts: str
 
     def run(self, made: list[np.ndarray | None]) -> np.ndarray:
-        operands: list = []
-        for f, sublist in zip(self.inputs, self.sublists):
-            operands += (made[f], sublist)
+        operands = [made[f] for f in self.inputs]
+        for f in self.inputs:
             made[f] = None
-        return np.einsum(*operands, self.sublists[-1], optimize=False)
+        return np.einsum(self.subscripts, *operands, optimize=False)
+
+
+def _subscripts(sublists: Iterable[tuple[int, ...]], out: tuple[int, ...]) -> str:
+    def spell(labels: tuple[int, ...]) -> str:
+        return "".join(_LETTERS[k] for k in labels)
+    return ",".join(map(spell, sublists)) + "->" + spell(out)
 
 
 class _Broadcast(NamedTuple):
@@ -317,7 +329,7 @@ def _elimination_plan(scopes: tuple[tuple[str, ...], ...], keys: tuple[str, ...]
         sublists = [tuple(label[u] for u in scopes[f]) for f in inputs]
         out_labels = tuple(sorted(label[u] for u in out))
         if len(spins) < _PAIRWISE_SPINS:
-            return _Einsum(tuple(inputs), tuple(sublists) + (out_labels,))
+            return _Einsum(tuple(inputs), _subscripts(sublists, out_labels))
         return _broadcast_step(tuple(inputs), sublists, out_labels, len(spins))
 
     return _Plan(len(unheld), tuple(map(compile_step, steps)), compile_step(final))
@@ -345,7 +357,9 @@ def sum_product(scopes: Sequence[tuple[str, ...]],
     if limit < 1:
         raise ValueError(f"the enumeration cap must be at least 1, got {limit}")
     plan = _elimination_plan(tuple(scopes), tuple(keys), limit)
-    made: list[np.ndarray | None] = tables() + [np.ones(2)] * plan.unheld
+    made: list[np.ndarray | None] = tables()
+    if plan.unheld:
+        made += [np.ones(2)] * plan.unheld
     for step in plan.steps:
         made.append(None if step is None else step.run(made))
     return np.ones(1) if plan.final is None else plan.final.run(made).reshape(-1)

@@ -286,9 +286,9 @@ def pure_nash(tg: TransformedGame) -> tuple[tuple[int, ...], ...]:
                         for idx in np.argwhere(nash_mask(tg.payoffs))))
 
 
-def symmetric_payoffs(x, y, base: NormalFormGame | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Decider-game payoffs at symmetric influence points, and which points
-    are degenerate.
+def symmetric_payoffs(x, y) -> tuple[np.ndarray, np.ndarray]:
+    """Decider-game payoffs of the prisoner's dilemma (`prisoners_dilemma`)
+    at symmetric influence points, and which points are degenerate.
 
     `x` and `y` are floats or arrays of one shape, a batch of points.  The
     payoffs have shape ``np.shape(x) + (4, 4, 2)``, indexed like
@@ -301,20 +301,19 @@ def symmetric_payoffs(x, y, base: NormalFormGame | None = None) -> tuple[np.ndar
     when |2y - 1| < DEGENERACY_TOL: no share is defined there and its
     payoffs are meaningless.
     """
-    base = base if base is not None else prisoners_dilemma()
     x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
     table = {(1, 1): np.array([y, y]), (1, -1): np.array([1.0 - x, x]),
              (-1, 1): np.array([x, 1.0 - x]), (-1, -1): np.array([1.0 - y, 1.0 - y])}
     shares, degenerate = shapley_from_table(table)
-    return _decider_payoffs(base, table, shares), degenerate.any(axis=0)
+    return _decider_payoffs(prisoners_dilemma(), table, shares), degenerate.any(axis=0)
 
 
-def symmetric_transform(x: float, y: float,
-                        base: NormalFormGame | None = None) -> TransformedGame:
-    """Decider game at a symmetric influence point (x, y) over the default
-    two-decider, two-executive layout."""
-    base = base if base is not None else prisoners_dilemma()
-    payoffs, degenerate = symmetric_payoffs(x, y, base)
+def symmetric_transform(x: float, y: float) -> TransformedGame:
+    """Decider game of the prisoner's dilemma at a symmetric influence
+    point (x, y) over the default two-decider, two-executive layout; its
+    equilibria are those `regime_map` names."""
+    base = prisoners_dilemma()
+    payoffs, degenerate = symmetric_payoffs(x, y)
     require_decided(degenerate, (min(base.players),))
     return _decider_game(base, SYMMETRIC_DECIDERS, payoffs,
                          {"mechanism": "shapley", "x": x, "y": y})

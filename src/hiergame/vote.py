@@ -11,6 +11,7 @@ taken by variable elimination (`elimination`), so its largest table is capped.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import threading
@@ -107,6 +108,20 @@ class VoteParams:
     def command_scale(self) -> float:
         return (1.0 - self.free_float) / self.free_float
 
+    # the response's multipliers and divisor as ufunc operands (see _ONE),
+    # made once per params
+    @functools.cached_property
+    def _scale(self) -> np.ndarray:
+        return np.array(self.command_scale)
+
+    @functools.cached_property
+    def _gain(self) -> np.ndarray:
+        return np.array(self.gain)
+
+    @functools.cached_property
+    def _erf_width(self) -> np.ndarray:
+        return np.array(self.noise_sigma * math.sqrt(2.0))
+
     @classmethod
     def from_graph(cls, g: HierarchyGraph, mode: str = MODE_TANH) -> "VoteParams":
         return cls(g.free_float, g.noise_sigma, mode)
@@ -145,11 +160,11 @@ def _odd_response(field, params: VoteParams, out: np.ndarray | None = None):
     """2 P(+1 | field) - 1, an odd function of the field; into `out` if
     given, which may be `field` itself."""
     if params.mode == MODE_TANH:
-        return np.tanh(np.multiply(params.gain, field, out), out)
+        return np.tanh(np.multiply(params._gain, field, out), out)
     # imported here: scipy.special adds about 25 MB to the process, and
     # only the gaussian mode needs it
     from scipy.special import erf
-    return erf(np.divide(field, params.noise_sigma * math.sqrt(2.0), out), out)
+    return erf(np.divide(field, params._erf_width, out), out)
 
 
 def outcome_probability(spin, field, params: VoteParams, out: np.ndarray | None = None):
@@ -185,7 +200,7 @@ def single_vote_prob(weights: Mapping[str, float], commands: Mapping[str, int],
 
 def _validate_assignment(assignment: Mapping[str, int], over: frozenset[str],
                          what: str) -> None:
-    if set(assignment) != set(over):
+    if assignment.keys() != over:
         raise ValueError(f"{what} must assign every vertex of the set exactly once")
     for v, s in assignment.items():
         if s not in (1, -1):
@@ -250,7 +265,7 @@ def _respond(field: np.ndarray, probs: np.ndarray, params: VoteParams) -> None:
     """Fill `probs` with P(-1) (``probs[0]``) and P(+1) (``probs[1]``) at
     each `field`, which may be ``probs[1]`` and is overwritten: scale,
     response, then ``(1 -+ odd) / 2``."""
-    np.multiply(field, params.command_scale, field)
+    np.multiply(field, params._scale, field)
     odd = _odd_response(field, params, field)
     np.subtract(_ONE, odd, probs[0])
     np.add(odd, _ONE, probs[1])
@@ -307,6 +322,7 @@ class _VoteLayout(NamedTuple):
     narrow groups' entry rows and step weights, and the result's keys."""
 
     roots: int  # pruned vertices without predecessors, each summing to 2
+    lead: str | None  # the smallest conditioned vertex, None if A is empty
     scopes: tuple[tuple[str, ...], ...]
     narrow: _Narrow
     wide: tuple[_FanIn, ...]  # groups above _NARROW_FAN_IN free predecessors
@@ -366,7 +382,7 @@ def _vote_layout(g: HierarchyGraph, a: frozenset[str], b: frozenset[str]) -> _Vo
                       np.array(weights).reshape(len(ids), n))
                for n, (ids, pinned, pulls, weights) in groups.items()]
     return _VoteLayout(
-        roots, tuple(scopes),
+        roots, min(a, default=None), tuple(scopes),
         _narrow_program([group for group in fan_ins if group.n_free <= _NARROW_FAN_IN]),
         tuple(group for group in fan_ins if group.n_free > _NARROW_FAN_IN),
         tuple(sorted(b)), grid, notes)
@@ -418,6 +434,32 @@ def _vote_sum(layout: _VoteLayout, condition: Mapping[str, int], params: VotePar
                        layout.targets, cap)
 
 
+def _vote(layout: _VoteLayout, condition: Mapping[str, int], params: VoteParams,
+          cap: int | None) -> tuple[np.ndarray, float]:
+    """The layout's target distribution under `condition`, a valid
+    assignment of its conditioned set, entry c as in `sum_product`, and
+    its summed weight (see `_vote_sum`), the pruned roots left out.
+
+    A configuration and its global spin flip carry bitwise-identical weight
+    (the response functions are odd), so the sum runs under the
+    sign-canonical condition, whose smallest vertex says +1, and is
+    relabeled: P(tau|sigma) == P(-tau|-sigma) exactly.  With nothing
+    conditioned the sums are averaged with their flip.
+    """
+    flipped = layout.lead is not None and condition[layout.lead] == -1
+    work = {v: -s for v, s in condition.items()} if flipped else condition
+    sums = _vote_sum(layout, work, params, cap)
+    z = float(sums.sum())
+    # entry c and entry 2^|B| - 1 - c hold opposite target patterns
+    if flipped:
+        sums = sums[::-1]
+    elif layout.lead is None:
+        sums = 0.5 * (sums + sums[::-1])
+    if z <= 0.0:
+        raise ValueError("conditional distribution has zero total weight")
+    return sums / z, z
+
+
 def conditional_influence(g: HierarchyGraph, a: frozenset[str] | set[str],
                           b: frozenset[str] | set[str],
                           condition: Mapping[str, int], params: VoteParams,
@@ -440,24 +482,9 @@ def conditional_influence(g: HierarchyGraph, a: frozenset[str] | set[str],
     if not b:
         raise ValueError("target set is empty")
     _validate_assignment(condition, a, "condition")
-
-    # A configuration and its global spin flip carry bitwise-identical weight
-    # (the response functions are odd), so evaluating under a sign-canonical
-    # condition and relabeling keeps P(tau|sigma) == P(-tau|-sigma) exact.
-    flipped = bool(a) and condition[min(a)] == -1
-    work = {v: -s for v, s in condition.items()} if flipped else condition
-
-    sums = _vote_sum(layout, work, params, cap)
-    z = float(sums.sum())
-    # entry c and entry 2^|B| - 1 - c hold opposite target patterns
-    if flipped:
-        sums = sums[::-1]
-    elif not a:
-        sums = 0.5 * (sums + sums[::-1])
-    if z <= 0.0:
-        raise ValueError("conditional distribution has zero total weight")
-    table = dict(zip(layout.grid, (sums / z).tolist()))
-    return ConditionalDistribution(dict(condition), layout.targets, table,
+    probs, z = _vote(layout, condition, params, cap)
+    return ConditionalDistribution(dict(condition), layout.targets,
+                                   dict(zip(layout.grid, probs.tolist())),
                                    z * 2.0 ** layout.roots, layout.notes)
 
 
@@ -847,19 +874,20 @@ def influence_table(g: HierarchyGraph, params: VoteParams, lam: Sequence[str],
     """{command pattern over the deciders `lam`: P(+1) of each of `execs`,
     in order}, the patterns in ``product((1, -1), repeat=len(lam))`` order.
 
-    One conditional per executive and sign-canonical pattern, the one whose
-    first decider says +1: its P(-1) is the mirrored pattern's P(+1), bit
-    for bit what `conditional_influence` gives for the mirrored commands.
+    One sum per executive and pattern whose first decider says +1 (see
+    `_vote`): its P(-1) is the mirrored pattern's P(+1), and every entry is
+    bit for bit what `conditional_influence` gives for its pattern.
     """
     lam = tuple(lam)
+    a = frozenset(lam)
+    layouts = [_vote_layout(g, a, frozenset((i,))) for i in execs]
     patterns = list(product((1, -1), repeat=len(lam)))
     table = {pattern: np.empty(len(execs)) for pattern in patterns}
     for pattern in patterns[:(len(patterns) + 1) // 2]:
         condition = dict(zip(lam, pattern))
         plus, mirror = table[pattern], table[tuple(-s for s in pattern)]
-        for k, i in enumerate(execs):
-            probs = conditional_influence(g, lam, {i}, condition, params, cap).table
+        for k, layout in enumerate(layouts):
+            probs, _ = _vote(layout, condition, params, cap)
             # () is its own mirror: its P(+1) is written last
-            mirror[k] = probs[(-1,)]
-            plus[k] = probs[(1,)]
+            mirror[k], plus[k] = probs
     return table

@@ -222,14 +222,14 @@ def test_transform_mechanisms_agree_only_under_symmetry():
 def test_shapley_transform_runs_each_conditional_once(monkeypatch):
     # the Shapley shares read the influence tables: 2 executives x 4 patterns,
     # of which influence_table sums the 2 whose first decider says +1
-    original = hg.vote.conditional_influence
+    original = hg.vote._vote_sum
     calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(args[2])
-        return original(*args, **kwargs)
+    def counted(layout, *args, **kwargs):
+        calls.append(layout.targets)
+        return original(layout, *args, **kwargs)
 
-    monkeypatch.setattr(hg.vote, "conditional_influence", counted)
+    monkeypatch.setattr(hg.vote, "_vote_sum", counted)
     g = hg.crossed_chains(3, 3, 3, 3)
     hg.transform_game(hg.prisoners_dilemma(), g, hg.VoteParams.from_graph(g),
                       mechanism="shapley")
@@ -284,23 +284,23 @@ def test_decider_tensors_are_pinned():
 
 
 def test_transform_game_reads_one_table(monkeypatch):
-    # one influence_table pass of n * 2^(m-1) conditionals, each under a
+    # one influence_table pass of n * 2^(m-1) kernel sums, each under a
     # sign-canonical command vector, under either mechanism
     g, base = next((g, base) for g, base in _transform_pool() if len(hg.deciders(g)) == 3)
     first = min(hg.deciders(g))
     passes, calls = [], []
-    real_table, real_conditional = hg.game.influence_table, hg.vote.conditional_influence
+    real_table, real_sum = hg.game.influence_table, hg.vote._vote_sum
 
     def counting_table(*args):
         passes.append(args)
         return real_table(*args)
 
-    def counting_conditional(g, a, b, condition, *args):
-        calls.append((tuple(b), tuple(sorted(condition.items()))))
-        return real_conditional(g, a, b, condition, *args)
+    def counting_sum(layout, condition, *args):
+        calls.append((layout.targets, tuple(sorted(condition.items()))))
+        return real_sum(layout, condition, *args)
 
     monkeypatch.setattr(hg.game, "influence_table", counting_table)
-    monkeypatch.setattr(hg.vote, "conditional_influence", counting_conditional)
+    monkeypatch.setattr(hg.vote, "_vote_sum", counting_sum)
     for mechanism in ("shapley", "shares"):
         passes.clear()
         calls.clear()

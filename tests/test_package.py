@@ -60,3 +60,25 @@ def test_modules_import_no_private_name_of_another():
                     and (node.level > 0 or (node.module or "").startswith("hiergame"))
                     for a in node.names if a.name.startswith("_")]
     assert not private
+
+
+def test_modules_use_no_private_numpy_name():
+    # numpy's underscore names (numpy._core and the like) may change in any
+    # release: the package reads numpy through its public API only
+    private = []
+    for path in sorted(Path(hg.__file__).resolve().parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        aliases = {"numpy"}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                aliases.update(a.asname or a.name for a in node.names if a.name == "numpy")
+                private += [f"{path.stem}: import {a.name}" for a in node.names
+                            if a.name.startswith("numpy._")]
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy"):
+                private += [f"{path.stem}: from {node.module} import {a.name}"
+                            for a in node.names
+                            if node.module.startswith("numpy._") or a.name.startswith("_")]
+        private += [f"{path.stem}: {node.value.id}.{node.attr}" for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in aliases and node.attr.startswith("_")]
+    assert not private

@@ -10,6 +10,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import types
 from pathlib import Path
 
 import numpy as np
@@ -573,6 +574,70 @@ def test_warm_sums_search_no_contraction_path(monkeypatch):
     assert warm.table == cold.table and warm.partition == cold.partition
 
 
+def test_einsum_subscripts_repeat_sublist_calls(monkeypatch):
+    # every narrow step's compiled subscripts give the bytes of the sublist
+    # call they stand for, on seeded sparse and dense graphs and crossed
+    # chains: single, joint and partition sums, both modes
+    rng = random.Random(9095)
+    graphs = [hg.crossed_chains(k, k, k, k) for k in (3, 4, 5)]
+    graphs += [helpers.random_tree(rng, 14) for _ in range(2)]
+    graphs += [helpers.random_dag(rng, 14) for _ in range(2)]
+    graphs += [helpers.random_dag(rng, 12, extra=40), helpers.random_digraph(rng, 12, extra=30)]
+    run = elimination._Einsum.run
+    steps = []
+
+    def checked(step, made):
+        operands = [made[f] for f in step.inputs]
+        *ins, out = (tuple(map(elimination._LETTERS.index, part))
+                     for part in step.subscripts.replace("->", ",").split(","))
+        sublist_call = np.einsum(*itertools.chain(*zip(operands, ins)), out, optimize=False)
+        result = run(step, made)
+        assert result.shape == sublist_call.shape
+        assert result.tobytes() == sublist_call.tobytes(), step.subscripts
+        steps.append(step.subscripts)
+        return result
+
+    monkeypatch.setattr(elimination._Einsum, "run", checked)
+    elimination._elimination_plan.cache_clear()
+    try:
+        for g in graphs:
+            ids = sorted(g.vertex_ids)
+            a = sorted(hg.deciders(g)) or ids[:1]
+            rest = [v for v in (g.topological_order or ids) if v not in a]
+            condition = {v: rng.choice((1, -1)) for v in a}
+            for mode in ("tanh", "gaussian"):
+                params = VoteParams.from_graph(g, mode=mode)
+                for b in (rest[-1:], rest[-2:], []):
+                    vote._vote_sum(vote._vote_layout(g, frozenset(a), frozenset(b)),
+                                   condition, params)
+    finally:
+        elimination._elimination_plan.cache_clear()
+    assert len(steps) >= 80 and any("," in subscripts for subscripts in steps)
+
+
+def test_sums_over_unheld_keys_are_pinned():
+    # a key that no factor mentions takes either spin freely: sums with such
+    # keys before, between and after the held keys, with no factor at all,
+    # and in a wide final step keep their pinned bytes
+    rng = np.random.default_rng(9096)
+    cases = [([("a", "b"), ("b", "c")], ("z", "a")),
+             ([("a", "b"), ("b", "c")], ("a", "z", "c")),
+             ([("a", "b"), ("b", "c"), ("c",)], ("c", "y", "z")),
+             ([("a", "b")], ("z",)),
+             ([], ("y", "z")),
+             ([(f"s{i}", f"s{i + 1}") for i in range(9)],
+              ("y",) + tuple(f"s{i}" for i in range(10)) + ("z",))]
+    h = hashlib.sha256()
+    for scopes, keys in cases:
+        tables = [rng.random((2,) * len(scope)) for scope in scopes]
+        plan = elimination._elimination_plan(tuple(scopes), keys, elimination.DEFAULT_CAP)
+        assert plan.unheld == sum(k not in set().union(*scopes) for k in keys) > 0
+        summed = elimination.sum_product(scopes, lambda: list(tables), keys)
+        assert summed.shape == (1 << len(keys),)
+        h.update(summed.tobytes())
+    assert h.hexdigest() == "fe1b91edac8555ec083affe8911af3c2d40420e905c708261c6243219cd04756"
+
+
 def _wide_sums(monkeypatch, queries: list, tiled: bool) -> tuple[list, list]:
     """Each query's `_vote_sum` bytes from freshly compiled plans, tiled as
     planned or (`tiled` False) never, and the tiled product count of every
@@ -905,6 +970,29 @@ def test_argument_validation():
         hg.conditional_influence(g, {"d1"}, {"1"}, {"d1": 3}, params)
     with pytest.raises(ValueError):
         hg.conditional_influence(g, {"ghost"}, {"1"}, {"ghost": 1}, params)
+
+
+def test_assignment_validation_keeps_its_rules():
+    # any mapping whose keys are exactly the set passes; a missing or an
+    # extra vertex, or a spin other than +1 or -1, fails with its message
+    over = frozenset({"d1", "d2"})
+    for ok in ({"d1": 1, "d2": -1}, types.MappingProxyType({"d2": 1, "d1": 1})):
+        vote._validate_assignment(ok, over, "condition")
+    for bad, message in (({"d1": 1}, "condition must assign every vertex of the set exactly once"),
+                         ({"d1": 1, "d2": 1, "d3": 1},
+                          "condition must assign every vertex of the set exactly once"),
+                         (types.MappingProxyType({"d1": 1, "d2": 0}),
+                          "condition for 'd2' must be \\+1 or -1, got 0")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            vote._validate_assignment(bad, over, "condition")
+    g = hg.crossed_chains()
+    params = VoteParams.from_graph(g)
+    dist = hg.conditional_influence(g, over, {"1"}, types.MappingProxyType({"d1": 1, "d2": -1}),
+                                    params)
+    assert dist.table == hg.conditional_influence(g, over, {"1"}, {"d1": 1, "d2": -1},
+                                                  params).table
+    with pytest.raises(ValueError, match="^assignment must assign every vertex"):
+        dist.prob({"1": 1, "2": 1})
 
 
 def test_sampler_is_deterministic():
