@@ -19,6 +19,7 @@ import math
 import sys
 from dataclasses import dataclass
 from itertools import product
+from typing import Iterator
 
 import numpy as np
 
@@ -40,9 +41,11 @@ from .game import (
     pure_nash,
     regime_map,
     symmetric_payoffs,
+    tensor_from_dict,
+    tensor_to_dict,
     transform_game,
 )
-from .graph import deciders, executives, load_graph, validate_graph
+from .graph import deciders, executives, load_graph, read_json, validate_graph
 from .ising import chain_xy, coupling_from_hierarchy, ising_conditional
 from .vote import VoteParams, conditional_influence, sample_counts
 
@@ -60,16 +63,18 @@ CAP_HELP = ("enumeration cap: log2 of the largest table an exact sum may build "
             f"(default {DEFAULT_CAP})")
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+def _emit(pieces: Iterator[str], out: str | None) -> None:
+    """Write `pieces` to the file `out`, or stdout if None; the first piece is
+    made before the file is opened, so a failure there leaves no file."""
+    first = next(pieces)
+    with (open(out, "w", encoding="utf-8") if out is not None
+          else contextlib.nullcontext(sys.stdout)) as fh:
+        fh.write(first)
+        fh.writelines(pieces)
 
 
 def _emit_json(payload: dict, out: str | None) -> None:
-    _emit(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n", out)
+    _emit(iter([json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"]), out)
 
 
 def _spin(text: str) -> int:
@@ -178,40 +183,6 @@ def cmd_ising(args) -> int:
     return EXIT_OK
 
 
-def _tensor_payload(tg: TransformedGame) -> dict:
-    return {
-        "deciders": list(tg.deciders),
-        "executives": list(tg.executives),
-        "labels": {"+1": tg.labels[1], "-1": tg.labels[-1]},
-        "strategies": [[tg.labels[s] for s in strat] for strat in tg.strategies],
-        "payoffs": tg.payoffs.tolist(),
-        "provenance": dict(tg.provenance),
-    }
-
-
-def _tensor_from_payload(data: dict) -> TransformedGame:
-    try:
-        labels = {1: str(data["labels"]["+1"]), -1: str(data["labels"]["-1"])}
-        if labels[1] == labels[-1]:
-            raise GameFormatError(f"tensor labels must name +1 and -1 distinctly, "
-                                  f"got {labels[1]!r} for both")
-        reverse = {v: k for k, v in labels.items()}
-        strategies = tuple(tuple(reverse[m] for m in strat) for strat in data["strategies"])
-        payoffs = np.asarray(data["payoffs"], dtype=float)
-        tg = TransformedGame(
-            tuple(data["deciders"]), tuple(data["executives"]),
-            strategies, payoffs, labels, dict(data.get("provenance", {})))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise GameFormatError(f"malformed tensor data: {exc}") from exc
-    if payoffs.shape != (len(strategies),) * len(tg.deciders) + (len(tg.deciders),):
-        raise GameFormatError("tensor shape does not match deciders and strategies")
-    if len(set(strategies)) != len(strategies) or \
-            any(len(s) != len(tg.executives) for s in strategies):
-        raise GameFormatError("tensor strategies must be distinct command vectors "
-                              "with one move per executive")
-    return tg
-
-
 def _build_transform(args) -> TransformedGame:
     g = load_graph(args.graph)
     base = load_game(args.game)
@@ -221,7 +192,7 @@ def _build_transform(args) -> TransformedGame:
 
 def cmd_transform(args) -> int:
     tg = _build_transform(args)
-    _emit_json(_tensor_payload(tg), args.out)
+    _emit_json(tensor_to_dict(tg), args.out)
     return EXIT_OK
 
 
@@ -230,13 +201,7 @@ def cmd_nash(args) -> int:
         if args.mode is not None or args.cap is not None:
             raise ValueError("nash --tensor takes no --mode or --cap: "
                              "they apply to --graph and --game")
-        try:
-            with open(args.tensor, "r", encoding="utf-8") as fh:
-                tg = _tensor_from_payload(json.load(fh))
-        except OSError as exc:
-            raise GameFormatError(f"cannot read tensor file {args.tensor}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise GameFormatError(f"tensor file is not valid JSON: {exc}") from exc
+        tg = tensor_from_dict(read_json(args.tensor, "tensor", GameFormatError))
     elif args.graph is not None and args.game is not None:
         tg = _build_transform(args)
     else:
@@ -279,7 +244,6 @@ class SweepSpec:
 
     varied: tuple[tuple[str, float, float, int], ...]
     fixed: tuple[tuple[str, float], ...]
-    out: str | None = None
 
     def __post_init__(self) -> None:
         if not self.varied:
@@ -409,15 +373,7 @@ def _sweep_text(spec: SweepSpec):
 
 
 def cmd_sweep(args) -> int:
-    spec = SweepSpec(tuple(args.vary), tuple(args.fix or []), args.out)
-    pieces = _sweep_text(spec)
-    # the first chunk is done before the output is opened, so a sweep that
-    # fails there leaves no file behind
-    first = next(pieces)
-    with (open(spec.out, "w", encoding="utf-8") if spec.out is not None
-          else contextlib.nullcontext(sys.stdout)) as fh:
-        fh.write(first)
-        fh.writelines(pieces)
+    _emit(_sweep_text(SweepSpec(tuple(args.vary), tuple(args.fix or []))), args.out)
     return EXIT_OK
 
 

@@ -11,7 +11,6 @@ game among the deciders that can be solved for pure equilibria.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass, field
 from itertools import product
@@ -21,7 +20,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import GameFormatError
-from .graph import HierarchyGraph, deciders as graph_deciders, executives as graph_executives
+from .graph import (HierarchyGraph, deciders as graph_deciders, executives as graph_executives,
+                    read_json, write_json)
 from .payoff import require_decided, shapley_from_table, shares_by_paths
 from .vote import VoteParams, influence_table
 
@@ -105,17 +105,32 @@ def game_to_dict(g: NormalFormGame) -> dict:
     }
 
 
+def _labels(data: Mapping) -> tuple[dict[int, str], dict[str, int]]:
+    """The distinct move labels of game or tensor data by spin, and back."""
+    labels = {1: str(data["labels"]["+1"]), -1: str(data["labels"]["-1"])}
+    if labels[1] == labels[-1]:
+        raise GameFormatError(f"labels must name +1 and -1 distinctly, "
+                              f"got {labels[1]!r} for both")
+    return labels, {name: spin for spin, name in labels.items()}
+
+
+def _listed(value, name: str) -> tuple:
+    """A list field of game or tensor data; a string is not a list here."""
+    if isinstance(value, str):
+        raise GameFormatError(f"{name} must be a list, got the string {value!r}")
+    return tuple(value)
+
+
 def game_from_dict(data: Mapping) -> NormalFormGame:
     try:
-        players = tuple(str(p) for p in data["players"])
-        labels = {1: str(data["labels"]["+1"]), -1: str(data["labels"]["-1"])}
-        reverse = {labels[1]: 1, labels[-1]: -1}
+        players = tuple(str(p) for p in _listed(data["players"], "players"))
+        labels, reverse = _labels(data)
         payoffs: dict[tuple[int, ...], tuple[float, ...]] = {}
         for row in data["payoffs"]:
-            spins = tuple(reverse[str(move)] for move in row["profile"])
+            spins = tuple(reverse[str(move)] for move in _listed(row["profile"], "profile"))
             if spins in payoffs:
                 raise ValueError(f"duplicate profile {row['profile']}")
-            payoffs[spins] = tuple(float(u) for u in row["u"])
+            payoffs[spins] = tuple(float(u) for u in _listed(row["u"], "u"))
     except (KeyError, TypeError, ValueError) as exc:
         raise GameFormatError(f"malformed game data: {exc}") from exc
     try:
@@ -125,20 +140,11 @@ def game_from_dict(data: Mapping) -> NormalFormGame:
 
 
 def load_game(path: str | Path) -> NormalFormGame:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise GameFormatError(f"cannot read game file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise GameFormatError(f"game file {path} is not valid JSON: {exc}") from exc
-    return game_from_dict(data)
+    return game_from_dict(read_json(path, "game", GameFormatError))
 
 
 def save_game(g: NormalFormGame, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(game_to_dict(g), fh, ensure_ascii=False, indent=2)
-        fh.write("\n")
+    write_json(game_to_dict(g), path)
 
 
 def pre_payoff(g: NormalFormGame, probs: Sequence[float]) -> tuple[float, ...]:
@@ -214,6 +220,37 @@ class TransformedGame:
 
     def profile_index(self, profile: tuple[tuple[str, ...], ...]) -> tuple[int, ...]:
         return tuple(self.strategy_index(cmd) for cmd in profile)
+
+
+def tensor_to_dict(tg: TransformedGame) -> dict:
+    return {
+        "deciders": list(tg.deciders),
+        "executives": list(tg.executives),
+        "labels": {"+1": tg.labels[1], "-1": tg.labels[-1]},
+        "strategies": [[tg.labels[s] for s in strat] for strat in tg.strategies],
+        "payoffs": tg.payoffs.tolist(),
+        "provenance": dict(tg.provenance),
+    }
+
+
+def tensor_from_dict(data: Mapping) -> TransformedGame:
+    try:
+        labels, reverse = _labels(data)
+        strategies = tuple(tuple(reverse[m] for m in _listed(strat, "strategy"))
+                           for strat in _listed(data["strategies"], "strategies"))
+        payoffs = np.asarray(data["payoffs"], dtype=float)
+        tg = TransformedGame(
+            _listed(data["deciders"], "deciders"), _listed(data["executives"], "executives"),
+            strategies, payoffs, labels, dict(data.get("provenance", {})))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise GameFormatError(f"malformed tensor data: {exc}") from exc
+    if payoffs.shape != (len(strategies),) * len(tg.deciders) + (len(tg.deciders),):
+        raise GameFormatError("tensor shape does not match deciders and strategies")
+    if len(set(strategies)) != len(strategies) or \
+            any(len(s) != len(tg.executives) for s in strategies):
+        raise GameFormatError("tensor strategies must be distinct command vectors "
+                              "with one move per executive")
+    return tg
 
 
 def _decider_game(base: NormalFormGame, lam_order: tuple[str, ...], payoffs: np.ndarray,

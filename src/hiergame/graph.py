@@ -281,16 +281,13 @@ def nodes_between(g: HierarchyGraph, a: Iterable[str], b: Iterable[str]) -> froz
     return nodes_between_adjacency(g.undirected_adjacency, frozenset(a), frozenset(b))
 
 
-def is_locally_tree(g: HierarchyGraph,
-                    command_set: Iterable[str] | None = None,
-                    executive_set: Iterable[str] | None = None) -> bool:
+def is_locally_tree(g: HierarchyGraph) -> bool:
     """True when, for every executive i, the subgraph induced on
-    corridor(commands, {i}) plus both endpoints is an undirected tree
+    corridor(deciders, {i}) plus both endpoints is an undirected tree
     (acyclic; one simple edge per vertex pair)."""
-    lam = frozenset(command_set) if command_set is not None else deciders(g)
-    execs = frozenset(executive_set) if executive_set is not None else executives(g)
+    lam, execs = deciders(g), executives(g)
     if not lam or not execs:
-        raise ValueError("need nonempty command and executive sets")
+        raise ValueError("need nonempty decider and executive sets")
     adj = g.undirected_adjacency
     for i in execs:
         zone = nodes_between(g, lam, {i}) | lam | {i}
@@ -339,24 +336,33 @@ def _require_valid(g: HierarchyGraph) -> None:
         raise GraphFormatError("; ".join(report.violations))
 
 
+def read_json(path: str | Path, what: str, error: type[Exception]):
+    """The JSON file at `path`, parsed: the one JSON reader.  An unreadable
+    or invalid file raises `error`, naming the `what` file and its path."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise error(f"cannot read {what} file {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise error(f"{what} file {path} is not valid JSON: {exc}") from exc
+
+
+def write_json(payload, path: str | Path) -> None:
+    """Write `payload` to `path` as indented JSON: the one JSON writer."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, ensure_ascii=False, indent=2)
+        fh.write("\n")
+
+
 def load_graph(path: str | Path, validate: bool = True) -> HierarchyGraph:
     """Read and, unless `validate` is off, fully validate a graph file, as
     `graph_from_dict` does; the parsed JSON is let go before validation."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise GraphFormatError(f"cannot read graph file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise GraphFormatError(f"graph file {path} is not valid JSON: {exc}") from exc
-    g = graph_from_dict(data, validate=False)
-    del data
+    g = graph_from_dict(read_json(path, "graph", GraphFormatError), validate=False)
     if validate:
         _require_valid(g)
     return g
 
 
 def save_graph(g: HierarchyGraph, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(graph_to_dict(g), fh, ensure_ascii=False, indent=2)
-        fh.write("\n")
+    write_json(graph_to_dict(g), path)

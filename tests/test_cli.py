@@ -275,6 +275,65 @@ def test_nash_refuses_ambiguous_tensor(tmp_path, capsys, field, value, message):
     assert err["error"] == "GameFormatError" and message in err["message"]
 
 
+# a decider tensor over one executive, where a string of one-character
+# moves or names could pass for a list of them
+_ONE_EXECUTIVE_TENSOR = {
+    "deciders": ["d1", "d2"], "executives": ["1"], "labels": {"+1": "C", "-1": "D"},
+    "strategies": [["C"], ["D"]], "payoffs": [[[1, 1], [0, 2]], [[2, 0], [0, 0]]],
+    "provenance": {},
+}
+
+
+@pytest.mark.parametrize("kind, field, value, name", [
+    ("game", ("players",), "12", "players"),
+    ("game", ("payoffs", 1, "profile"), "CD", "profile"),
+    ("game", ("payoffs", 0, "u"), "11", "u"),
+    ("tensor", ("deciders",), "dx", "deciders"),
+    ("tensor", ("executives",), "1", "executives"),
+    ("tensor", ("strategies",), "CD", "strategies"),
+    ("tensor", ("strategies", 0), "C", "strategy"),
+])
+def test_string_in_place_of_a_list_is_refused(tmp_path, capsys, kind, field, value, name):
+    # read as a list of its characters, each of these strings would make a
+    # valid file; it is refused instead: exit 2 and one JSON line
+    graph = _write_graph(tmp_path, hg.crossed_chains())
+    data = json.loads(json.dumps(hg.game_to_dict(hg.prisoners_dilemma()) if kind == "game"
+                                 else _ONE_EXECUTIVE_TENSOR))
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(data))
+    argv = (["transform", "--graph", graph, "--game", str(path)] if kind == "game"
+            else ["nash", "--tensor", str(path)])
+    assert main(argv) == EXIT_OK
+    capsys.readouterr()
+    *steps, key = field
+    target = data
+    for step in steps:
+        target = target[step]
+    target[key] = value
+    path.write_text(json.dumps(data))
+    assert main(argv) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == json.dumps({
+        "error": "GameFormatError",
+        "message": f"{name} must be a list, got the string {value!r}"}) + "\n"
+
+
+def test_file_errors_name_the_file(tmp_path, capsys):
+    # every input file that cannot be read or is not JSON exits 2 with a
+    # message that names the file
+    graph = _write_graph(tmp_path, hg.crossed_chains())
+    game = _write_game(tmp_path)
+    broken = tmp_path / "broken.json"
+    broken.write_text("{not json")
+    for bad in (broken, tmp_path / "absent.json"):
+        for argv in (["validate", "--graph", str(bad)],
+                     ["transform", "--graph", graph, "--game", str(bad)],
+                     ["nash", "--tensor", str(bad)]):
+            assert main(argv) == EXIT_PARSE
+            err = json.loads(capsys.readouterr().err)
+            assert str(bad) in err["message"], (argv, err)
+
 def test_sample_determinism(tmp_path):
     graph = _write_graph(tmp_path, hg.crossed_chains())
     first = tmp_path / "s1.json"

@@ -13,7 +13,7 @@ import helpers
 import hiergame as hg
 from hiergame.game import (REGIME_LABELS, NormalFormGame, TransformedGame, _decider_game,
                            _decider_payoffs, nash_mask, pre_payoff, regime_map,
-                           symmetric_payoffs)
+                           symmetric_payoffs, tensor_from_dict, tensor_to_dict)
 from hiergame.payoff import shapley_from_table
 
 
@@ -78,6 +78,24 @@ def test_game_format_errors(tmp_path):
     with pytest.raises(hg.GameFormatError, match="read"):
         hg.load_game(tmp_path / "absent.json")
 
+
+def test_format_dicts_take_tuples_and_round_trip():
+    # the list fields of game and tensor data may be tuples in memory
+    pd = hg.prisoners_dilemma()
+    data = hg.game_to_dict(pd)
+    data["players"] = tuple(data["players"])
+    for row in data["payoffs"]:
+        row["profile"], row["u"] = tuple(row["profile"]), tuple(row["u"])
+    assert hg.game_from_dict(data) == pd
+    tg = hg.symmetric_transform(0.4, 0.8)
+    data = tensor_to_dict(tg)
+    for key in ("deciders", "executives", "strategies"):
+        data[key] = tuple(map(tuple, data[key]) if key == "strategies" else data[key])
+    back = tensor_from_dict(data)
+    assert (back.deciders, back.executives, back.strategies, back.labels, back.provenance) \
+        == (tg.deciders, tg.executives, tg.strategies, tg.labels, tg.provenance)
+    assert np.array_equal(back.payoffs, tg.payoffs)
+    assert tensor_to_dict(back) == tensor_to_dict(tg)
 
 def _all_plus_profile():
     return {"d1": {"1": 1, "2": 1}, "d2": {"1": 1, "2": 1}}

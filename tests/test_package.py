@@ -2,9 +2,11 @@
 
 import ast
 import re
+import shlex
 from pathlib import Path
 
 import hiergame as hg
+from hiergame import cli
 
 
 def test_all_lists_exactly_the_reexported_names():
@@ -82,3 +84,45 @@ def test_modules_use_no_private_numpy_name():
                     if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                     and node.value.id in aliases and node.attr.startswith("_")]
     assert not private
+
+
+def test_readme_command_lines_parse():
+    # every line of README's command-line block, continuations joined,
+    # parses: a flag it shows that the parser lost ends in a usage error
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Command line\n")[1]
+    block = re.search(r"^```\n(.*?)^```$", section, re.DOTALL | re.MULTILINE).group(1)
+    lines = block.replace("\\\n", " ").splitlines()
+    assert len(lines) >= 8 and all(line.startswith("hiergame ") for line in lines)
+    parser = cli.build_parser()
+    for line in lines:
+        args = parser.parse_args(shlex.split(line)[1:])
+        assert callable(args.func), line
+
+
+def _file_calls(node, owner, found):
+    """Add to `found` the function, by dotted name inside its module, of
+    every call under `node` that opens a file or reads or writes JSON
+    through one."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            _file_calls(child, f"{owner}.{child.name}", found)
+            continue
+        if isinstance(child, ast.Call):
+            func = child.func
+            if (isinstance(func, ast.Name) and func.id == "open") or (
+                    isinstance(func, ast.Attribute) and (func.attr == "open" or (
+                        isinstance(func.value, ast.Name) and func.value.id == "json"
+                        and func.attr in ("load", "dump")))):
+                found.add(owner)
+        _file_calls(child, owner, found)
+
+
+def test_files_are_opened_in_one_place_per_direction():
+    # one JSON reader, one JSON writer, one output path for the command
+    # line; the sampler's check of the scheduler's counters reads a file
+    # that is no input of hiergame's
+    found = set()
+    for path in sorted(Path(hg.__file__).resolve().parent.glob("*.py")):
+        _file_calls(ast.parse(path.read_text(encoding="utf-8")), path.stem, found)
+    assert found == {"graph.read_json", "graph.write_json", "cli._emit", "vote._cpu_times"}
