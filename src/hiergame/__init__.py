@@ -4,9 +4,9 @@ A two-move base game is played by executives embedded in a weighted
 directed hierarchy.  Top vertices issue command vectors that propagate
 down through noisy weighted votes; expected payoffs flow back up through
 a share mechanism, inducing a normal-form game among the top vertices.
-On trees the vote process is equivalent to a boundary-conditioned Ising
-model, which this package exposes side by side with closed forms for
-chains and with forward sampling.
+The same graph also defines a coupled Ising model, exposed side by side
+with closed forms for chains and with forward sampling.  The two laws
+differ in general; `semantics_agree` says where they are the same.
 """
 
 from .builders import crossed_chains, single_chain, two_decider_chain
@@ -56,10 +56,10 @@ from .graph import (
     graph_from_dict,
     graph_to_dict,
     has_directed_cycle,
-    is_locally_tree,
     load_graph,
     nodes_between,
     save_graph,
+    semantics_agree,
     validate_graph,
 )
 from .ising import (
@@ -95,7 +95,7 @@ __all__ = [
     "EnumerationCapError", "MultiEdgeError", "DegenerateInfluenceError",
     "Vertex", "Edge", "HierarchyGraph", "ValidationReport", "validate_graph",
     "deciders", "executives", "has_directed_cycle", "nodes_between",
-    "is_locally_tree", "graph_to_dict", "graph_from_dict", "load_graph", "save_graph",
+    "semantics_agree", "graph_to_dict", "graph_from_dict", "load_graph", "save_graph",
     "VoteParams", "sigma_for_beta", "outcome_probability", "single_vote_prob",
     "ConditionalDistribution", "conditional_influence", "partition_function",
     "sample_many", "sample_counts", "influence_table",

@@ -4,8 +4,9 @@ Subcommands cover the pipeline end to end: validate graph files, query
 vote and Ising conditionals, dump transformed-game tensors, solve for
 pure equilibria, draw forward samples, and sweep parameter grids to CSV.
 
-Exit codes: 0 success, 1 internal error, 2 unreadable or malformed input,
-3 invariant violation, 4 enumeration cap exceeded, 5 degenerate influence.
+Exit codes: 0 success, 1 internal error, 2 unreadable or malformed input
+or unwritable output, 3 invariant violation, 4 enumeration cap exceeded,
+5 degenerate influence.
 Failures print one JSON line on stderr with the error class and message.
 """
 
@@ -466,7 +467,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (GraphFormatError, GameFormatError) as exc:
+    except (GraphFormatError, GameFormatError, OSError) as exc:  # OSError: from --out
         return _fail(exc, EXIT_PARSE)
     except EnumerationCapError as exc:
         return _fail(exc, EXIT_CAP)

@@ -239,22 +239,6 @@ def _reach_both_ways(g: HierarchyGraph, start: str) -> set[str]:
     return seen
 
 
-def _components(adj: Mapping[str, frozenset[str]],
-                zone: Iterable[str]) -> list[tuple[str, ...]]:
-    """Connected components of the subgraph induced on `zone`, each sorted,
-    in the order of their smallest vertex."""
-    zone = frozenset(zone)
-    outside = frozenset(adj) - zone
-    seen: set[str] = set()
-    out = []
-    for v in sorted(zone):
-        if v not in seen:
-            comp = reach({v}, adj, removed=outside)
-            seen |= comp
-            out.append(tuple(sorted(comp)))
-    return out
-
-
 def nodes_between_adjacency(adj: Mapping[str, frozenset[str]],
                             a: frozenset[str], b: frozenset[str]) -> frozenset[str]:
     """Interior of the A-to-B corridor on an undirected adjacency map.
@@ -281,20 +265,31 @@ def nodes_between(g: HierarchyGraph, a: Iterable[str], b: Iterable[str]) -> froz
     return nodes_between_adjacency(g.undirected_adjacency, frozenset(a), frozenset(b))
 
 
-def is_locally_tree(g: HierarchyGraph) -> bool:
-    """True when, for every executive i, the subgraph induced on
-    corridor(deciders, {i}) plus both endpoints is an undirected tree
-    (acyclic; one simple edge per vertex pair)."""
-    lam, execs = deciders(g), executives(g)
-    if not lam or not execs:
-        raise ValueError("need nonempty decider and executive sets")
-    adj = g.undirected_adjacency
-    for i in execs:
-        zone = nodes_between(g, lam, {i}) | lam | {i}
-        edge_count = sum(1 for v in zone for w in adj[v] if w in zone) // 2
-        if edge_count != len(zone) - len(_components(adj, zone)):
-            return False
-    return True
+def semantics_agree(g: HierarchyGraph, condition: Iterable[str],
+                    targets: Iterable[str]) -> bool:
+    """True when the vote process and the coupled spin model on `g` give
+    the same law of `targets` given `condition`, with the `tanh` response.
+
+    A vote factor is exp(beta s h) / (2 cosh beta h); the spin model keeps
+    only its numerator.  The 1/cosh term depends on the free spins exactly
+    at a vertex with two or more predecessors, one of them unconditioned.
+    No such vertex may be conditioned or stay connected to a target once
+    the conditioned vertices are removed.  Anywhere else, summing out its
+    side of the condition leaves a function of the condition alone, which
+    cancels from both laws.  Cycles change none of this.
+
+    The predicate is one-sided: "agree" is exact, while "differ" may be
+    conservative.  It speaks only for the `tanh` response, the one that
+    `coupling_from_hierarchy` mirrors; in `gaussian` mode the two differ
+    even on a chain of two edges.  Either set may be a spin mapping, whose
+    spins do not matter.  Empty or overlapping sets are refused, as
+    `nodes_between` refuses them.
+    """
+    a, b = frozenset(condition), frozenset(targets)
+    nodes_between(g, a, b)  # for its refusals
+    preds = g.pred_map
+    zone = reach(set(b), g.undirected_adjacency, removed=a) | a
+    return all(len(preds[v]) < 2 or all(u in a for u, _ in preds[v]) for v in zone)
 
 
 def graph_to_dict(g: HierarchyGraph) -> dict:
@@ -344,7 +339,7 @@ def read_json(path: str | Path, what: str, error: type[Exception]):
             return json.load(fh)
     except OSError as exc:
         raise error(f"cannot read {what} file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON; nesting too deep
         raise error(f"{what} file {path} is not valid JSON: {exc}") from exc
 
 

@@ -75,7 +75,7 @@ class IsingModel:
 
 
 def coupling_from_hierarchy(g: HierarchyGraph) -> IsingModel:
-    """Map a hierarchy to its equivalent pair-coupling model.
+    """Map a hierarchy to its pair-coupling model.
 
     J's scale and beta are `VoteParams`' `command_scale` and `gain`.  Fails
     when two directed edges share an unordered vertex pair.

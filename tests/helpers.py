@@ -105,6 +105,23 @@ def brute_ising_conditional(couplings, beta: float, target: str, condition: dict
     return num / den
 
 
+def brute_ising_joint(couplings, beta: float, targets: list, condition: dict) -> dict:
+    """P(spins on `targets` | condition) from the full-graph Boltzmann
+    weights, keyed as `brute_vote_joint` keys it."""
+    vertices = sorted({u for u, _, _ in couplings} | {v for _, v, _ in couplings})
+    free = [v for v in vertices if v not in condition]
+    sums = {}
+    den = 0.0
+    for combo in itertools.product((1, -1), repeat=len(free)):
+        spins = dict(condition)
+        spins.update(zip(free, combo))
+        w = math.exp(beta * sum(j * spins[u] * spins[v] for u, v, j in couplings))
+        den += w
+        key = tuple(spins[v] for v in targets)
+        sums[key] = sums.get(key, 0.0) + w
+    return {key: num / den for key, num in sums.items()}
+
+
 def tv_distance(p: dict, q: dict) -> float:
     keys = set(p) | set(q)
     return 0.5 * sum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in keys)

@@ -2,10 +2,11 @@
 
 Each test covers one numbered acceptance criterion and prints a single
 pass/fail line (run with -s to see them).  Criterion 3 is expected to
-fail and is marked strict-xfail: a join fed by two or more unconditioned
-predecessors averages its response over their joint states, which is not
-the conditional of the coupled spin model, and the gap is around 1e-2 on
-small trees.  The remaining criteria must hold at the stated tolerances.
+fail and is marked strict-xfail: random trees hold joins with an
+unconditioned predecessor, where the vote process is not the coupled
+spin model (see `hiergame.semantics_agree`), and the gap is around 1e-2
+on small trees.  The remaining criteria must hold at the stated
+tolerances.
 """
 
 import math

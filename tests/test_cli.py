@@ -35,6 +35,9 @@ def _write_game(tmp_path, name="game.json"):
     return str(path)
 
 
+_CONDITION = ["--condition", "d1=+1", "--condition", "d2=-1"]
+
+
 def _read_json(path):
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
@@ -333,6 +336,44 @@ def test_file_errors_name_the_file(tmp_path, capsys):
             assert main(argv) == EXIT_PARSE
             err = json.loads(capsys.readouterr().err)
             assert str(bad) in err["message"], (argv, err)
+
+
+def _input_files(directory) -> dict[str, str]:
+    """Paths of a valid graph (crossed_chains), game and decider-tensor file
+    written to `directory`, by kind."""
+    paths = {kind: str(Path(directory) / f"{kind}.json") for kind in ("graph", "game", "tensor")}
+    hg.save_graph(hg.crossed_chains(), paths["graph"])
+    hg.save_game(hg.prisoners_dilemma(), paths["game"])
+    assert main(["transform", "--graph", paths["graph"], "--game", paths["game"],
+                 "--out", paths["tensor"]]) == EXIT_OK
+    return paths
+
+
+# every run of every subcommand that reads a file, by the kind of file
+_READERS = {
+    "graph": (["validate", "--graph", "{graph}"],
+              ["influence", "--graph", "{graph}"] + _CONDITION,
+              ["ising", "--graph", "{graph}", "--target", "1"] + _CONDITION,
+              ["sample", "--graph", "{graph}", "--samples", "50"] + _CONDITION,
+              ["transform", "--graph", "{graph}", "--game", "{game}"],
+              ["nash", "--graph", "{graph}", "--game", "{game}"]),
+    "game": (["transform", "--graph", "{graph}", "--game", "{game}"],
+             ["nash", "--graph", "{graph}", "--game", "{game}"]),
+    "tensor": (["nash", "--tensor", "{tensor}"],),
+}
+
+
+@pytest.mark.parametrize("argv", _READERS["graph"] + _READERS["tensor"] + (
+    ["sweep", "--vary", "x=0.1:0.9:5", "--fix", "y=0.8"],), ids=lambda argv: argv[0] + argv[1])
+def test_unwritable_out_exits_parse(tmp_path, capsys, argv):
+    # every subcommand that writes output exits 2 when --out cannot be
+    # opened, and says which path
+    paths = _input_files(tmp_path)
+    out = tmp_path / "missing" / "out.json"
+    assert main([a.format(**paths) for a in argv] + ["--out", str(out)]) == EXIT_PARSE
+    assert str(out) in _single_error_line(capsys)["message"]
+    assert not out.parent.exists()
+
 
 def test_sample_determinism(tmp_path):
     graph = _write_graph(tmp_path, hg.crossed_chains())
@@ -849,7 +890,6 @@ _VALUES = st.sampled_from([
     _DELETE, None, math.nan, math.inf, -math.inf, 1e308, -1e308, 0, -1, True, "x", [], {},
     "ghost", "d1", "1", "decider", "agent", "executive", 1e-320,
 ])
-_CONDITION = ["--condition", "d1=+1", "--condition", "d2=-1"]
 
 
 @settings(derandomize=True, max_examples=100, deadline=None, database=None)
@@ -869,13 +909,9 @@ def test_mutated_graph_exits_cleanly(field, value):
         graph, game = Path(tmp) / "graph.json", Path(tmp) / "game.json"
         graph.write_text(json.dumps(data))
         hg.save_game(hg.prisoners_dilemma(), game)
-        runs = (["validate", "--graph", str(graph)],
-                ["influence", "--graph", str(graph)] + _CONDITION,
-                ["ising", "--graph", str(graph), "--target", "1"] + _CONDITION,
-                ["sample", "--graph", str(graph), "--samples", "50"] + _CONDITION,
-                ["transform", "--graph", str(graph), "--game", str(game)])
-        for argv in runs:
-            _assert_exits_cleanly(argv, (field, value))
+        for argv in _READERS["graph"]:
+            _assert_exits_cleanly([a.format(graph=graph, game=game) for a in argv],
+                                  (field, value))
 
 
 def _strict_json(text: str):
@@ -888,7 +924,8 @@ def _strict_json(text: str):
 def _assert_exits_cleanly(argv, context):
     """`main(argv)` in-process ends with a documented exit code other than
     1 and at most one line on stderr, a JSON error object; a run that
-    succeeds prints strict JSON (sweeps print CSV)."""
+    succeeds prints strict JSON (sweeps print CSV).  Returns the exit code
+    and what went to stderr."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -903,6 +940,7 @@ def _assert_exits_cleanly(argv, context):
         assert set(json.loads(lines[0])) == {"error", "message"}
     if code == EXIT_OK and argv[0] != "sweep":
         _strict_json(out.getvalue())
+    return code, err.getvalue()
 
 
 # one field of the crossed_chains() decider-game tensor JSON: a top-level
@@ -970,3 +1008,37 @@ def test_mutated_sweep_exits_cleanly(sweep, flag, part, token):
         parts[part % len(parts)] = token
     argv[at] = parts[0] + "=" + ":".join(parts[1:])
     _assert_exits_cleanly(["sweep"] + argv, argv)
+
+
+# byte splices (position, bytes removed, bytes put in their place) of one
+# valid input file; positions wrap around the file's length
+_SPLICES = st.lists(st.tuples(st.integers(0, 1 << 16), st.integers(0, 3),
+                              st.binary(max_size=3)), min_size=1, max_size=3)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(kind=st.sampled_from(sorted(_READERS)), splices=_SPLICES)
+@example(kind="graph", splices=[(0, 0, b"\xff\xfe")])  # a UTF-16 byte-order mark
+@example(kind="game", splices=[(0, 0, b"\xff\xfe")])
+@example(kind="tensor", splices=[(0, 1 << 30, b"[" * 100000)])  # nested too deep to parse
+@example(kind="graph", splices=[(0, 1 << 30, b"[" * 100000)])
+def test_byte_mutated_file_exits_cleanly(kind, splices):
+    # every run that reads the file ends cleanly; one whose file is no
+    # longer UTF-8 JSON exits 2 with a message that names the file
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = _input_files(tmp)
+        data = bytearray(Path(paths[kind]).read_bytes())
+        for at, removed, put in splices:
+            at %= len(data) + 1
+            data[at:at + removed] = put
+        Path(paths[kind]).write_bytes(data)
+        try:
+            json.loads(data.decode("utf-8"))
+            broken = False
+        except (ValueError, RecursionError):
+            broken = True
+        for argv in _READERS[kind]:
+            argv = [a.format(**paths) for a in argv]
+            code, err = _assert_exits_cleanly(argv, (kind, splices))
+            if broken:
+                assert code == EXIT_PARSE and paths[kind] in err, (argv, splices, err)

@@ -277,11 +277,15 @@ def test_nodes_between_excludes_boundary_and_validates():
         hg.nodes_between(g, {"nope"}, {"1"})
 
 
-def test_is_locally_tree():
-    assert hg.is_locally_tree(hg.crossed_chains())
-    assert hg.is_locally_tree(hg.two_decider_chain(3, 2))
+def test_semantics_agree():
+    # the vote and spin laws differ only through a vertex with two or more
+    # predecessors, one of them free; a condition's spins do not matter
+    assert hg.semantics_agree(hg.single_chain(3), {"d1": -1}, ["1"])
+    assert hg.semantics_agree(hg.two_decider_chain(1, 1), {"d1", "d2"}, {"1"})
+    assert not hg.semantics_agree(hg.two_decider_chain(3, 2), {"d1", "d2"}, {"1"})
+    assert not hg.semantics_agree(hg.crossed_chains(), {"d1": 1, "d2": 1}, {"1"})
 
-    # a diamond inside one corridor is not a tree
+    # a diamond's join has two free predecessors, unless both are conditioned
     g = HierarchyGraph(
         (Vertex("d", "decider"), Vertex("u", "agent"), Vertex("w", "agent"),
          Vertex("e", "executive")),
@@ -289,7 +293,15 @@ def test_is_locally_tree():
          Edge("u", "e", 0.5), Edge("w", "e", 0.5)),
         0.5, 1.0)
     assert hg.validate_graph(g).ok
-    assert not hg.is_locally_tree(g)
+    assert not hg.semantics_agree(g, {"d"}, {"e"})
+    assert hg.semantics_agree(g, {"u", "w"}, {"e"})
+
+    # empty or overlapping sets and unknown vertices are refused, as
+    # nodes_between refuses them
+    for condition, targets in ((set(), {"e"}), ({"d"}, set()), ({"d", "e"}, {"e"}),
+                               ({"nope"}, {"e"})):
+        with pytest.raises(ValueError):
+            hg.semantics_agree(g, condition, targets)
 
 
 def test_json_round_trip(tmp_path):
