@@ -3,8 +3,12 @@
 Each directed edge v->w of weight f becomes an undirected coupling
 J_vw = f (1-D)/D, and the vote noise width sets the inverse temperature
 beta = sqrt(2 / (pi sigma^2)).  Boundary-conditioned sums run over the
-corridor between the conditioned set and the queried set; everything
-hanging beyond either set drops out of normalized ratios.
+corridor between the conditioned set and the queried set.  What hangs
+beyond the conditioned set drops out of ratios taken at a fixed
+condition.  What hangs beyond the queried set drops out only where it
+touches a single queried vertex, by spin-flip symmetry: a region beyond
+that links two of them is not summed, so ratios over two or more queried
+vertices are not the model's joint law there.
 """
 
 from __future__ import annotations
@@ -182,6 +186,12 @@ def k_point(model: IsingModel, query: KPointQuery, cap: int | None = None) -> fl
     there), taken by variable elimination; the cap bounds log2 of its
     largest table.  The factors' structure is built once per model and
     pair of sets (see `_corridor`).  A sum out of float range is a ValueError.
+
+    What hangs beyond the conditioned set drops out of ratios of sums at a
+    fixed condition.  What hangs beyond the targets drops out only where it
+    touches a single target, by spin-flip symmetry; where it links two
+    targets, the sums normalised over the target patterns differ from the
+    model's joint law of the targets.
     """
     spins = {**query.condition, **query.target}
     layout = _corridor(model, frozenset(query.condition), frozenset(query.target), ())

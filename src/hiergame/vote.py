@@ -43,21 +43,9 @@ _HELPER_UNIFORMS = 1 << 18
 # many chunks of at most _CHUNK_ROWS rows each: 128 bytes per draw in all
 _RING_SLOTS = 4
 _CHUNK_ROWS = 4
-# a helper thread pays only on a CPU of its own.  The sampler stops its
-# helper for the rest of a call once it has waited _PARALLEL_CHECK for one
-# chunk, as for a helper that lags.  Once per call, after 10
-# _PARALLEL_CHECK, it also stops it if it has been on a CPU for less than
-# _PARALLEL_SHARE of the time it was ready to run.  At that point, on an
-# idle two-vCPU VM, 338 of 340 calls read 0.75-1 (median 1); with a
-# spinning process on the second vCPU, 266 of 269 read 0.46-0.73 (median
-# 0.62), and there filling inline is as fast.  Later calls then fill inline for
-# _SHARED_CPU_REST seconds, doubled for each call in a row that found the
-# CPU busy, up to 16 times
+# the sampler stops its helper for the rest of a call once it has waited
+# this long for one chunk, as for a helper that lags
 _PARALLEL_CHECK = 2e-3
-_PARALLEL_SHARE = 0.75
-_SHARED_CPU_REST = 0.25
-_shared_cpu_until = 0.0  # perf_counter time until which calls fill inline
-_shared_cpu_doublings = 0  # of the next rest, at most 4
 # the sampler tables a vertex whose P(+1) table takes at most this many
 # bytes to build (fan-in up to 3) at any number of draws: at few draws such
 # a table costs less than the vertex's per-draw field
@@ -512,18 +500,6 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _cpu_times() -> tuple[float, float]:
-    """(seconds on a CPU, seconds ready to run but waiting for one) of the
-    calling thread, as Linux's scheduler counts them; (0.0, 0.0) where the
-    system does not report them."""
-    try:
-        with open("/proc/thread-self/schedstat", "rb") as fh:
-            on, queued = fh.read().split()[:2]
-        return int(on) * 1e-9, int(queued) * 1e-9
-    except (OSError, ValueError):
-        return 0.0, 0.0
-
-
 def _uniform_rows(seed: int, rows: int, n: int) -> Iterator[np.ndarray]:
     """`rows` rows of `n` uniforms: row r holds positions [r n, (r + 1) n)
     of default_rng(seed)'s stream, as r + 1 successive ``random(n)`` calls
@@ -537,16 +513,12 @@ def _uniform_rows(seed: int, rows: int, n: int) -> Iterator[np.ndarray]:
     chunk the reader needs is being filled, the reader fills the next
     unclaimed one, so the two share the filling.  The reader stops the
     helper and goes on alone once it has waited _PARALLEL_CHECK for one
-    chunk or the helper has died; and, judged once per call, once the
-    reader has been on a CPU for less than _PARALLEL_SHARE of the time it
-    was ready to run, as when the second CPU is busy, in which case later
-    calls fill inline for a while (see `busy`).  The helper is joined when
-    the generator finishes or is closed, after at most one more chunk.
+    chunk or the helper has died.  The helper is joined when the generator
+    finishes or is closed, after at most one more chunk.
     """
     rng = np.random.default_rng(seed)
     if (rows * n < _HELPER_UNIFORMS or _usable_cpus() < 2
-            or not isinstance(seed, (int, np.integer))
-            or time.perf_counter() < _shared_cpu_until):
+            or not isinstance(seed, (int, np.integer))):
         out = np.empty(n)
         for _ in range(rows):
             yield rng.random(out=out)
@@ -596,37 +568,13 @@ def _uniform_rows(seed: int, rows: int, n: int) -> Iterator[np.ndarray]:
 
     mine = [rng, 0]
     spare = None
-    judge_at, start = time.perf_counter() + 10 * _PARALLEL_CHECK, _cpu_times()
-
-    def busy() -> bool:
-        """Whether the reader, judged once per call 10 _PARALLEL_CHECK
-        after it began, has been on a CPU for less than _PARALLEL_SHARE of
-        the time it was ready to run, as when the second CPU is busy and
-        the reader, its helper and another thread take turns on two (time
-        asleep, waiting for the helper or a lock, counts neither way).  If
-        so, later calls fill inline for _SHARED_CPU_REST seconds, doubled
-        for each call in a row that found the CPU busy, up to 16 times."""
-        global _shared_cpu_until, _shared_cpu_doublings
-        nonlocal judge_at
-        now = time.perf_counter()
-        if now < judge_at:
-            return False
-        judge_at = math.inf
-        on, queued = (b - a for a, b in zip(start, _cpu_times()))
-        if on >= _PARALLEL_SHARE * (on + queued):
-            _shared_cpu_doublings = 0
-            return False
-        _shared_cpu_until = now + _SHARED_CPU_REST * 2 ** _shared_cpu_doublings
-        _shared_cpu_doublings = min(_shared_cpu_doublings + 1, 4)
-        return True
 
     def take(c: int) -> Iterable[np.ndarray]:
         """The rows of chunk c once it is filled; until then the reader
         fills the next unclaimed chunk with a free slot.  Once the helper
-        has died, has kept the reader waiting _PARALLEL_CHECK for chunk c,
-        or the CPU is busy (see `busy`), the reader stops it and fills each
-        row of a chunk the helper has not finished into a spare row, which
-        the helper never writes."""
+        has died or has kept the reader waiting _PARALLEL_CHECK for chunk
+        c, the reader stops it and fills each row of a chunk the helper has
+        not finished into a spare row, which the helper never writes."""
         nonlocal claimed, reading, stop, spare
         patience = _PARALLEL_CHECK
         while True:
@@ -634,7 +582,7 @@ def _uniform_rows(seed: int, rows: int, n: int) -> Iterator[np.ndarray]:
                 if reading != c:
                     reading = c  # frees the slot of chunk c - 1
                     cond.notify()
-                if not stop and (helper_gone or busy() or patience <= 0.0):
+                if not stop and (helper_gone or patience <= 0.0):
                     stop = True
                     cond.notify()
                 if held[c % _RING_SLOTS] == c:
@@ -816,11 +764,11 @@ def sample_many(g: HierarchyGraph, condition: Mapping[str, int],
 
     The uniforms may be filled by a second thread (see `_uniform_rows`);
     it runs only with two usable CPUs and an integer seed, when the call
-    draws at least _HELPER_UNIFORMS of them and no recent call found the
-    second CPU busy, and the draws of a seed are the same either way.  On
-    two idle CPUs it fills whole chunks beside the draws: on a two-vCPU VM,
-    a 1e5-draw call on a 100-vertex arborescence took about 36 ms with it
-    and 61 ms without.
+    draws at least _HELPER_UNIFORMS of them, and the draws of a seed are
+    the same either way.  On two idle CPUs it fills whole chunks beside the
+    draws: on a two-vCPU VM, a 1e5-draw call on a 100-vertex arborescence
+    took about 36 ms with it and 48 ms without (medians of five runs of 40
+    calls, the runs' medians 33-41 ms and 43-67 ms).
 
     Returns {vertex: int8 array of its +-1 spins} for `vertices`, in
     topological order; deterministic in `seed`, and each array the same

@@ -402,13 +402,9 @@ def concatenated_vote_tables(fixed: list, weights: list, n_free: int, params) ->
 
 def sampler_helper(monkeypatch, on: bool) -> list:
     """Force the sampler's uniform-filling helper thread on (even with one
-    usable CPU, and in the calls after one that found the CPU busy) or off;
-    returns a list that collects each thread started."""
+    usable CPU) or off; returns a list that collects each thread started."""
     monkeypatch.setattr(vote, "_HELPER_UNIFORMS", 1 if on else 1 << 62)
     monkeypatch.setattr(vote, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(vote, "_SHARED_CPU_REST", 0.0)
-    monkeypatch.setattr(vote, "_shared_cpu_until", 0.0)
-    monkeypatch.setattr(vote, "_shared_cpu_doublings", 0)
     started = []
 
     class Counted(threading.Thread):

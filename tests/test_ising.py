@@ -155,6 +155,31 @@ def test_corridor_components_match_full_enumeration():
     assert split >= len(cases) // 2
 
 
+def test_k_point_drops_only_single_target_regions():
+    # d -> t1, d -> t2, t1 -> x, t2 -> x: the region {x} beyond the targets
+    # links t1 and t2, and k_point does not sum it, so its sums normalised
+    # over the four target patterns are not the model's joint law; each
+    # target alone, whose region is its own, still gets its marginal
+    g = hg.HierarchyGraph(
+        (hg.Vertex("d", "decider"), hg.Vertex("t1", "agent"),
+         hg.Vertex("t2", "agent"), hg.Vertex("x", "executive")),
+        (hg.Edge("d", "t1", 1.0), hg.Edge("d", "t2", 1.0),
+         hg.Edge("t1", "x", 0.5), hg.Edge("t2", "x", 0.5)),
+        0.5, hg.sigma_for_beta(1.0))
+    model = hg.coupling_from_hierarchy(g)
+    condition = {"d": 1}
+    sums = {s: hg.k_point(model, KPointQuery(condition, {"t1": s[0], "t2": s[1]}))
+            for s in itertools.product((1, -1), repeat=2)}
+    total = sum(sums.values())
+    joint = helpers.brute_ising_joint(model.couplings, model.beta, ["t1", "t2"], condition)
+    gap = helpers.tv_distance({s: z / total for s, z in sums.items()}, joint)
+    assert gap == pytest.approx(6.30e-2, abs=5e-5)
+    for t in ("t1", "t2"):
+        up, down = (hg.k_point(model, KPointQuery(condition, {t: s})) for s in (1, -1))
+        law = helpers.brute_ising_joint(model.couplings, model.beta, [t], condition)
+        assert abs(up / (up + down) - law[(1,)]) <= 1e-12
+
+
 def test_chain_conditional_matches_enumeration():
     j = 0.7
     for distance in range(1, 13):

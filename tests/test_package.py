@@ -51,6 +51,17 @@ def test_modules_use_every_name_they_import():
         assert imported <= read | exported, (path.name, sorted(imported - read - exported))
 
 
+def test_no_module_rewrites_its_globals():
+    # a call's answer and its cost depend on its arguments alone: no
+    # function rebinds a module name that later calls would read
+    rebound = []
+    for path in sorted(Path(hg.__file__).resolve().parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        rebound += [f"{path.stem}: {', '.join(node.names)}" for node in ast.walk(tree)
+                    if isinstance(node, ast.Global)]
+    assert rebound == []
+
+
 def test_modules_import_no_private_name_of_another():
     # an underscore name is its module's own: another hiergame module that
     # needs it should get it under a public name
@@ -120,9 +131,8 @@ def _file_calls(node, owner, found):
 
 def test_files_are_opened_in_one_place_per_direction():
     # one JSON reader, one JSON writer, one output path for the command
-    # line; the sampler's check of the scheduler's counters reads a file
-    # that is no input of hiergame's
+    # line
     found = set()
     for path in sorted(Path(hg.__file__).resolve().parent.glob("*.py")):
         _file_calls(ast.parse(path.read_text(encoding="utf-8")), path.stem, found)
-    assert found == {"graph.read_json", "graph.write_json", "cli._emit", "vote._cpu_times"}
+    assert found == {"graph.read_json", "graph.write_json", "cli._emit"}

@@ -1197,65 +1197,6 @@ def test_sampler_survives_a_failing_helper(monkeypatch, fault):
         assert np.array_equal(got[v], arr), v
 
 
-def test_sampler_rests_its_helper_after_a_shared_cpu(monkeypatch):
-    # a call whose reader was on a CPU for less than _PARALLEL_SHARE of
-    # the time it was ready to run stops its helper, and calls in the next
-    # _SHARED_CPU_REST seconds start none; the rest doubles for each such
-    # call in a row, up to 16 times, and a call that finds the CPU its own,
-    # or that has no scheduler counts to judge by, resets it.  The draws
-    # are the stream's throughout.
-    g = hg.single_chain(200)
-    params = VoteParams.from_graph(g)
-    want = helpers.brute_sample_many(g, {"d1": 1}, params, 5000, 4)
-    started = helpers.sampler_helper(monkeypatch, on=True)
-    monkeypatch.setattr(vote, "_SHARED_CPU_REST", 100.0)
-    monkeypatch.setattr(vote, "_PARALLEL_CHECK", 0.0)  # judged at the first chunk
-    # the reader's scheduler counts, each read a CPU share of `share` later
-    share = [0.5]
-    counts = [0.0, 0.0]
-
-    def cpu_times():
-        counts[0] += share[0]
-        counts[1] += 1.0 - share[0]
-        return tuple(counts)
-
-    monkeypatch.setattr(vote, "_cpu_times", cpu_times)
-    runs = []
-
-    def run(helper: bool) -> float:
-        """Sample; whether a helper started; the rest the call began."""
-        count = len(started)
-        runs.append(hg.sample_many(g, {"d1": 1}, params, 5000, 4))
-        assert len(started) == count + helper
-        return vote._shared_cpu_until - time.perf_counter()
-
-    assert 99.0 < run(True) <= 100.0
-    assert 99.0 < run(False) <= 100.0  # resting: no helper, no judgement
-    rests = []
-    for _ in range(5):
-        monkeypatch.setattr(vote, "_shared_cpu_until", 0.0)
-        rests.append(run(True))
-    assert [round(r, -2) for r in rests] == [200.0, 400.0, 800.0, 1600.0, 1600.0]
-    monkeypatch.setattr(vote, "_shared_cpu_until", 0.0)
-    share[0] = vote._PARALLEL_SHARE
-    run(True)
-    assert vote._shared_cpu_doublings == 0 and vote._shared_cpu_until == 0.0
-    share[0] = 0.5
-    assert 99.0 < run(True) <= 100.0
-    monkeypatch.setattr(vote, "_shared_cpu_until", 0.0)
-    monkeypatch.setattr(vote, "_cpu_times", lambda: (0.0, 0.0))
-    run(True)
-    assert vote._shared_cpu_doublings == 0 and vote._shared_cpu_until == 0.0
-    for got in runs:
-        for v, arr in want.items():
-            assert np.array_equal(got[v], arr), v
-    # where the system reports them, the counts are seconds that only grow
-    before = vote._cpu_times()
-    sum(range(10**5))
-    after = vote._cpu_times()
-    assert all(isinstance(t, float) and 0.0 <= a <= t for a, t in zip(before, after))
-
-
 def test_sampler_helpers_under_contention(monkeypatch):
     # four sampling threads at once, each with its helper, on however few
     # cores, with the interpreter lock switched as often as it will go:
