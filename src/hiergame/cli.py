@@ -120,6 +120,16 @@ def _fix_flag(text: str) -> tuple[str, float]:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
+def _seed_flag(text: str) -> int:
+    try:
+        seed = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from exc
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"the seed must be non-negative, got {seed}")
+    return seed
+
+
 def _condition_dict(pairs) -> dict[str, int]:
     condition: dict[str, int] = {}
     for name, spin in pairs or []:
@@ -442,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--condition", action="append", type=_condition_flag,
                    metavar="VERTEX=SPIN")
     p.add_argument("--samples", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed_flag, default=0)
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("sweep", help="grid sweep to CSV (regime map)")

@@ -131,7 +131,7 @@ def game_from_dict(data: Mapping) -> NormalFormGame:
             if spins in payoffs:
                 raise ValueError(f"duplicate profile {row['profile']}")
             payoffs[spins] = tuple(float(u) for u in _listed(row["u"], "u"))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise GameFormatError(f"malformed game data: {exc}") from exc
     try:
         return NormalFormGame(players, payoffs, labels)
@@ -242,7 +242,7 @@ def tensor_from_dict(data: Mapping) -> TransformedGame:
         tg = TransformedGame(
             _listed(data["deciders"], "deciders"), _listed(data["executives"], "executives"),
             strategies, payoffs, labels, dict(data.get("provenance", {})))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise GameFormatError(f"malformed tensor data: {exc}") from exc
     if payoffs.shape != (len(strategies),) * len(tg.deciders) + (len(tg.deciders),):
         raise GameFormatError("tensor shape does not match deciders and strategies")

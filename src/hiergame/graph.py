@@ -304,8 +304,9 @@ def graph_to_dict(g: HierarchyGraph) -> dict:
 def graph_from_dict(data: Mapping, validate: bool = True) -> HierarchyGraph:
     """Build and fully validate a hierarchy from parsed JSON data.
 
-    Raises GraphFormatError on malformed structure or, unless `validate` is
-    off, on any invariant violation; the message lists every problem found.
+    Raises GraphFormatError on malformed structure (a number too large for
+    a float included) or, unless `validate` is off, on any invariant
+    violation; the message lists every problem found.
     Pass validate=False to get the raw object for a diagnostic report.
     """
     try:
@@ -317,7 +318,7 @@ def graph_from_dict(data: Mapping, validate: bool = True) -> HierarchyGraph:
         edges = tuple(
             Edge(str(e["from"]), str(e["to"]), float(e["weight"])) for e in raw_edges
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise GraphFormatError(f"malformed graph data: {exc}") from exc
     g = HierarchyGraph(vertices, edges, free_float, noise_sigma)
     if validate:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 import math
-import os
 import threading
 import time
 from dataclasses import dataclass
@@ -22,7 +21,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .elimination import fixed_fields, stored_in, sum_product
+from .elimination import fixed_fields, stored_in, sum_product, usable_cpus
 from .errors import CyclicGraphError
 from .graph import WEIGHT_TOL, HierarchyGraph, deciders
 
@@ -493,13 +492,6 @@ def partition_function(g: HierarchyGraph, a: frozenset[str] | set[str],
     return float(_vote_sum(layout, condition, params, cap)[0]) * 2.0 ** layout.roots
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity masks on this platform
-        return os.cpu_count() or 1
-
-
 def _uniform_rows(seed: int, rows: int, n: int) -> Iterator[np.ndarray]:
     """`rows` rows of `n` uniforms: row r holds positions [r n, (r + 1) n)
     of default_rng(seed)'s stream, as r + 1 successive ``random(n)`` calls
@@ -517,7 +509,7 @@ def _uniform_rows(seed: int, rows: int, n: int) -> Iterator[np.ndarray]:
     finishes or is closed, after at most one more chunk.
     """
     rng = np.random.default_rng(seed)
-    if (rows * n < _HELPER_UNIFORMS or _usable_cpus() < 2
+    if (rows * n < _HELPER_UNIFORMS or usable_cpus() < 2
             or not isinstance(seed, (int, np.integer))):
         out = np.empty(n)
         for _ in range(rows):
@@ -616,7 +608,7 @@ def _uniform_rows(seed: int, rows: int, n: int) -> Iterator[np.ndarray]:
         thread.join()
 
 
-def _sampled(g: HierarchyGraph, condition: Mapping[str, int], n: int,
+def _sampled(g: HierarchyGraph, condition: Mapping[str, int], n: int, seed: int,
              vertices: Iterable[str] | None) -> Iterable[str]:
     """The vertices a sampler call reports (default: every vertex), once
     every check has passed that must pass before anything is drawn."""
@@ -625,6 +617,8 @@ def _sampled(g: HierarchyGraph, condition: Mapping[str, int], n: int,
     _validate_assignment(condition, deciders(g), "condition")
     if n < 1:
         raise ValueError("need at least one sample")
+    if isinstance(seed, (int, np.integer)) and seed < 0:
+        raise ValueError(f"the seed must be non-negative, got {seed}")
     if n * len(g.vertices) > MAX_SAMPLE_SPINS:
         raise ValueError(f"{n} draws over {len(g.vertices)} vertices make more than "
                          f"{MAX_SAMPLE_SPINS} spins, the sampling limit")
@@ -749,8 +743,9 @@ def sample_many(g: HierarchyGraph, condition: Mapping[str, int],
     and return the spins of `vertices` (default: every vertex).
 
     Requires an acyclic graph conditioned on exactly the decider set, ids
-    of the graph in `vertices`, and at most MAX_SAMPLE_SPINS draws times
-    vertices, every vertex counted whatever `vertices` holds.  In
+    of the graph in `vertices`, a seed that is not a negative integer, and
+    at most MAX_SAMPLE_SPINS draws times vertices, every vertex counted
+    whatever `vertices` holds.  In
     topological order, each vertex with predecessors draws one uniform per
     draw and is +1 where it falls below P(+1 | predecessors): the r-th
     such vertex reads positions [r n, (r + 1) n) of default_rng(seed)'s
@@ -779,7 +774,7 @@ def sample_many(g: HierarchyGraph, condition: Mapping[str, int],
     number of +1 draws is wanted, `sample_counts` gives it without
     holding the returned spins.
     """
-    keep = _sampled(g, condition, n, vertices)
+    keep = _sampled(g, condition, n, seed, vertices)
     # each returned vertex's +1 mask, turned into its spins at the end, in
     # blocks of at most 64 KiB: one block for every vertex would, once
     # freed, raise the C allocator's mmap threshold, and later calls would
@@ -811,7 +806,7 @@ def sample_counts(g: HierarchyGraph, condition: Mapping[str, int],
     rows that a later vertex still reads and the uniforms being read, not
     one byte per draw of each vertex asked for.
     """
-    keep = _sampled(g, condition, n, vertices)
+    keep = _sampled(g, condition, n, seed, vertices)
     return {v: int(np.count_nonzero(mask))
             for v, mask in _drawn_masks(g, condition, params, n, seed, keep)}
 

@@ -6,8 +6,10 @@ so tests compare the package against genuinely separate code paths.  The
 one exception is `brute_sample_many`, which must consume numpy's random
 stream exactly as the sampler does, and `concatenated_vote_tables`, which
 must repeat the package's float operations to compare bit for bit.  The
-last two functions switch the sampler's uniform-filling helper thread on
-or off and inject faults into it, for the tests of that thread.
+last functions set the usable CPUs, switch the sampler's uniform-filling
+helper thread on or off and inject faults into it, and split the exact
+sums' wide steps with their helper thread on, off, lagging or failing,
+for the tests of those threads.
 """
 
 import itertools
@@ -19,7 +21,7 @@ import time
 import numpy as np
 from scipy.special import erf
 
-from hiergame import Edge, HierarchyGraph, Vertex, outcome_probability, vote
+from hiergame import Edge, HierarchyGraph, Vertex, elimination, outcome_probability, vote
 
 
 def response(spin: int, field: float, mode: str, sigma: float) -> float:
@@ -400,20 +402,75 @@ def concatenated_vote_tables(fixed: list, weights: list, n_free: int, params) ->
     return probs
 
 
-def sampler_helper(monkeypatch, on: bool) -> list:
-    """Force the sampler's uniform-filling helper thread on (even with one
-    usable CPU) or off; returns a list that collects each thread started."""
-    monkeypatch.setattr(vote, "_HELPER_UNIFORMS", 1 if on else 1 << 62)
-    monkeypatch.setattr(vote, "_usable_cpus", lambda: 2)
+def usable_cpus(monkeypatch, n: int) -> None:
+    """Make the sampler and the exact sums, which share one rule, see `n`
+    usable CPUs."""
+    monkeypatch.setattr(vote, "usable_cpus", lambda: n)
+    monkeypatch.setattr(elimination, "usable_cpus", lambda: n)
+
+
+def _thread_starts(monkeypatch, lag: float = 0.0) -> list:
+    """A list that collects the name of each thread started, less the
+    number a thread pool appends; the exact sums' helper waits `lag`
+    seconds, using no CPU, before it serves."""
     started = []
 
     class Counted(threading.Thread):
         def start(self):
-            started.append(self.name)
+            started.append(self.name.partition("_")[0])
             super().start()
+
+        def run(self):
+            if self.name.startswith("hiergame-halves"):
+                time.sleep(lag)
+            super().run()
 
     monkeypatch.setattr(threading, "Thread", Counted)
     return started
+
+
+def sampler_helper(monkeypatch, on: bool) -> list:
+    """Force the sampler's uniform-filling helper thread on (even with one
+    usable CPU) or off; both the sampler and the exact sums see two usable
+    CPUs.  Returns a list that collects the name of each thread started,
+    the sums' helper ("hiergame-halves") as well as the sampler's
+    ("hiergame-uniforms")."""
+    monkeypatch.setattr(vote, "_HELPER_UNIFORMS", 1 if on else 1 << 62)
+    usable_cpus(monkeypatch, 2)
+    return _thread_starts(monkeypatch)
+
+
+def kernel_helper(monkeypatch, mode: str) -> tuple[list, list]:
+    """Split every wide step of 12 or more spins into its two parts and run
+    the exact sums' helper thread "off" (one usable CPU), "on" (the caller
+    starts each first part once the helper has taken the second), "lags"
+    (the helper waits 0.05 s before it serves, so the caller finds second
+    parts not yet started) or "raises" (as "on", and the helper raises on
+    each part it takes).  Returns the list of threads started (see
+    `sampler_helper`) and a list that collects, for each part run, whether
+    the helper ran it."""
+    monkeypatch.setattr(elimination, "_SPLIT_SPINS", 12)
+    usable_cpus(monkeypatch, 1 if mode == "off" else 2)
+    started = _thread_starts(monkeypatch, 0.05 if mode == "lags" else 0.0)
+    program = elimination._Broadcast.program
+    taken = threading.Event()
+    ran = []
+
+    def watched(step, operands, out=None):
+        if out is not None:
+            helper = threading.current_thread() is not threading.main_thread()
+            ran.append(helper)
+            if helper:
+                taken.set()
+                if mode == "raises":
+                    raise RuntimeError("helper failed")
+            elif mode in ("on", "raises"):
+                taken.wait(10.0)
+                taken.clear()
+        return program(step, operands, out)
+
+    monkeypatch.setattr(elimination._Broadcast, "program", watched)
+    return started, ran
 
 
 def faulty_sampler_helper(monkeypatch, fault: str | None) -> tuple[list, list]:

@@ -375,6 +375,18 @@ def test_unwritable_out_exits_parse(tmp_path, capsys, argv):
     assert not out.parent.exists()
 
 
+@pytest.mark.parametrize("seed", ["-1", "-12345678901234567890", "x"])
+def test_sample_refuses_a_bad_seed_as_a_usage_error(tmp_path, capsys, seed):
+    # numpy refuses a negative seed once drawing starts (exit 3, naming no
+    # flag); the parser refuses it first, naming --seed
+    graph = _write_graph(tmp_path, hg.crossed_chains())
+    with pytest.raises(SystemExit) as exc:
+        main(["sample", "--graph", graph, "--samples", "10", "--seed", seed] + _CONDITION)
+    assert exc.value.code == EXIT_PARSE
+    err = _single_error_line(capsys)
+    assert err["error"] == "ArgumentError" and "--seed" in err["message"]
+
+
 def test_sample_determinism(tmp_path):
     graph = _write_graph(tmp_path, hg.crossed_chains())
     first = tmp_path / "s1.json"
@@ -1008,6 +1020,41 @@ def test_mutated_sweep_exits_cleanly(sweep, flag, part, token):
         parts[part % len(parts)] = token
     argv[at] = parts[0] + "=" + ":".join(parts[1:])
     _assert_exits_cleanly(["sweep"] + argv, argv)
+
+
+def _set_edge_weight(data, value):
+    data["edges"][0]["weight"] = value
+
+
+def _set_free_float(data, value):
+    data["free_float"] = value
+
+
+def _set_payoff(data, value):
+    data["payoffs"][1]["u"][0] = value
+
+
+def _set_tensor_entry(data, value):
+    data["payoffs"][0][1][0] = value
+
+
+@pytest.mark.parametrize("kind, argv, change", [
+    ("graph", ["validate", "--graph", "{graph}"], _set_edge_weight),
+    ("graph", ["sample", "--graph", "{graph}", "--samples", "50"] + _CONDITION, _set_free_float),
+    ("game", ["transform", "--graph", "{graph}", "--game", "{game}"], _set_payoff),
+    ("tensor", ["nash", "--tensor", "{tensor}"], _set_tensor_entry),
+], ids=["weight", "free_float", "payoff", "tensor"])
+def test_integer_too_large_for_a_float_exits_parse(tmp_path, capsys, kind, argv, change):
+    # a JSON integer of 401 digits parses but has no float: the file is
+    # malformed (exit 2), not a fault of hiergame (exit 1)
+    paths = _input_files(tmp_path)
+    capsys.readouterr()
+    data = json.loads(Path(paths[kind]).read_text())
+    change(data, 10 ** 400)
+    Path(paths[kind]).write_text(json.dumps(data))
+    code, err = _assert_exits_cleanly([a.format(**paths) for a in argv], kind)
+    assert code == EXIT_PARSE, err
+    assert "malformed" in json.loads(err)["message"]
 
 
 # byte splices (position, bytes removed, bytes put in their place) of one
