@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import itertools
 import json
 import math
 import sys
@@ -248,9 +249,9 @@ def cmd_sample(args) -> int:
 class SweepSpec:
     """A grid over (a, c, beta, D) chain geometry or direct (x, y) points.
 
-    Varied axes iterate in the order given, first axis outermost.  x and y
-    ranges must stay inside (0, 1), and the grid may hold at most
-    MAX_SWEEP_POINTS points.
+    Varied axes iterate in the order given, first axis outermost.  Axis
+    bounds must be finite, x and y ranges must stay inside (0, 1), and the
+    grid may hold at most MAX_SWEEP_POINTS points.
     """
 
     varied: tuple[tuple[str, float, float, int], ...]
@@ -266,6 +267,9 @@ class SweepSpec:
             seen.add(name)
             if steps < 2:
                 raise ValueError(f"axis {name} needs at least 2 steps")
+            if not math.isfinite(hi - lo):  # before np.linspace, which warns
+                raise ValueError(f"axis {name} needs finite bounds a finite distance "
+                                 f"apart, got {lo}:{hi}")
             if not lo < hi:
                 raise ValueError(f"axis {name} needs lo < hi")
             if name in ("x", "y") and not (0.0 < lo and hi < 1.0):
@@ -276,7 +280,8 @@ class SweepSpec:
                 f"sweep grid has {points} points; the limit is {MAX_SWEEP_POINTS}")
         for name, value in self.fixed:
             if name in seen:
-                raise ValueError(f"parameter {name} both varied and fixed")
+                how = "both varied and fixed" if name in self.names else "fixed twice"
+                raise ValueError(f"parameter {name} {how}")
             seen.add(name)
             if name in ("x", "y") and not 0.0 < value < 1.0:
                 raise ValueError(f"fixed {name} must lie inside (0, 1)")
@@ -328,12 +333,13 @@ def _chain_point(a: float, c: float, beta: float, d: float) -> tuple[float, floa
     beta = beta * (1.0 - d) / d
     if not (a.is_integer() and c.is_integer() and a >= 1 and c >= 1):
         raise ValueError(f"chain lengths must be positive integers, got a={a} c={c}")
-    return _map_domain(*chain_xy(int(a), int(c), beta))
+    return chain_xy(int(a), int(c), beta)
 
 
 def _sweep_xy(columns: dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """(x, y) of a chunk of grid points; the first point off the map, in
-    grid order, raises its `_map_domain` error."""
+    grid order, raises its `_map_domain` error, and a chain point that has
+    no (x, y) raises its own once the points before it are checked."""
     if "x" in columns:
         return _map_domain(columns["x"], columns["y"])
     # chain points keep the scalar closed form on math: numpy's cosh and sinh
@@ -342,17 +348,30 @@ def _sweep_xy(columns: dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     points = zip(columns["a"].tolist(), columns["c"].tolist(),
                  columns["beta"].tolist() if "beta" in columns else [1.0] * n,
                  columns["D"].tolist() if "D" in columns else [0.5] * n)
-    x, y = np.array([_chain_point(*p) for p in points]).T
-    return x, y
+    xy = []
+    try:
+        for point in points:
+            xy.append(_chain_point(*point))
+    except ValueError:
+        _map_domain(*np.array(xy).reshape(-1, 2).T)
+        raise
+    return _map_domain(*np.array(xy).T)
 
 
-def _nash_profiles() -> list[str]:
+@functools.cache
+def _nash_profiles() -> tuple[str, ...]:
     """CSV spelling of the 16 profiles of the symmetric decider game, in
     nash_mask order: semicolons between deciders, so that with pipes
     between equilibria the sweep CSV stays naively splittable."""
     labels = prisoners_dilemma().labels
     moves = ["".join(labels[s] for s in strategy) for strategy in product((1, -1), repeat=2)]
-    return [f"{first};{second}" for first in moves for second in moves]
+    return tuple(f"{first};{second}" for first in moves for second in moves)
+
+
+@functools.cache  # keys are 16-bit masks: at most 2^16 entries
+def _nash_cell(key: int) -> str:
+    """The nash cell of a point whose equilibria set the bits of `key`."""
+    return "|".join(p for b, p in enumerate(_nash_profiles()) if key >> b & 1)
 
 
 def _sweep_text(spec: SweepSpec):
@@ -367,19 +386,16 @@ def _sweep_text(spec: SweepSpec):
     fixed = {name: ("%.15g" % value).replace("%", "%%") for name, value in spec.fixed}
     row_fmt = ",".join(fixed.get(n, "%.15g") for n in lead + ("x", "y")) + ",%s,%.15g,%s\n"
     labels = np.array(REGIME_LABELS, dtype=object)
-    profiles = _nash_profiles()
-    bits = 1 << np.arange(len(profiles))
+    bits = 1 << np.arange(len(_nash_profiles()))
     for columns in spec.chunks():
         x, y = _sweep_xy(columns)
         code, value = regime_map(x, y)
         payoffs, degenerate = symmetric_payoffs(x, y)
         keys = (nash_mask(payoffs).reshape(len(x), -1) @ bits) * ~degenerate
-        nash = {key: "|".join(p for b, p in enumerate(profiles) if key >> b & 1)
-                for key in np.unique(keys).tolist()}
-        cells = [columns[n] for n in lead] + [v for n, v in (("x", x), ("y", y)) if n not in fixed]
-        cells += [labels[code], value, [nash[k] for k in keys.tolist()]]
-        rows = np.array(cells, dtype=object).T
-        yield text + (row_fmt * len(x)) % tuple(rows.ravel().tolist())
+        cells = [columns[n].tolist() for n in lead]
+        cells += [v.tolist() for n, v in (("x", x), ("y", y)) if n not in fixed]
+        cells += [labels[code].tolist(), value.tolist(), map(_nash_cell, keys.tolist())]
+        yield text + (row_fmt * len(x)) % tuple(itertools.chain.from_iterable(zip(*cells)))
         text = ""
 
 

@@ -342,7 +342,13 @@ def symmetric_payoffs(x, y) -> tuple[np.ndarray, np.ndarray]:
     table = {(1, 1): np.array([y, y]), (1, -1): np.array([1.0 - x, x]),
              (-1, 1): np.array([x, 1.0 - x]), (-1, -1): np.array([1.0 - y, 1.0 - y])}
     shares, degenerate = shapley_from_table(table)
-    return _decider_payoffs(prisoners_dilemma(), table, shares), degenerate.any(axis=0)
+    return _decider_payoffs(_symmetric_base(), table, shares), degenerate.any(axis=0)
+
+
+@functools.cache
+def _symmetric_base() -> NormalFormGame:
+    """The `prisoners_dilemma` that `symmetric_payoffs` lifts, built once."""
+    return prisoners_dilemma()
 
 
 def symmetric_transform(x: float, y: float) -> TransformedGame:
@@ -391,10 +397,14 @@ def regime_map(x, y) -> tuple[np.ndarray, np.ndarray]:
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     lower, upper = tipping_points(y)
     v1, v_coop, v2 = -1.0 + 2.0 * x, -1.0 + 2.0 * y, 1.0 - 2.0 * x
-    where = [abs(x - lower) <= BOUNDARY_TOL, abs(x - upper) <= BOUNDARY_TOL,
-             x < lower, x < upper]
-    code = np.select(where, [LOWER_LINE, UPPER_LINE, PD_V1, COOPERATION], PD_V2)
-    value = np.select(where, [_line_value(v1, v_coop), _line_value(v_coop, v2), v1, v_coop], v2)
+    below, inside = x < lower, x < upper
+    code = np.where(below, PD_V1, np.where(inside, COOPERATION, PD_V2))
+    value = np.where(below, v1, np.where(inside, v_coop, v2))
+    on_lower, on_upper = abs(x - lower) <= BOUNDARY_TOL, abs(x - upper) <= BOUNDARY_TOL
+    if on_lower.any() or on_upper.any():
+        code = np.where(on_lower, LOWER_LINE, np.where(on_upper, UPPER_LINE, code))
+        value = np.where(on_lower, _line_value(v1, v_coop),
+                         np.where(on_upper, _line_value(v_coop, v2), value))
     return code, value
 
 

@@ -240,30 +240,34 @@ def chain_conditional(distance: int, beta_j: float, spin_a: int, spin_b: int) ->
     return 0.5 * (1.0 + t) if spin_a == spin_b else 0.5 * (1.0 - t)
 
 
-def _mu(sign: int, k: int, beta: float) -> float:
-    return (math.cosh(beta) ** (k - 1) * math.cosh(beta / 2.0)
-            + sign * math.sinh(beta) ** (k - 1) * math.sinh(beta / 2.0))
-
-
 def chain_xy(a: int, c: int, beta: float) -> tuple[float, float]:
     """Closed-form executive conditionals on the standard two-decider chain.
 
     The executive hangs between two deciders along chains of `a` and `c`
     edges (interior weights 1, final edges 1/2, free float 1/2).  Returns
     (x, y): x is P(+1) when the a-side decider says -1 and the c-side says
-    +1; y is P(+1) under unanimous +1.
+    +1; y is P(+1) under unanimous +1.  With mu(s, k) = cosh(beta)^(k-1)
+    cosh(beta/2) + s sinh(beta)^(k-1) sinh(beta/2), x = p / (p + q) for
+    p = mu(-1, a) mu(+1, c) and q = mu(+1, a) mu(-1, c), and y = p / (p + q)
+    for p = mu(+1, a) mu(+1, c) and q = mu(-1, a) mu(-1, c).
     """
     if a < 1 or c < 1:
         raise ValueError("chain lengths must be at least one edge")
     if beta <= 0.0:
         raise ValueError("beta must be positive")
-    # at large beta the mu(-1, ...) terms cancel to zero and the mu(+1, ...)
+    # at large beta the mu(-1, k) terms cancel to zero and the mu(+1, k)
     # products overflow, leaving 0/0, inf/inf or an OverflowError
     try:
-        x_num = _mu(-1, a, beta) * _mu(+1, c, beta)
-        x_den = x_num + _mu(+1, a, beta) * _mu(-1, c, beta)
-        y_num = _mu(+1, a, beta) * _mu(+1, c, beta)
-        y_den = y_num + _mu(-1, a, beta) * _mu(-1, c, beta)
+        ch, sh = math.cosh(beta), math.sinh(beta)
+        ch_half, sh_half = math.cosh(beta / 2.0), math.sinh(beta / 2.0)
+        cosh_a, sinh_a = ch ** (a - 1) * ch_half, sh ** (a - 1) * sh_half
+        cosh_c, sinh_c = ch ** (c - 1) * ch_half, sh ** (c - 1) * sh_half
+        mu_a_plus, mu_a_minus = cosh_a + sinh_a, cosh_a - sinh_a
+        mu_c_plus, mu_c_minus = cosh_c + sinh_c, cosh_c - sinh_c
+        x_num = mu_a_minus * mu_c_plus
+        x_den = x_num + mu_a_plus * mu_c_minus
+        y_num = mu_a_plus * mu_c_plus
+        y_den = y_num + mu_a_minus * mu_c_minus
     except OverflowError:
         x_den = y_den = math.inf
     if not all(math.isfinite(d) and d != 0.0 for d in (x_den, y_den)):

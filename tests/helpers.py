@@ -3,13 +3,15 @@
 Everything here recomputes quantities from first principles with plain
 itertools and math (no numpy, no package internals beyond graph structure),
 so tests compare the package against genuinely separate code paths.  The
-one exception is `brute_sample_many`, which must consume numpy's random
-stream exactly as the sampler does, and `concatenated_vote_tables`, which
-must repeat the package's float operations to compare bit for bit.  The
-last functions set the usable CPUs, switch the sampler's uniform-filling
-helper thread on or off and inject faults into it, and split the exact
-sums' wide steps with their helper thread on, off, lagging or failing,
-for the tests of those threads.
+exceptions are `brute_sample_many`, which must consume numpy's random
+stream exactly as the sampler does, and `concatenated_vote_tables`,
+`select_regime_map` and `six_mu_chain_xy`, which must repeat the
+package's float operations to compare bit for bit; the latter two are
+earlier forms of `regime_map` and `chain_xy`.  The last functions set the
+usable CPUs, switch the sampler's uniform-filling helper thread on or off
+and inject faults into it, and split the exact sums' wide steps with
+their helper thread on, off, lagging or failing, for the tests of those
+threads.
 """
 
 import itertools
@@ -21,7 +23,7 @@ import time
 import numpy as np
 from scipy.special import erf
 
-from hiergame import Edge, HierarchyGraph, Vertex, elimination, outcome_probability, vote
+from hiergame import Edge, HierarchyGraph, Vertex, elimination, game, outcome_probability, vote
 
 
 def response(spin: int, field: float, mode: str, sigma: float) -> float:
@@ -400,6 +402,49 @@ def concatenated_vote_tables(fixed: list, weights: list, n_free: int, params) ->
     probs = np.concatenate((1.0 - odd, 1.0 + odd), axis=1)
     probs *= 0.5
     return probs
+
+
+def select_regime_map(x, y) -> tuple[np.ndarray, np.ndarray]:
+    """`hiergame.game.regime_map` as two four-way `np.select` calls, which
+    evaluate both line values everywhere."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    lower, upper = (2.0 - y) / 3.0, (y + 1.0) / 3.0
+    v1, v_coop, v2 = -1.0 + 2.0 * x, -1.0 + 2.0 * y, 1.0 - 2.0 * x
+
+    def line_value(left, right):
+        return np.where(abs(left - right) <= game.BOUNDARY_TOL, 0.5 * (left + right), np.nan)
+
+    where = [abs(x - lower) <= game.BOUNDARY_TOL, abs(x - upper) <= game.BOUNDARY_TOL,
+             x < lower, x < upper]
+    code = np.select(where, [game.LOWER_LINE, game.UPPER_LINE, game.PD_V1, game.COOPERATION],
+                     game.PD_V2)
+    value = np.select(where, [line_value(v1, v_coop), line_value(v_coop, v2), v1, v_coop], v2)
+    return code, value
+
+
+def _mu(sign: int, k: int, beta: float) -> float:
+    return (math.cosh(beta) ** (k - 1) * math.cosh(beta / 2.0)
+            + sign * math.sinh(beta) ** (k - 1) * math.sinh(beta / 2.0))
+
+
+def six_mu_chain_xy(a: int, c: int, beta: float) -> tuple[float, float]:
+    """`hiergame.ising.chain_xy` with each mu term computed where it is
+    used: six `_mu` calls, and the same refusals and messages."""
+    if a < 1 or c < 1:
+        raise ValueError("chain lengths must be at least one edge")
+    if beta <= 0.0:
+        raise ValueError("beta must be positive")
+    try:
+        x_num = _mu(-1, a, beta) * _mu(+1, c, beta)
+        x_den = x_num + _mu(+1, a, beta) * _mu(-1, c, beta)
+        y_num = _mu(+1, a, beta) * _mu(+1, c, beta)
+        y_den = y_num + _mu(-1, a, beta) * _mu(-1, c, beta)
+    except OverflowError:
+        x_den = y_den = math.inf
+    if not all(math.isfinite(d) and d != 0.0 for d in (x_den, y_den)):
+        raise ValueError(f"chain closed form is not representable at beta={beta!r} "
+                         f"(a={a}, c={c}): a denominator is zero or not finite")
+    return x_num / x_den, y_num / y_den
 
 
 def usable_cpus(monkeypatch, n: int) -> None:

@@ -847,6 +847,41 @@ def test_sweep_error_in_a_later_chunk_follows_its_rows(capsys, monkeypatch):
         {"error": "ValueError", "message": "the regime map needs 1/2 <= y < 1, got 1.0"}) + "\n"
 
 
+def test_sweep_chain_chunk_is_checked_once_in_grid_order(capsys, monkeypatch):
+    # in one chain chunk the first failing point in grid order names
+    # itself: a point whose y rounds to 1 comes before a later refusal by
+    # chain_xy, a bad D or a bad chain length, and after an earlier one
+    good, y_one = (2.0, 3.0, 1.0, 0.5), (2.0, 2.0, 20.0, 0.5)  # (a, c, beta, D)
+    y_message = "the regime map needs 1/2 <= y < 1, got 1.0"
+    refusals = (
+        ((2.0, 2.0, 400.0, 0.5), "chain closed form is not representable at beta=400.0 "
+                                 "(a=2, c=2): a denominator is zero or not finite"),
+        ((2.0, 2.0, 1.0, 1.5), "D must lie inside (0, 1), got 1.5"),
+        ((1.5, 2.0, 1.0, 0.5), "chain lengths must be positive integers, got a=1.5 c=2.0"),
+    )
+
+    def columns(points):
+        return dict(zip(("a", "c", "beta", "D"), (np.array(v) for v in zip(*points))))
+
+    for bad, message in refusals:
+        for points, expected in (([good, y_one, good, bad, good], y_message),
+                                 ([bad, y_one], message), ([good, bad, y_one], message)):
+            with pytest.raises(ValueError) as exc:
+                cli._sweep_xy(columns(points))
+            assert str(exc.value) == expected
+    # one domain check per chunk: 6400 points are two chunks
+    calls = []
+    real = cli._map_domain
+    monkeypatch.setattr(cli, "_map_domain", lambda x, y: calls.append(len(x)) or real(x, y))
+    assert main(["sweep", "--vary", "beta=0.5:2:99", "--fix", "a=2", "--fix", "c=3"]) == EXIT_OK
+    assert calls == [99]
+    calls.clear()
+    assert main(["sweep", "--vary", "a=1:4:4", "--vary", "c=1:8:8", "--vary", "beta=0.5:2:200",
+                 "--fix", "D=0.3"]) == EXIT_OK
+    assert calls == [cli.SWEEP_CHUNK, 6400 - cli.SWEEP_CHUNK]
+    capsys.readouterr()
+
+
 def test_sweep_grid_bound(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     t0 = time.perf_counter()
@@ -864,15 +899,29 @@ def test_sweep_grid_bound(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_sweep_spec_violations():
+def test_sweep_spec_violations(capsys):
     assert main(["sweep", "--vary", "x=0.1:0.9:1", "--fix", "y=0.8"]) == EXIT_INVARIANT
     assert main(["sweep", "--vary", "x=0.9:0.1:5", "--fix", "y=0.8"]) == EXIT_INVARIANT
     assert main(["sweep", "--vary", "x=0.1:1.0:5", "--fix", "y=0.8"]) == EXIT_INVARIANT
     assert main(["sweep", "--vary", "x=0.1:0.9:5", "--fix", "a=2"]) == EXIT_INVARIANT
     assert main(["sweep", "--vary", "x=0.1:0.9:5"]) == EXIT_INVARIANT
     assert main(["sweep", "--vary", "a=1:4:4"]) == EXIT_INVARIANT
-    assert main(["sweep", "--vary", "x=0.1:0.9:5", "--vary", "x=0.1:0.9:5",
-                 "--fix", "y=0.8"]) == EXIT_INVARIANT
+    capsys.readouterr()
+    # a parameter named twice: each way of doing so is named
+    for flags, message in (
+        (["--vary", "x=0.1:0.9:5", "--vary", "x=0.1:0.9:5", "--fix", "y=0.8"],
+         "parameter x varied twice"),
+        (["--vary", "x=0.1:0.9:5", "--fix", "y=0.7", "--fix", "y=0.8"],
+         "parameter y fixed twice"),
+        (["--vary", "x=0.1:0.9:5", "--fix", "x=0.5", "--fix", "y=0.8"],
+         "parameter x both varied and fixed"),
+        # finite bounds whose span overflows, on which np.linspace would warn
+        (["--vary", "beta=-1e308:1e308:4", "--fix", "a=2", "--fix", "c=3"],
+         "axis beta needs finite bounds a finite distance apart, got -1e+308:1e+308"),
+    ):
+        assert main(["sweep"] + flags) == EXIT_INVARIANT
+        assert capsys.readouterr().err == json.dumps(
+            {"error": "ValueError", "message": message}) + "\n"
     # map scope: y below 1/2 has no regime
     assert main(["sweep", "--vary", "x=0.1:0.9:5", "--fix", "y=0.3"]) == EXIT_INVARIANT
     # chain lengths must be whole
@@ -1006,10 +1055,7 @@ _TOKENS = st.sampled_from([
 ])
 
 
-@settings(derandomize=True, max_examples=100, deadline=None, database=None)
-@given(sweep=st.integers(0, 1), flag=st.integers(0, 3), part=st.integers(0, 3),
-       token=_TOKENS)
-def test_mutated_sweep_exits_cleanly(sweep, flag, part, token):
+def _mutated_sweep(sweep, flag, part, token):
     argv = list(_SWEEPS[sweep])
     at = 2 * (flag % (len(argv) // 2)) + 1
     name, _, numbers = argv[at].partition("=")
@@ -1019,6 +1065,18 @@ def test_mutated_sweep_exits_cleanly(sweep, flag, part, token):
     else:
         parts[part % len(parts)] = token
     argv[at] = parts[0] + "=" + ":".join(parts[1:])
+    return argv
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(argv=st.builds(_mutated_sweep, st.integers(0, 1), st.integers(0, 3),
+                      st.integers(0, 3), _TOKENS))
+# infinite axis bounds: refused before np.linspace can warn about them
+@example(argv=["--vary", "beta=0.5:inf:3", "--fix", "a=2", "--fix", "c=3"])
+@example(argv=["--vary", "beta=-inf:2:4", "--fix", "a=2", "--fix", "c=3"])
+@example(argv=["--vary", "D=0.1:inf:4", "--fix", "a=2", "--fix", "c=3"])
+@example(argv=["--vary", "a=1:inf:4", "--fix", "c=3"])
+def test_mutated_sweep_exits_cleanly(argv):
     _assert_exits_cleanly(["sweep"] + argv, argv)
 
 

@@ -11,9 +11,10 @@ import pytest
 
 import helpers
 import hiergame as hg
-from hiergame.game import (REGIME_LABELS, NormalFormGame, TransformedGame, _decider_game,
-                           _decider_payoffs, nash_mask, pre_payoff, regime_map,
-                           symmetric_payoffs, tensor_from_dict, tensor_to_dict)
+from hiergame.game import (BOUNDARY_TOL, LOWER_LINE, REGIME_LABELS, UPPER_LINE, NormalFormGame,
+                           TransformedGame, _decider_game, _decider_payoffs, nash_mask,
+                           pre_payoff, regime_map, symmetric_payoffs, tensor_from_dict,
+                           tensor_to_dict)
 from hiergame.payoff import shapley_from_table
 
 
@@ -489,6 +490,41 @@ def test_batched_symmetric_pipeline_is_exact():
         assert REGIME_LABELS[codes[k]] == summary.regime
         assert values[k] == summary.value or math.isnan(values[k]) and math.isnan(summary.value)
     assert ties > 0
+
+
+def _same_arrays(new, ref) -> bool:
+    return (type(new) is type(ref) and new.dtype == ref.dtype and new.shape == ref.shape
+            and new.tobytes() == ref.tobytes())
+
+
+def test_regime_map_matches_select_reference():
+    # points on, within BOUNDARY_TOL of and just beyond each tipping line,
+    # their nextafter neighbours, and the map's ends, at heights from y = 1/2
+    # (where the lines meet and their value is defined) up to 1 and nan;
+    # codes and values bit for bit, per point and in batches
+    tol = BOUNDARY_TOL
+    ys = (0.5, np.nextafter(0.5, 1.0), 0.5 + 1e-13, 0.505, 0.6, 0.7, 0.75,
+          0.8400000000000001, 0.9, 0.995, np.nextafter(1.0, 0.0), 1.0, math.nan)
+    points = []
+    for y in ys:
+        xs = [0.0, 0.005, 0.3, 0.5, 0.7, 0.995, 1.0, math.nan, math.inf, -math.inf]
+        for line in hg.tipping_points(y):
+            for base in (line + d for d in (0.0, tol, -tol, 0.5 * tol, 2.0 * tol)):
+                xs += [base, np.nextafter(base, -math.inf), np.nextafter(base, math.inf)]
+        points += [(float(x), float(y)) for x in xs]
+    x, y = (np.array(v) for v in zip(*points))
+    codes, values = regime_map(x, y)
+    assert {LOWER_LINE, UPPER_LINE} <= set(codes.tolist())
+    assert np.isnan(values[np.isin(codes, (LOWER_LINE, UPPER_LINE))]).any()
+    for new, ref in zip((codes, values), helpers.select_regime_map(x, y)):
+        assert _same_arrays(new, ref)
+    for xk, yk in points:
+        for new, ref in zip(regime_map(xk, yk), helpers.select_regime_map(xk, yk)):
+            assert _same_arrays(new, ref), (xk, yk)
+    # one row of a sweep: an x array at a fixed y
+    for yk in ys:
+        for new, ref in zip(regime_map(x, yk), helpers.select_regime_map(x, yk)):
+            assert _same_arrays(new, ref), yk
 
 
 def test_profile_index_round_trip():

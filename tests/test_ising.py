@@ -248,6 +248,28 @@ def test_chain_xy_domain():
             hg.chain_xy(a, c, beta)
 
 
+def _chain_outcome(fn, a, c, beta):
+    try:
+        return tuple(v.hex() for v in fn(a, c, beta))
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def test_chain_xy_matches_six_mu_reference():
+    # every answer by float hex, every refusal by its message, from tiny
+    # beta through the cancellation, overflow and OverflowError refusals
+    lengths = (1, 2, 3, 7, 50, 333, 1000)
+    betas = (1e-300, 1e-9, 0.1, 0.5, 1.0, 2.0, 3.7, 20.0, 37.5, 100.0, 355.0, 700.0,
+             709.78, 710.5, 711.0, 1e300, math.inf, math.nan, 0.0, -1.0)
+    outcomes = {}
+    for a, c, beta in itertools.product((0,) + lengths, lengths, betas):
+        outcomes[a, c, beta] = _chain_outcome(hg.chain_xy, a, c, beta)
+        assert outcomes[a, c, beta] == _chain_outcome(helpers.six_mu_chain_xy, a, c, beta)
+    assert all(outcomes[a, c, beta][0] is ValueError
+               for a, c, beta in outcomes if beta in (700.0, 711.0, 1e300))
+    assert sum(outcome[0] is not ValueError for outcome in outcomes.values()) > 200
+
+
 def test_coupling_from_hierarchy_values():
     g = hg.single_chain(3)
     model = hg.coupling_from_hierarchy(g)
