@@ -41,6 +41,7 @@ from .game import (
     pure_nash,
     regime_map,
     save_game,
+    symmetric_nash,
     symmetric_payoffs,
     symmetric_transform,
     tipping_points,
@@ -105,7 +106,7 @@ __all__ = [
     "NormalFormGame", "prisoners_dilemma", "game_to_dict", "game_from_dict",
     "load_game", "save_game", "pre_payoff", "TransformedGame",
     "transform_game", "pure_nash", "nash_mask", "symmetric_transform",
-    "symmetric_payoffs", "RegimeSummary", "tipping_points", "regime_map",
+    "symmetric_payoffs", "symmetric_nash", "RegimeSummary", "tipping_points", "regime_map",
     "classify_regime", "game_value",
     "REGIME_PD_V1", "REGIME_COOPERATION", "REGIME_PD_V2", "REGIME_BOUNDARY",
     "PD_V1_PROFILE", "COOPERATION_PROFILE", "PD_V2_PROFILE",

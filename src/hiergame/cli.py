@@ -38,11 +38,10 @@ from .game import (
     REGIME_LABELS,
     TransformedGame,
     load_game,
-    nash_mask,
     prisoners_dilemma,
     pure_nash,
     regime_map,
-    symmetric_payoffs,
+    symmetric_nash,
     tensor_from_dict,
     tensor_to_dict,
     transform_game,
@@ -183,8 +182,6 @@ def cmd_ising(args) -> int:
     g = load_graph(args.graph)
     model = coupling_from_hierarchy(g)
     condition = _condition_dict(args.condition)
-    if not condition:
-        raise ValueError("at least one --condition is required")
     value = ising_conditional(model, args.target, condition, args.cap)
     _emit_json({
         "target": args.target,
@@ -361,7 +358,7 @@ def _sweep_xy(columns: dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
 @functools.cache
 def _nash_profiles() -> tuple[str, ...]:
     """CSV spelling of the 16 profiles of the symmetric decider game, in
-    nash_mask order: semicolons between deciders, so that with pipes
+    symmetric_nash order: semicolons between deciders, so that with pipes
     between equilibria the sweep CSV stays naively splittable."""
     labels = prisoners_dilemma().labels
     moves = ["".join(labels[s] for s in strategy) for strategy in product((1, -1), repeat=2)]
@@ -390,8 +387,8 @@ def _sweep_text(spec: SweepSpec):
     for columns in spec.chunks():
         x, y = _sweep_xy(columns)
         code, value = regime_map(x, y)
-        payoffs, degenerate = symmetric_payoffs(x, y)
-        keys = (nash_mask(payoffs).reshape(len(x), -1) @ bits) * ~degenerate
+        mask, degenerate = symmetric_nash(x, y)
+        keys = (mask.reshape(len(x), -1) @ bits) * ~degenerate
         cells = [columns[n].tolist() for n in lead]
         cells += [v.tolist() for n, v in (("x", x), ("y", y)) if n not in fixed]
         cells += [labels[code].tolist(), value.tolist(), map(_nash_cell, keys.tolist())]
@@ -445,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cap", type=int, default=None, help=CAP_HELP)
     p.add_argument("--out", default=None, help="write output to this file")
     p.add_argument("--target", required=True, help="vertex whose spin to predict")
-    p.add_argument("--condition", action="append", type=_condition_flag,
+    p.add_argument("--condition", action="append", type=_condition_flag, required=True,
                    metavar="VERTEX=SPIN")
     p.set_defaults(func=cmd_ising)
 

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import GameFormatError
 from .graph import (HierarchyGraph, deciders as graph_deciders, executives as graph_executives,
                     read_json, write_json)
-from .payoff import require_decided, shapley_from_table, shares_by_paths
+from .payoff import DEGENERACY_TOL, require_decided, shapley_from_table, shares_by_paths
 from .vote import VoteParams, influence_table
 
 NASH_TOL = 1e-12
@@ -360,6 +360,34 @@ def symmetric_transform(x: float, y: float) -> TransformedGame:
     require_decided(degenerate, (min(base.players),))
     return _decider_game(base, SYMMETRIC_DECIDERS, payoffs,
                          {"mechanism": "shapley", "x": x, "y": y})
+
+
+@np.errstate(divide="ignore", invalid="ignore")  # degenerate points divide by ~0
+def symmetric_nash(x, y) -> tuple[np.ndarray, np.ndarray]:
+    """Pure-equilibrium mask of the `symmetric_payoffs` game, shape
+    ``np.shape(x) + (4, 4)``, and which points are degenerate, without the
+    tensor.
+
+    The game is separable: over its strategies [CC, CD, DC, DD] the first
+    decider's payoff is a term set by the second decider's strategy plus
+    [0, A, B, A + B], where A = 2(x+y-1)(3x-y-1)/(2y-1) is its gain from
+    commanding D instead of C to the far executive and
+    B = 2(x-y)(3x+y-2)/(2y-1) the same gain for its own executive.  The
+    second decider's vector is the mirror [0, B, A, A + B].  A strategy is a
+    best response when it comes within NASH_TOL of max(A, 0) + max(B, 0),
+    which is the largest of the four in floats too, and the equilibria are
+    the profiles of two best responses.  This is `nash_mask`'s rule on
+    exact payoffs; it can differ from `nash_mask(symmetric_payoffs(x, y)[0])`
+    only where a deviation gain lies within rounding of NASH_TOL.
+    """
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    span = 2.0 * y - 1.0
+    far = 2.0 * (x + y - 1.0) * (3.0 * x - y - 1.0) / span
+    own = 2.0 * (x - y) * (3.0 * x + y - 2.0) / span
+    floor = np.maximum(far, 0.0) + np.maximum(own, 0.0) - NASH_TOL
+    first = np.stack([0.0 >= floor, far >= floor, own >= floor, far + own >= floor], axis=-1)
+    second = first[..., (0, 2, 1, 3)]
+    return first[..., :, None] & second[..., None, :], abs(span) < DEGENERACY_TOL
 
 
 @dataclass(frozen=True)

@@ -325,7 +325,7 @@ def brute_shapley(value, players) -> dict:
     value(before + {p}) - value(before), averaged over all orderings of
     `players`; `value` maps a frozenset of players to a number."""
     orders = list(itertools.permutations(players))
-    totals = dict.fromkeys(players, 0.0)
+    totals = dict.fromkeys(players, 0)
     for order in orders:
         before = frozenset()
         for p in order:
@@ -343,20 +343,21 @@ def brute_decider_game(payoffs: dict, execs: list, lam: list, tables: dict) -> d
     values of each executive's normalized coalition game; expected payoffs
     sum over every executive spin profile.  Returns {profile: payoffs},
     where a profile holds one command vector (over `execs`) per decider.
+    Exact on `fractions.Fraction` inputs: no float enters the arithmetic.
     """
     def pull(i, coalition):
         p = tables[i]
         plus = tuple(1 if d in coalition else -1 for d in lam)
-        return (p[plus] - p[(-1,) * len(lam)]) / (2.0 * p[(1,) * len(lam)] - 1.0)
+        return (p[plus] - p[(-1,) * len(lam)]) / (2 * p[(1,) * len(lam)] - 1)
 
     shares = {i: brute_shapley(lambda k, i=i: pull(i, k), lam) for i in execs}
     vectors = list(itertools.product((1, -1), repeat=len(execs)))
     game = {}
     for profile in itertools.product(vectors, repeat=len(lam)):
         prob = [tables[i][tuple(vec[k] for vec in profile)] for k, i in enumerate(execs)]
-        expected = [0.0] * len(execs)
+        expected = [0] * len(execs)
         for spins in vectors:
-            w = math.prod(p if s == 1 else 1.0 - p for p, s in zip(prob, spins))
+            w = math.prod(p if s == 1 else 1 - p for p, s in zip(prob, spins))
             for j in range(len(execs)):
                 expected[j] += w * payoffs[spins][j]
         game[profile] = tuple(sum(shares[i][d] * expected[j] for j, i in enumerate(execs))

@@ -624,6 +624,16 @@ def test_ising_has_no_mode_flag(tmp_path, capsys):
     assert err["error"] == "ArgumentError" and "--mode" in err["message"]
 
 
+def test_ising_needs_a_condition_flag(tmp_path, capsys):
+    # a usage error like any other: exit 2 and one JSON line naming the flag
+    graph = _write_graph(tmp_path, hg.crossed_chains())
+    with pytest.raises(SystemExit) as exc:
+        main(["ising", "--graph", graph, "--target", "1"])
+    assert exc.value.code == EXIT_PARSE
+    err = _single_error_line(capsys)
+    assert err["error"] == "ArgumentError" and "--condition" in err["message"]
+
+
 def test_sample_has_no_cap_flag(tmp_path, capsys):
     # sampling does no exact sum, so `sample` takes no --cap
     graph = _write_graph(tmp_path, hg.crossed_chains())

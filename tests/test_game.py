@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import random
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -11,10 +12,10 @@ import pytest
 
 import helpers
 import hiergame as hg
-from hiergame.game import (BOUNDARY_TOL, LOWER_LINE, REGIME_LABELS, UPPER_LINE, NormalFormGame,
-                           TransformedGame, _decider_game, _decider_payoffs, nash_mask,
-                           pre_payoff, regime_map, symmetric_payoffs, tensor_from_dict,
-                           tensor_to_dict)
+from hiergame.game import (BOUNDARY_TOL, LOWER_LINE, NASH_TOL, REGIME_LABELS, UPPER_LINE,
+                           NormalFormGame, TransformedGame, _decider_game, _decider_payoffs,
+                           nash_mask, pre_payoff, regime_map, symmetric_payoffs,
+                           tensor_from_dict, tensor_to_dict)
 from hiergame.payoff import shapley_from_table
 
 
@@ -490,6 +491,73 @@ def test_batched_symmetric_pipeline_is_exact():
         assert REGIME_LABELS[codes[k]] == summary.regime
         assert values[k] == summary.value or math.isnan(values[k]) and math.isnan(summary.value)
     assert ties > 0
+
+
+def _symmetric_nash_points():
+    """(x, y) arrays: the README grid; seeded uniform points; points at
+    offsets 1e-17 to 1e-6 from each tipping line and band edge, and at
+    offsets 2.49e-13 to 2.51e-13, where a deviation gain comes within
+    rounding of NASH_TOL; and the points of
+    `test_batched_symmetric_pipeline_is_exact`, degenerate height included."""
+    rng = np.random.default_rng(31)
+    grid_x, grid_y = np.meshgrid(np.linspace(0.005, 0.995, 199), np.linspace(0.505, 0.995, 99))
+    xs, ys = [grid_x.ravel(), rng.uniform(0.0, 1.0, 20000)], [grid_y.ravel(),
+                                                             rng.uniform(0.5, 1.0, 20000)]
+    lines = (lambda y: 1.0 - y, lambda y: (2.0 - y) / 3.0, lambda y: (y + 1.0) / 3.0,
+             lambda y: y)
+    for line in lines:
+        for lo, hi in ((-17.0, -6.0), (math.log10(2.49e-13), math.log10(2.51e-13))):
+            y = rng.uniform(0.5, 1.0, 5000)
+            xs.append(line(y) + rng.choice((-1.0, 1.0), 5000) * 10.0 ** rng.uniform(lo, hi, 5000))
+            ys.append(y)
+    for y in (0.5 + 1e-13, 0.51, 0.6, 0.75, 0.9, 0.99):
+        lower, upper = hg.tipping_points(y)
+        xs.append(np.array([lower, upper, 1.0 - y, y, 0.05, 0.3, 0.5, 0.7, 0.95]))
+        ys.append(np.full(9, y))
+    return np.concatenate(xs), np.concatenate(ys)
+
+
+def test_symmetric_nash_matches_tensor_route():
+    # the closed form decides every point as nash_mask does on the tensor,
+    # except where a deviation gain of the tensor lies within rounding of
+    # NASH_TOL, so that the tensor's own rounding decides the cell
+    x, y = _symmetric_nash_points()
+    payoffs, degenerate = symmetric_payoffs(x, y)
+    mask, closed_degenerate = hg.symmetric_nash(x, y)
+    assert mask.shape == (len(x), 4, 4) and mask.dtype == bool
+    assert np.array_equal(closed_degenerate, degenerate) and degenerate.sum() == 9
+    differ = (mask != nash_mask(payoffs)).any(axis=(1, 2))
+    gains = np.stack([payoffs[..., d].max(axis=d + 1, keepdims=True) - payoffs[..., d]
+                      for d in range(2)], axis=-1)
+    near_tol = (abs(gains - NASH_TOL) <= 1e-14).any(axis=(1, 2, 3))
+    assert not (differ & ~near_tol).any()
+    # a scalar point is a batch of none
+    one, one_degenerate = hg.symmetric_nash(0.3, 0.8)
+    assert one.shape == (4, 4) and not one_degenerate
+    assert np.array_equal(one, nash_mask(hg.symmetric_transform(0.3, 0.8).payoffs))
+
+
+def test_symmetric_game_is_separable_at_exact_points():
+    # exact rationals: each decider's gain over its strategies [CC, CD, DC,
+    # DD] does not depend on the other decider's strategy and equals
+    # [0, A, B, A + B] (the second decider's: [0, B, A, A + B])
+    pd = {spins: tuple(Fraction(int(u)) for u in us)
+          for spins, us in hg.prisoners_dilemma().payoffs.items()}
+    vectors = list(product((1, -1), repeat=2))
+    for x, y in ((Fraction(1, 5), Fraction(4, 5)), (Fraction(3, 7), Fraction(5, 8)),
+                 (Fraction(2, 3), Fraction(3, 4)), (Fraction(9, 10), Fraction(51, 100)),
+                 (Fraction(1, 2), Fraction(99, 100)), (Fraction(1, 3), Fraction(2, 3))):
+        tables = {"1": {(1, 1): y, (-1, 1): x, (1, -1): 1 - x, (-1, -1): 1 - y},
+                  "2": {(1, 1): y, (1, -1): x, (-1, 1): 1 - x, (-1, -1): 1 - y}}
+        game = helpers.brute_decider_game(pd, ["1", "2"], ["d1", "d2"], tables)
+        far = 2 * (x + y - 1) * (3 * x - y - 1) / (2 * y - 1)
+        own = 2 * (x - y) * (3 * x + y - 2) / (2 * y - 1)
+        for other in vectors:
+            first = [game[(s, other)][0] - game[(vectors[0], other)][0] for s in vectors]
+            second = [game[(other, s)][1] - game[(other, vectors[0])][1] for s in vectors]
+            assert all(isinstance(g, Fraction) for g in first + second)
+            assert first == [0, far, own, far + own]
+            assert second == [0, own, far, far + own]
 
 
 def _same_arrays(new, ref) -> bool:
