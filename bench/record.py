@@ -15,9 +15,14 @@ The JSON record holds, per workload and end-to-end metric, every pair's
 scaled and raw values, each side's median and quartiles, the pairs each
 side won, and a verdict: ``gain`` when the change won every pair and the
 medians lie further apart than the parent's quartile spread, ``loss`` when
-the parent did, else ``tie``.  It also holds each run's probe slowdown,
-correctness and op counts, the machine, the seeds, and each side's
-SHA-256 over ``src/**/*.py`` and ``src/hiergame`` line count.
+the parent did, else ``tie``.  A workload with a run that answered wrong,
+failed an op or crashed is invalid: every metric's verdict is
+``invalid``, its values are those of the pairs whose runs both finished,
+and a crashed run is kept with its exit code and the last line of its
+stderr.  The record is written either way, and the script then exits 1.
+It also holds each run's probe slowdown, correctness and op counts, the
+machine, the seeds, and each side's SHA-256 over ``src/**/*.py`` and
+``src/hiergame`` line count.
 """
 
 from __future__ import annotations
@@ -35,12 +40,15 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def export_commit(rev: str, dest: Path) -> None:
-    """The files of commit `rev` under `dest`, as `git archive` writes them."""
+def export_commit(rev: str, dest: Path) -> str:
+    """The files of commit `rev` under `dest`, as `git archive` writes them;
+    returns the commit's full hash."""
     dest.mkdir(parents=True)
     archive = subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT,
                              capture_output=True, check=True).stdout
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+    return subprocess.run(["git", "rev-parse", rev], cwd=ROOT, capture_output=True,
+                          text=True, check=True).stdout.strip()
 
 
 def export_working_tree(dest: Path) -> None:
@@ -63,15 +71,20 @@ def src_lines(tree: Path) -> int:
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     """One `perfbench/run.py --trace 0` run from `tree`: its result line and
-    the environment line printed before it."""
+    the environment line printed before it, or, when it exits non-zero, its
+    exit code and the last line of its stderr."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(argv, cwd=tree, env=env, capture_output=True, text=True, check=True)
+    proc = subprocess.run(argv, cwd=tree, env=env, capture_output=True, text=True)
+    if proc.returncode:
+        *_, last = [""] + proc.stderr.strip().splitlines()
+        return {"seed": seed, "returncode": proc.returncode, "stderr": last}
     *_, env_line, result_line = proc.stdout.strip().splitlines()
     info, result = json.loads(env_line), json.loads(result_line)
     return {
         "seed": seed,
+        "returncode": 0,
         "correct": result["correct"],
         "attempted": result["attempted"],
         "failed": result["failed"],
@@ -113,21 +126,37 @@ def compare(parent: list[float], change: list[float], higher_better: bool,
     }
 
 
-def summarise(runs: list[dict], spec: dict) -> dict:
+def faults(runs: list[dict]) -> list[str]:
+    """What makes the runs of one workload invalid, one line per bad run:
+    a crash, a wrong answer or a failed op."""
+    lines = []
+    for r in runs:
+        where = f"pair {r['pair']} {r['side']} (seed {r['seed']})"
+        if r["returncode"]:
+            lines.append(f"{where} crashed with exit code {r['returncode']}: {r['stderr']}")
+        elif not r["correct"] or r["failed"]:
+            lines.append(f"{where} answered wrong: correct {r['correct']}, "
+                         f"{r['failed']} of {r['attempted']} ops failed")
+    return lines
+
+
+def summarise(runs: list[dict], spec: dict, valid: bool = True) -> dict:
     """Per end-to-end metric of `spec` (BENCHMARK.json), the comparison of
-    the scaled values and of the raw ones over paired runs."""
-    parent = [r for r in runs if r["side"] == "parent"]
-    change = [r for r in runs if r["side"] == "change"]
+    the scaled values and of the raw ones over the pairs whose runs both
+    finished; every verdict is ``invalid`` unless `valid`."""
+    done = {(r["pair"], r["side"]): r for r in runs if not r["returncode"]}
+    pairs = sorted({i for i, _ in done if (i, "parent") in done and (i, "change") in done})
     metrics = {}
     for m in spec["end_to_end"]:
         name, higher = m["name"], m["better"] == "higher"
-        metrics[name] = {
-            "unit": m["unit"], "better": m["better"], "bound": m["bound"],
-            "scaled": compare([r["scaled"][name] for r in parent],
-                              [r["scaled"][name] for r in change], higher, m["bound"]),
-            "raw": compare([r["raw"][name] for r in parent],
-                           [r["raw"][name] for r in change], higher, m["bound"]),
-        }
+        metrics[name] = {"unit": m["unit"], "better": m["better"], "bound": m["bound"]}
+        for kind in ("scaled", "raw"):
+            parent, change = ([done[i, side][kind][name] for i in pairs]
+                              for side in ("parent", "change"))
+            out = compare(parent, change, higher, m["bound"]) if pairs else {"pairs": 0}
+            if not valid:
+                out["verdict"] = "invalid"
+            metrics[name][kind] = out
     return metrics
 
 
@@ -149,17 +178,14 @@ def parse_args(argv):
 def main(argv=None) -> int:
     args = parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    record = {"parent_commit": subprocess.run(
-                  ["git", "rev-parse", args.parent], cwd=ROOT, capture_output=True,
-                  text=True, check=True).stdout.strip(),
-              "seconds": args.seconds, "pairs": args.pairs,
+    record = {"seconds": args.seconds, "pairs": args.pairs,
               "seeds": [args.seed + i for i in range(args.pairs)],
               "command": "PYTHONDONTWRITEBYTECODE=1 python3 perfbench/run.py "
                          "--workload W --seed S --seconds T --trace 0",
               "workloads": {}}
     with tempfile.TemporaryDirectory(prefix="hiergame-bench-") as scratch:
         trees = {"parent": Path(scratch) / "parent", "change": Path(scratch) / "change"}
-        export_commit(args.parent, trees["parent"])
+        record["parent_commit"] = export_commit(args.parent, trees["parent"])
         export_working_tree(trees["change"])
         record["trees"] = {side: {"src_lines": src_lines(tree)} for side, tree in trees.items()}
         record["src_lines_net"] = (record["trees"]["change"]["src_lines"]
@@ -172,28 +198,41 @@ def main(argv=None) -> int:
                     run = run_once(trees[side], workload, seed, args.seconds)
                     run.update(side=side, pair=i, first=order[0] == side)
                     runs.append(run)
-                    print(f"{workload} pair {i} {side}: ops_per_s "
-                          f"{run['scaled']['ops_per_s']:.6g} slowdown {run['slowdown']:.3g} "
-                          f"correct {run['correct']}", file=sys.stderr, flush=True)
-            env = runs[0]["env"]
-            record.setdefault("machine", {k: env[k] for k in ("nproc", "cpu", "python",
-                                                              "numpy", "scipy")})
-            for side in trees:
-                record["trees"][side]["src_sha256"] = next(
-                    r["env"]["src_sha256"] for r in runs if r["side"] == side)
+                    print(f"{workload} pair {i} {side}: " + (
+                        f"exit code {run['returncode']}" if run["returncode"] else
+                        f"ops_per_s {run['scaled']['ops_per_s']:.6g} slowdown "
+                        f"{run['slowdown']:.3g} correct {run['correct']}"),
+                        file=sys.stderr, flush=True)
             for run in runs:
-                del run["env"]
+                env = run.pop("env", None)
+                if env is not None:
+                    record.setdefault("machine", {k: env[k] for k in (
+                        "nproc", "cpu", "python", "numpy", "scipy")})
+                    record["trees"][run["side"]].setdefault("src_sha256", env["src_sha256"])
+            invalid = faults(runs)
             record["workloads"][workload] = {
-                "all_correct": all(r["correct"] and not r["failed"] for r in runs),
-                "runs": runs, "metrics": summarise(runs, spec)}
+                "valid": not invalid, "faults": invalid,
+                "runs": runs, "metrics": summarise(runs, spec, not invalid)}
     Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
+    print("\n".join(summary_lines(record)))
+    return 0 if all(entry["valid"] for entry in record["workloads"].values()) else 1
+
+
+def summary_lines(record: dict) -> list[str]:
+    """The printed summary: per workload and metric the scaled medians, the
+    pairs won and the verdict, after the faults of an invalid workload."""
+    lines = []
     for workload, entry in record["workloads"].items():
+        if not entry["valid"]:
+            lines.append(f"{workload}: INVALID, every verdict is invalid")
+            lines += [f"  {line}" for line in entry["faults"]]
         for name, m in entry["metrics"].items():
             s = m["scaled"]
-            print(f"{workload:15s} {name:12s} {s['parent_median']:>10.4g} -> "
-                  f"{s['change_median']:>10.4g} won {s['pairs_won']}/{s['pairs']} "
-                  f"{s['verdict']}")
-    return 0
+            medians = (f"{s['parent_median']:>10.4g} -> {s['change_median']:>10.4g} "
+                       f"won {s['pairs_won']}/{s['pairs']}" if s["pairs"] else
+                       f"{'no pair finished':>38s}")
+            lines.append(f"{workload:15s} {name:12s} {medians} {s['verdict']}")
+    return lines
 
 
 if __name__ == "__main__":

@@ -30,6 +30,7 @@ from .game import (
     NormalFormGame,
     RegimeSummary,
     TransformedGame,
+    best_response_profiles,
     classify_regime,
     game_from_dict,
     game_to_dict,
@@ -41,6 +42,7 @@ from .game import (
     pure_nash,
     regime_map,
     save_game,
+    symmetric_best_responses,
     symmetric_nash,
     symmetric_payoffs,
     symmetric_transform,
@@ -106,7 +108,8 @@ __all__ = [
     "NormalFormGame", "prisoners_dilemma", "game_to_dict", "game_from_dict",
     "load_game", "save_game", "pre_payoff", "TransformedGame",
     "transform_game", "pure_nash", "nash_mask", "symmetric_transform",
-    "symmetric_payoffs", "symmetric_nash", "RegimeSummary", "tipping_points", "regime_map",
+    "symmetric_payoffs", "symmetric_nash", "symmetric_best_responses",
+    "best_response_profiles", "RegimeSummary", "tipping_points", "regime_map",
     "classify_regime", "game_value",
     "REGIME_PD_V1", "REGIME_COOPERATION", "REGIME_PD_V2", "REGIME_BOUNDARY",
     "PD_V1_PROFILE", "COOPERATION_PROFILE", "PD_V2_PROFILE",

@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import itertools
 import json
 import math
 import sys
@@ -37,11 +36,12 @@ from .errors import (
 from .game import (
     REGIME_LABELS,
     TransformedGame,
+    best_response_profiles,
     load_game,
     prisoners_dilemma,
     pure_nash,
     regime_map,
-    symmetric_nash,
+    symmetric_best_responses,
     tensor_from_dict,
     tensor_to_dict,
     transform_game,
@@ -356,19 +356,18 @@ def _sweep_xy(columns: dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.cache
-def _nash_profiles() -> tuple[str, ...]:
-    """CSV spelling of the 16 profiles of the symmetric decider game, in
-    symmetric_nash order: semicolons between deciders, so that with pipes
-    between equilibria the sweep CSV stays naively splittable."""
+def _nash_cells() -> np.ndarray:
+    """The nash cell of each first-decider best-response code of
+    `symmetric_best_responses`, as a 17-entry object array whose entry 16 is
+    the empty cell of a degenerate point.  A cell lists the equilibria in
+    `best_response_profiles` order, semicolons between deciders and pipes
+    between equilibria, so that the sweep CSV stays naively splittable."""
     labels = prisoners_dilemma().labels
     moves = ["".join(labels[s] for s in strategy) for strategy in product((1, -1), repeat=2)]
-    return tuple(f"{first};{second}" for first in moves for second in moves)
-
-
-@functools.cache  # keys are 16-bit masks: at most 2^16 entries
-def _nash_cell(key: int) -> str:
-    """The nash cell of a point whose equilibria set the bits of `key`."""
-    return "|".join(p for b, p in enumerate(_nash_profiles()) if key >> b & 1)
+    profiles = [f"{first};{second}" for first in moves for second in moves]
+    masks = best_response_profiles(np.arange(16)).reshape(16, -1).tolist()
+    cells = ["|".join(p for p, on in zip(profiles, mask) if on) for mask in masks]
+    return np.array(cells + [""], dtype=object)
 
 
 def _sweep_text(spec: SweepSpec):
@@ -377,22 +376,24 @@ def _sweep_text(spec: SweepSpec):
     and lists the pure equilibria of the decider games they induce; the
     nash cell is empty where the game degenerates (y = 1/2, where commands
     carry no influence to attribute).  A fixed x or y is formatted once,
-    into the row format; each chunk is one format call."""
+    into the row format; each chunk is one format call, over arguments
+    that each column fills in one slice assignment."""
     lead = tuple(n for n in spec.names if n not in ("x", "y"))
     text = ",".join(lead + ("x", "y", "regime", "value", "nash")) + "\n"
     fixed = {name: ("%.15g" % value).replace("%", "%%") for name, value in spec.fixed}
     row_fmt = ",".join(fixed.get(n, "%.15g") for n in lead + ("x", "y")) + ",%s,%.15g,%s\n"
     labels = np.array(REGIME_LABELS, dtype=object)
-    bits = 1 << np.arange(len(_nash_profiles()))
+    cells = _nash_cells()
     for columns in spec.chunks():
         x, y = _sweep_xy(columns)
         code, value = regime_map(x, y)
-        mask, degenerate = symmetric_nash(x, y)
-        keys = (mask.reshape(len(x), -1) @ bits) * ~degenerate
-        cells = [columns[n].tolist() for n in lead]
-        cells += [v.tolist() for n, v in (("x", x), ("y", y)) if n not in fixed]
-        cells += [labels[code].tolist(), value.tolist(), map(_nash_cell, keys.tolist())]
-        yield text + (row_fmt * len(x)) % tuple(itertools.chain.from_iterable(zip(*cells)))
+        best, degenerate = symmetric_best_responses(x, y)
+        cols = [columns[n] for n in lead] + [v for n, v in (("x", x), ("y", y)) if n not in fixed]
+        cols += [labels[code], value, cells[np.where(degenerate, len(cells) - 1, best)]]
+        args = [None] * (len(cols) * len(x))
+        for k, column in enumerate(cols):
+            args[k::len(cols)] = column.tolist()
+        yield text + (row_fmt * len(x)) % tuple(args)
         text = ""
 
 

@@ -54,7 +54,8 @@ SYMMETRIC_DECIDERS = ("d1", "d2")
 @dataclass(frozen=True)
 class NormalFormGame:
     """Two-move game: spin profiles (one +-1 per player) map to payoff
-    vectors; labels name the two moves (+1 is "C" by default)."""
+    vectors of finite numbers; labels name the two moves (+1 is "C" by
+    default)."""
 
     players: tuple[str, ...]
     payoffs: Mapping[tuple[int, ...], tuple[float, ...]]
@@ -74,6 +75,10 @@ class NormalFormGame:
                 raise ValueError(f"payoff vector for {key} has wrong length")
         if set(self.labels) != {1, -1} or self.labels[1] == self.labels[-1]:
             raise ValueError("labels must name +1 and -1 distinctly")
+        for key, u in self.payoffs.items():
+            if not all(map(math.isfinite, u)):
+                raise ValueError(f"payoff vector for profile {[self.labels[s] for s in key]} "
+                                 f"is not finite: {list(u)}")
 
     def payoff(self, spins: tuple[int, ...]) -> tuple[float, ...]:
         return self.payoffs[spins]
@@ -250,6 +255,12 @@ def tensor_from_dict(data: Mapping) -> TransformedGame:
             any(len(s) != len(tg.executives) for s in strategies):
         raise GameFormatError("tensor strategies must be distinct command vectors "
                               "with one move per executive")
+    bad = np.argwhere(~np.isfinite(payoffs))
+    if len(bad):
+        *profile, d = bad[0].tolist()
+        raise GameFormatError(f"tensor payoff of decider {tg.deciders[d]} at profile "
+                              f"{[list(c) for c in tg.profile_labels(profile)]} is not finite: "
+                              f"{payoffs[(*profile, d)]}")
     return tg
 
 
@@ -363,31 +374,48 @@ def symmetric_transform(x: float, y: float) -> TransformedGame:
 
 
 @np.errstate(divide="ignore", invalid="ignore")  # degenerate points divide by ~0
-def symmetric_nash(x, y) -> tuple[np.ndarray, np.ndarray]:
-    """Pure-equilibrium mask of the `symmetric_payoffs` game, shape
-    ``np.shape(x) + (4, 4)``, and which points are degenerate, without the
-    tensor.
+def symmetric_best_responses(x, y) -> tuple[np.ndarray, np.ndarray]:
+    """The first decider's best responses in the `symmetric_payoffs` game,
+    as one 4-bit code per point, and which points are degenerate, without
+    the tensor.
 
     The game is separable: over its strategies [CC, CD, DC, DD] the first
     decider's payoff is a term set by the second decider's strategy plus
     [0, A, B, A + B], where A = 2(x+y-1)(3x-y-1)/(2y-1) is its gain from
     commanding D instead of C to the far executive and
-    B = 2(x-y)(3x+y-2)/(2y-1) the same gain for its own executive.  The
-    second decider's vector is the mirror [0, B, A, A + B].  A strategy is a
-    best response when it comes within NASH_TOL of max(A, 0) + max(B, 0),
-    which is the largest of the four in floats too, and the equilibria are
-    the profiles of two best responses.  This is `nash_mask`'s rule on
-    exact payoffs; it can differ from `nash_mask(symmetric_payoffs(x, y)[0])`
-    only where a deviation gain lies within rounding of NASH_TOL.
+    B = 2(x-y)(3x+y-2)/(2y-1) the same gain for its own executive.  Bit s
+    of the code is set when strategy s is a best response: its gain comes
+    within NASH_TOL of max(A, 0) + max(B, 0), which is the largest of the
+    four in floats too.  The codes are integers of shape ``np.shape(x)``.
     """
     x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
     span = 2.0 * y - 1.0
     far = 2.0 * (x + y - 1.0) * (3.0 * x - y - 1.0) / span
     own = 2.0 * (x - y) * (3.0 * x + y - 2.0) / span
     floor = np.maximum(far, 0.0) + np.maximum(own, 0.0) - NASH_TOL
-    first = np.stack([0.0 >= floor, far >= floor, own >= floor, far + own >= floor], axis=-1)
-    second = first[..., (0, 2, 1, 3)]
-    return first[..., :, None] & second[..., None, :], abs(span) < DEGENERACY_TOL
+    code = (0.0 >= floor) + 2 * (far >= floor) + 4 * (own >= floor) + 8 * (far + own >= floor)
+    return code, abs(span) < DEGENERACY_TOL
+
+
+def best_response_profiles(code) -> np.ndarray:
+    """The pure-equilibrium mask, shape ``np.shape(code) + (4, 4)``, of
+    symmetric games whose first decider's best responses are the bits of
+    `code` (`symmetric_best_responses`).  The second decider's payoffs
+    mirror the first's, [0, B, A, A + B], so its best responses are the
+    same bits in the order (0, 2, 1, 3); the equilibria are the profiles of
+    two best responses."""
+    first = (np.asarray(code)[..., None] >> np.arange(4) & 1).astype(bool)
+    return first[..., :, None] & first[..., None, (0, 2, 1, 3)]
+
+
+def symmetric_nash(x, y) -> tuple[np.ndarray, np.ndarray]:
+    """Pure-equilibrium mask of the `symmetric_payoffs` game, shape
+    ``np.shape(x) + (4, 4)``, and which points are degenerate, from
+    `symmetric_best_responses`.  This is `nash_mask`'s rule on exact
+    payoffs; it can differ from `nash_mask(symmetric_payoffs(x, y)[0])` only
+    where a deviation gain lies within rounding of NASH_TOL."""
+    code, degenerate = symmetric_best_responses(x, y)
+    return best_response_profiles(code), degenerate
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,11 @@ itertools and math (no numpy, no package internals beyond graph structure),
 so tests compare the package against genuinely separate code paths.  The
 exceptions are `brute_sample_many`, which must consume numpy's random
 stream exactly as the sampler does, and `concatenated_vote_tables`,
-`select_regime_map` and `six_mu_chain_xy`, which must repeat the
-package's float operations to compare bit for bit; the latter two are
-earlier forms of `regime_map` and `chain_xy`.  The last functions set the
+`select_regime_map`, `six_mu_chain_xy`, `stacked_symmetric_nash` and
+`key_nash_cell`, which must repeat the package's float operations or
+spellings to compare bit for bit; the latter four are earlier forms of
+`regime_map`, `chain_xy`, `symmetric_nash` and the sweep's nash cell.  The
+last functions set the
 usable CPUs, switch the sampler's uniform-filling helper thread on or off
 and inject faults into it, and split the exact sums' wide steps with
 their helper thread on, off, lagging or failing, for the tests of those
@@ -23,7 +25,8 @@ import time
 import numpy as np
 from scipy.special import erf
 
-from hiergame import Edge, HierarchyGraph, Vertex, elimination, game, outcome_probability, vote
+from hiergame import (Edge, HierarchyGraph, Vertex, elimination, game, outcome_probability,
+                      payoff, vote)
 
 
 def response(spin: int, field: float, mode: str, sigma: float) -> float:
@@ -446,6 +449,31 @@ def six_mu_chain_xy(a: int, c: int, beta: float) -> tuple[float, float]:
         raise ValueError(f"chain closed form is not representable at beta={beta!r} "
                          f"(a={a}, c={c}): a denominator is zero or not finite")
     return x_num / x_den, y_num / y_den
+
+
+@np.errstate(divide="ignore", invalid="ignore")
+def stacked_symmetric_nash(x, y) -> tuple[np.ndarray, np.ndarray]:
+    """`hiergame.game.symmetric_nash` with the first decider's four best
+    response tests stacked into a (..., 4) mask, then crossed with the
+    second decider's, the same tests in the order (0, 2, 1, 3)."""
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    span = 2.0 * y - 1.0
+    far = 2.0 * (x + y - 1.0) * (3.0 * x - y - 1.0) / span
+    own = 2.0 * (x - y) * (3.0 * x + y - 2.0) / span
+    floor = np.maximum(far, 0.0) + np.maximum(own, 0.0) - game.NASH_TOL
+    first = np.stack([0.0 >= floor, far >= floor, own >= floor, far + own >= floor], axis=-1)
+    second = first[..., (0, 2, 1, 3)]
+    return first[..., :, None] & second[..., None, :], abs(span) < payoff.DEGENERACY_TOL
+
+
+def key_nash_cell(key: int) -> str:
+    """The sweep's nash cell of a point whose equilibria set the bits of the
+    16-bit `key`, bit 4i + j for the first decider's strategy i and the
+    second's j over [CC, CD, DC, DD]; a degenerate point has key 0."""
+    moves = ["".join("C" if s == 1 else "D" for s in vector)
+             for vector in itertools.product((1, -1), repeat=2)]
+    profiles = [f"{first};{second}" for first in moves for second in moves]
+    return "|".join(p for b, p in enumerate(profiles) if key >> b & 1)
 
 
 def usable_cpus(monkeypatch, n: int) -> None:

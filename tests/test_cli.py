@@ -1125,6 +1125,26 @@ def test_integer_too_large_for_a_float_exits_parse(tmp_path, capsys, kind, argv,
     assert "malformed" in json.loads(err)["message"]
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("kind, change, profile", [
+    ("game", _set_payoff, "profile ['C', 'D']"),
+    ("tensor", _set_tensor_entry, "decider d1 at profile [['C', 'C'], ['C', 'D']]"),
+], ids=["game", "tensor"])
+def test_non_finite_payoff_exits_parse(tmp_path, capsys, kind, change, profile, value):
+    # json reads NaN and Infinity: a NaN tensor entry left nash with no
+    # equilibrium (exit 0), a NaN game payoff gave nash answers computed from
+    # it and transform an exit 3 at printing; the file is refused on reading
+    paths = _input_files(tmp_path)
+    capsys.readouterr()
+    data = json.loads(Path(paths[kind]).read_text())
+    change(data, value)
+    Path(paths[kind]).write_text(json.dumps(data))
+    for argv in _READERS[kind]:
+        assert main([a.format(**paths) for a in argv]) == EXIT_PARSE
+        err = _single_error_line(capsys)
+        assert err["error"] == "GameFormatError" and f"{profile} is not finite" in err["message"]
+
+
 # byte splices (position, bytes removed, bytes put in their place) of one
 # valid input file; positions wrap around the file's length
 _SPLICES = st.lists(st.tuples(st.integers(0, 1 << 16), st.integers(0, 3),

@@ -12,6 +12,7 @@ import pytest
 
 import helpers
 import hiergame as hg
+from hiergame import cli
 from hiergame.game import (BOUNDARY_TOL, LOWER_LINE, NASH_TOL, REGIME_LABELS, UPPER_LINE,
                            NormalFormGame, TransformedGame, _decider_game, _decider_payoffs,
                            nash_mask, pre_payoff, regime_map, symmetric_payoffs,
@@ -46,6 +47,12 @@ def test_game_validation():
     # a repeated name would count one executive's payoff twice
     with pytest.raises(ValueError, match=r"distinct, got \['1', '1', '2'\]"):
         NormalFormGame(("1", "1", "2"), {s: (0.0,) * 3 for s in product((1, -1), repeat=3)})
+    # a non-finite payoff is named by its profile, in move labels
+    for bad in (math.nan, math.inf, -math.inf):
+        payoffs = dict(hg.prisoners_dilemma().payoffs)
+        payoffs[(-1, 1)] = (3.0, bad)
+        with pytest.raises(ValueError, match=r"profile \['D', 'C'\] is not finite"):
+            NormalFormGame(("1", "2"), payoffs)
 
 
 def test_game_round_trip(tmp_path):
@@ -535,6 +542,51 @@ def test_symmetric_nash_matches_tensor_route():
     one, one_degenerate = hg.symmetric_nash(0.3, 0.8)
     assert one.shape == (4, 4) and not one_degenerate
     assert np.array_equal(one, nash_mask(hg.symmetric_transform(0.3, 0.8).payoffs))
+
+
+def test_symmetric_nash_matches_stacked_reference():
+    # the best-response codes, expanded, are the stacked mask bit for bit,
+    # degeneracy mask included: on the points above plus y = 1/2, where
+    # every gain is 0/0 or ±inf, in one batch, in rows at a fixed y and
+    # at single points
+    x, y = _symmetric_nash_points()
+    x = np.concatenate([x, [0.0, 0.005, 0.3, 0.5, 2.0 / 3.0, 0.995, 1.0]])
+    y = np.concatenate([y, np.full(7, 0.5)])
+    for new, ref in zip(hg.symmetric_nash(x, y), helpers.stacked_symmetric_nash(x, y)):
+        assert _same_arrays(new, ref)
+    code, degenerate = hg.symmetric_best_responses(x, y)
+    assert code.shape == x.shape and code.dtype.kind == "i" and degenerate.sum() == 16
+    assert ((0 <= code) & (code < 16)).all()
+    row = np.linspace(0.005, 0.995, 199)
+    for yk in (0.5, 0.5 + 1e-13, 0.505, 0.8, 0.995):
+        for new, ref in zip(hg.symmetric_nash(row, yk), helpers.stacked_symmetric_nash(row, yk)):
+            assert _same_arrays(new, ref), yk
+        for xk in (0.005, 0.3, hg.tipping_points(yk)[0], 0.5, 1.0 - yk, 0.995):
+            for new, ref in zip(hg.symmetric_nash(xk, yk),
+                                helpers.stacked_symmetric_nash(xk, yk)):
+                assert _same_arrays(new, ref), (xk, yk)
+
+
+def test_sweep_nash_cells_match_key_cells():
+    # each best-response code, and entry 16 for a degenerate point, holds
+    # the cell that joining the profiles over the 16-bit equilibrium key
+    # gives: the key of a code crosses its bits with the same bits in the
+    # order (0, 2, 1, 3), and a degenerate point's key is 0
+    cells = cli._nash_cells()
+    assert cells.dtype == object and cells.shape == (17,)
+    bits = 1 << np.arange(16)
+    for code in range(16):
+        first = np.array([code >> s & 1 for s in range(4)], dtype=bool)
+        key = int((first[:, None] & first[None, (0, 2, 1, 3)]).ravel() @ bits)
+        assert cells[code] == helpers.key_nash_cell(key), code
+    assert cells[16] == helpers.key_nash_cell(0) == ""
+    # the sweep's lookup on every point above against the cell of its key
+    x, y = _symmetric_nash_points()
+    mask, degenerate = helpers.stacked_symmetric_nash(x, y)
+    keys = (mask.reshape(len(x), -1) @ bits) * ~degenerate
+    code, degenerate = hg.symmetric_best_responses(x, y)
+    assert cells[np.where(degenerate, 16, code)].tolist() == \
+        [helpers.key_nash_cell(k) for k in keys.tolist()]
 
 
 def test_symmetric_game_is_separable_at_exact_points():
