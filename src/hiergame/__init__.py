@@ -67,12 +67,11 @@ from .graph import (
 )
 from .ising import (
     IsingModel,
-    KPointQuery,
     chain_conditional,
     chain_xy,
     coupling_from_hierarchy,
     ising_conditional,
-    k_point,
+    ising_joint,
 )
 from .payoff import (
     ShareMatrix,
@@ -102,8 +101,8 @@ __all__ = [
     "VoteParams", "sigma_for_beta", "outcome_probability", "single_vote_prob",
     "ConditionalDistribution", "conditional_influence", "partition_function",
     "sample_many", "sample_counts", "influence_table",
-    "IsingModel", "KPointQuery", "coupling_from_hierarchy", "k_point",
-    "ising_conditional", "chain_conditional", "chain_xy",
+    "IsingModel", "coupling_from_hierarchy", "ising_joint", "ising_conditional",
+    "chain_conditional", "chain_xy",
     "ShareMatrix", "shares_by_paths",
     "NormalFormGame", "prisoners_dilemma", "game_to_dict", "game_from_dict",
     "load_game", "save_game", "pre_payoff", "TransformedGame",

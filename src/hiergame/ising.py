@@ -2,27 +2,27 @@
 
 Each directed edge v->w of weight f becomes an undirected coupling
 J_vw = f (1-D)/D, and the vote noise width sets the inverse temperature
-beta = sqrt(2 / (pi sigma^2)).  Boundary-conditioned sums run over the
-corridor between the conditioned set and the queried set.  What hangs
-beyond the conditioned set drops out of ratios taken at a fixed
-condition.  What hangs beyond the queried set drops out only where it
-touches a single queried vertex, by spin-flip symmetry: a region beyond
-that links two of them is not summed, so ratios over two or more queried
-vertices are not the model's joint law there.
+beta = sqrt(2 / (pi sigma^2)).  The law of a set of targets given fixed
+spins on a conditioned set is one sum over the corridor between the two
+sets and every region beyond the targets that links two of them.  What
+hangs beyond the conditioned set sums to a function of the condition
+alone, and what hangs beyond a single target to an even function of its
+spin, by spin-flip symmetry, hence a constant: both drop out of the law.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, NamedTuple
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .elimination import fixed_fields, stored_in, sum_product
 from .errors import MultiEdgeError
-from .graph import HierarchyGraph, nodes_between_adjacency, reach
+from .graph import HierarchyGraph, reach
 from .vote import VoteParams
 
 
@@ -98,36 +98,15 @@ def coupling_from_hierarchy(g: HierarchyGraph) -> IsingModel:
     return IsingModel(tuple(sorted(g.vertex_ids)), couplings, params.gain)
 
 
-@dataclass(frozen=True)
-class KPointQuery:
-    """Boundary-conditioned correlation query: fixed spins on A, queried
-    spins on B, summed over the corridor interior between them."""
-
-    condition: Mapping[str, int]
-    target: Mapping[str, int]
-
-    def __post_init__(self) -> None:
-        overlap = set(self.condition) & set(self.target)
-        if overlap:
-            raise ValueError(f"condition and target overlap on {sorted(overlap)}")
-        if not self.condition or not self.target:
-            raise ValueError("condition and target must both be nonempty")
-        for name, spins in (("condition", self.condition), ("target", self.target)):
-            for v, s in spins.items():
-                if s not in (1, -1):
-                    raise ValueError(f"{name} spin for {v!r} must be +1 or -1")
-
-
 class _Corridor(NamedTuple):
-    """The factors of one corridor sum on one model: a field factor per
-    summed vertex coupled to a fixed one, then a pair factor per coupling
-    of two summed vertices.  Built by `_corridor`; nothing in it depends on
-    the fixed spins."""
+    """The factors of one query's sum on one model: a field factor per
+    summed vertex coupled to a conditioned one, then a pair factor per
+    coupling of two summed vertices.  Built by `_corridor`; nothing in it
+    depends on the conditioned spins."""
 
     scopes: tuple[tuple[str, ...], ...]
     pulls: tuple[tuple[tuple[str, float], ...], ...]  # per field: (fixed vertex, J)
     pair_tables: tuple[np.ndarray, ...]  # per pair: exp(beta J s s')
-    fixed_pairs: tuple[tuple[str, str, float], ...]  # couplings of two fixed spins
 
     def tables(self, spins: Mapping[str, int], beta: float) -> list[np.ndarray]:
         """The factor tables under fixed `spins`: each field adds J times
@@ -137,89 +116,88 @@ class _Corridor(NamedTuple):
 
 
 @stored_in("corridor_layouts")
-def _corridor(model: IsingModel, a: frozenset[str], b: frozenset[str],
-              keys: tuple[str, ...]) -> _Corridor:
-    """The factors of the corridor sum from A to B that sums the interior
-    and the `keys`, some of B, with the rest of A and B fixed; built once
-    and kept in `model.corridor_layouts` (see `stored_in`).
+def _corridor(model: IsingModel, a: frozenset[str], targets: tuple[str, ...]) -> _Corridor:
+    """The factors of the sum from conditioned set A to `targets` with the
+    targets' spins as its keys, once the two sets pass their checks; built
+    once and kept in `model.corridor_layouts` (see `stored_in`).
 
-    Every coupling inside corridor-plus-boundary contributes, in one pass
-    over the couplings: between two summed spins as a pair factor, between
-    a summed and a fixed one as a pull on the summed spin's field, and
-    between two fixed ones as a constant.  Every interior vertex couples to
-    the boundary or to another interior vertex, so each one is in some
-    factor.
+    The sum runs over the targets and every component of the graph minus
+    A and the targets that touches a target and either A (the corridor
+    between A and the targets) or a second target.  A component that
+    touches one target and not A sums to an even function of that
+    target's spin, by spin-flip symmetry, hence a constant.  Every
+    coupling inside the summed region plus A contributes, in one pass over
+    the couplings: between two summed spins as a pair factor, between a
+    summed and a fixed one as a pull on the summed spin's field.
+    Couplings of two fixed spins are a constant of the condition and are
+    left out.
     """
-    summed = nodes_between_adjacency(model.adjacency, a, b).union(keys)
-    fixed = (a | b) - summed
+    b = frozenset(targets)
+    overlap = a & b
+    if overlap:
+        raise ValueError(f"condition and target overlap on {sorted(overlap)}")
+    if not a or not b:
+        raise ValueError("condition and target must both be nonempty")
+    if len(b) < len(targets):
+        raise ValueError(f"targets must be distinct, got {list(targets)}")
+    adj = model.adjacency
+    for v in a | b:
+        if v not in adj:
+            raise ValueError(f"unknown vertex id {v!r}")
+    summed, seen = set(b), set(b)
+    for w in set().union(*(adj[t] for t in targets)) - a:
+        if w not in seen:
+            part = reach({w}, adj, removed=a | b)
+            seen |= part
+            touched = set().union(*(adj[v] for v in part))
+            if touched & a or len(touched & b) >= 2:
+                summed |= part
     pulls: dict[str, list[tuple[str, float]]] = {}
     pairs: list[tuple[str, str, float]] = []
-    fixed_pairs: list[tuple[str, str, float]] = []
     for u, v, j in model.couplings:
         if u in summed:
             if v in summed:
                 pairs.append((u, v, j))
-            elif v in fixed:
+            elif v in a:
                 pulls.setdefault(u, []).append((v, j))
-        elif u in fixed:
-            if v in summed:
-                pulls.setdefault(v, []).append((u, j))
-            elif v in fixed:
-                fixed_pairs.append((u, v, j))
+        elif u in a and v in summed:
+            pulls.setdefault(v, []).append((u, j))
     bj = model.beta * np.array([j for *_, j in pairs])
     pair_tables = np.exp(np.stack((bj, -bj, -bj, bj), axis=1)).reshape(-1, 2, 2)
     pair_tables.flags.writeable = False
     return _Corridor(tuple((v,) for v in pulls) + tuple((u, v) for u, v, _ in pairs),
-                     tuple(map(tuple, pulls.values())), tuple(pair_tables),
-                     tuple(fixed_pairs))
+                     tuple(map(tuple, pulls.values())), tuple(pair_tables))
 
 
-def k_point(model: IsingModel, query: KPointQuery, cap: int | None = None) -> float:
-    """Boundary-conditioned partition sum over the corridor interior.
+def ising_joint(model: IsingModel, targets: Sequence[str], condition: Mapping[str, int],
+                cap: int | None = None) -> dict[tuple[int, ...], float]:
+    """P(spins on `targets` | fixed spins on `condition`), keyed by the
+    tuple of target spins in target order.
 
-    Sums exp(beta * sum of J s s') over all spin patterns of the corridor
-    between the conditioned and target sets, with both boundaries held
-    fixed.  Every coupling inside corridor-plus-boundary contributes,
-    including boundary-boundary pairs.  The sum is exp(beta * boundary
-    energy) times a sum of products of one factor per free-free coupling
-    and one per free vertex coupled to the boundary (all of its pull from
-    there), taken by variable elimination; the cap bounds log2 of its
-    largest table.  The factors' structure is built once per model and
-    pair of sets (see `_corridor`).  A sum out of float range is a ValueError.
-
-    What hangs beyond the conditioned set drops out of ratios of sums at a
-    fixed condition.  What hangs beyond the targets drops out only where it
-    touches a single target, by spin-flip symmetry; where it links two
-    targets, the sums normalised over the target patterns differ from the
-    model's joint law of the targets.
+    One sum over the region of `_corridor`, keyed on the targets' spins,
+    gives each pattern's weight Z(s); the law is Z(s) over the total,
+    summed in key order.  The cap counts every target's spin along with
+    the summed interior's (see `sum_product`); a total that overflows or
+    underflows is a ValueError.
     """
-    spins = {**query.condition, **query.target}
-    layout = _corridor(model, frozenset(query.condition), frozenset(query.target), ())
-    const = 0.0
-    for u, v, j in layout.fixed_pairs:
-        const += j * spins[u] * spins[v]
-    total = sum_product(layout.scopes, lambda: layout.tables(spins, model.beta), (), cap)
-    try:
-        return _in_range(math.exp(model.beta * const) * float(total[0]), model.beta)
-    except OverflowError:
-        return _in_range(math.inf, model.beta)
+    for v, s in condition.items():
+        if s not in (1, -1):
+            raise ValueError(f"condition spin for {v!r} must be +1 or -1")
+    keys = tuple(targets)
+    layout = _corridor(model, frozenset(condition), keys)
+    z = sum_product(layout.scopes, lambda: layout.tables(condition, model.beta),
+                    keys, cap).tolist()
+    total = _in_range(sum(z), model.beta)
+    # entry c has key j at +1 exactly where bit j of c is set
+    patterns = itertools.product((-1, 1), repeat=len(keys))
+    return {pattern[::-1]: w / total for pattern, w in zip(patterns, z)}
 
 
 def ising_conditional(model: IsingModel, vertex: str,
                       condition: Mapping[str, int], cap: int | None = None) -> float:
-    """P(spin at `vertex` is +1 | fixed boundary spins).
-
-    One corridor sum from the condition to the vertex with the vertex's
-    spin as its key gives Z(-1) and Z(+1), and P = Z(+1) / (Z(-1) + Z(+1));
-    the couplings among the conditioned vertices cancel.  The cap counts
-    the vertex's spin along with the interior's (see `k_point`); a
-    Z(-1) + Z(+1) that overflows or underflows is a ValueError.
-    """
-    KPointQuery(condition, {vertex: 1})  # checks the spins as k_point does
-    layout = _corridor(model, frozenset(condition), frozenset((vertex,)), (vertex,))
-    z = sum_product(layout.scopes, lambda: layout.tables(condition, model.beta),
-                    (vertex,), cap)
-    return float(z[1]) / _in_range(float(z[0]) + float(z[1]), model.beta)
+    """P(spin at `vertex` is +1 | fixed boundary spins): `ising_joint` of
+    the one target, Z(+1) / (Z(-1) + Z(+1))."""
+    return ising_joint(model, (vertex,), condition, cap)[(1,)]
 
 
 def _in_range(value: float, beta: float) -> float:

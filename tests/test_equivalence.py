@@ -247,7 +247,8 @@ def test_targets_sharing_a_barren_join_differ():
                                   helpers.random_digraph])
 def test_agreement_predicate_is_exact_for_any_condition_and_targets(make):
     # random conditioned sets, not only deciders, and one to three targets:
-    # every pass is exact on the joint law of the targets
+    # every pass is exact on the joint law of the targets, by the brute
+    # forces and by the package's two exact engines
     rng = random.Random(2602)
     passes = 0
     for _ in range(400):
@@ -263,12 +264,17 @@ def test_agreement_predicate_is_exact_for_any_condition_and_targets(make):
         if not hg.semantics_agree(g, condition, targets):
             continue
         passes += 1
+        params = hg.VoteParams.from_graph(g)
         for pattern in product((1, -1), repeat=len(condition)):
             spins = dict(zip(condition, pattern))
             vote = helpers.brute_vote_joint(g, targets, spins)
             spin_model = helpers.brute_ising_joint(model.couplings, model.beta,
                                                    targets, spins)
             assert helpers.tv_distance(vote, spin_model) <= 1e-12, (g, spins, targets)
+            dist = hg.conditional_influence(g, condition, targets, spins, params)
+            law = hg.ising_joint(model, targets, spins)
+            assert max(abs(dist.prob(dict(zip(targets, key))) - p)
+                       for key, p in law.items()) <= 1e-12, (g, spins, targets)
     assert passes >= 20
 
 

@@ -1,4 +1,8 @@
-"""Boundary-conditioned coupling sums and the chain closed forms."""
+"""Boundary-conditioned spin laws and the chain closed forms.
+
+A k-point test checks `ising_joint`, the law of k target spins given
+fixed spins on a conditioned set.
+"""
 
 import itertools
 import math
@@ -10,7 +14,7 @@ import pytest
 import helpers
 import hiergame as hg
 from hiergame import elimination
-from hiergame.ising import IsingModel, KPointQuery
+from hiergame.ising import IsingModel
 
 
 BETA = 1.0
@@ -24,33 +28,40 @@ def _path_model(n_edges: int, j: float, beta: float) -> IsingModel:
 
 def test_k_point_single_edge():
     model = IsingModel(("a", "b"), (("a", "b", 0.7),), 1.3)
-    up = hg.k_point(model, KPointQuery({"a": 1}, {"b": 1}))
-    down = hg.k_point(model, KPointQuery({"a": 1}, {"b": -1}))
-    assert up == pytest.approx(math.exp(1.3 * 0.7), abs=1e-15)
-    assert down == pytest.approx(math.exp(-1.3 * 0.7), abs=1e-15)
+    law = hg.ising_joint(model, ["b"], {"a": 1})
+    assert law[(1,)] / law[(-1,)] == pytest.approx(math.exp(2.0 * 1.3 * 0.7), rel=1e-15)
+    assert law[(1,)] + law[(-1,)] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_k_point_three_chain():
+    # the middle spin sums to 2 cosh(2 beta) when the ends agree, 2 when not
     model = _path_model(2, 1.0, BETA)
-    agree = hg.k_point(model, KPointQuery({"v00": 1}, {"v02": 1}))
-    differ = hg.k_point(model, KPointQuery({"v00": 1}, {"v02": -1}))
-    assert agree == pytest.approx(2.0 * math.cosh(2.0 * BETA), rel=1e-15)
-    assert differ == pytest.approx(2.0, rel=1e-15)
+    law = hg.ising_joint(model, ["v02"], {"v00": 1})
+    assert law[(1,)] / law[(-1,)] == pytest.approx(math.cosh(2.0 * BETA), rel=1e-15)
 
 
 def test_k_point_counts_boundary_couplings():
+    # each fixed neighbour pulls the target; the fixed pair a-b cancels
     model = IsingModel(("a", "b", "t"),
                        (("a", "b", 0.4), ("a", "t", 0.6), ("b", "t", 0.9)), 1.1)
-    same = hg.k_point(model, KPointQuery({"a": 1, "b": 1}, {"t": 1}))
-    mixed = hg.k_point(model, KPointQuery({"a": 1, "b": -1}, {"t": 1}))
-    assert same == pytest.approx(math.exp(1.1 * (0.4 + 0.6 + 0.9)), rel=1e-15)
-    assert mixed == pytest.approx(math.exp(1.1 * (-0.4 + 0.6 - 0.9)), rel=1e-15)
+    same = hg.ising_joint(model, ["t"], {"a": 1, "b": 1})
+    mixed = hg.ising_joint(model, ["t"], {"a": 1, "b": -1})
+    assert same[(1,)] / same[(-1,)] == pytest.approx(math.exp(2.2 * (0.6 + 0.9)), rel=1e-15)
+    assert mixed[(1,)] / mixed[(-1,)] == pytest.approx(math.exp(2.2 * (0.6 - 0.9)), rel=1e-15)
+    # with b a second target, the coupling of the two targets counts too
+    pair = hg.ising_joint(model, ["b", "t"], {"a": 1})
+    assert pair[(1, 1)] / pair[(-1, -1)] == pytest.approx(
+        math.exp(2.2 * (0.4 + 0.6)), rel=1e-15)
+    assert pair[(1, -1)] / pair[(-1, 1)] == pytest.approx(
+        math.exp(2.2 * (0.4 - 0.6)), rel=1e-15)
 
 
 def test_k_point_weak_coupling_counts_states():
+    # at beta -> 0 every pattern of two targets weighs the same
     model = _path_model(5, 1.0, 1e-12)
-    total = hg.k_point(model, KPointQuery({"v00": 1}, {"v05": 1}))
-    assert total == pytest.approx(2.0 ** 4, rel=1e-9)
+    law = hg.ising_joint(model, ["v05", "v02"], {"v00": 1})
+    assert len(law) == 4
+    assert all(p == pytest.approx(0.25, rel=1e-9) for p in law.values())
 
 
 def test_k_point_spin_flip_symmetry():
@@ -59,12 +70,11 @@ def test_k_point_spin_flip_symmetry():
     model = hg.coupling_from_hierarchy(g)
     ids = sorted(model.vertices)
     condition = {ids[0]: 1, ids[1]: -1}
-    target = {ids[-1]: 1, ids[-2]: -1}
-    flipped_c = {v: -s for v, s in condition.items()}
-    flipped_t = {v: -s for v, s in target.items()}
-    plain = hg.k_point(model, KPointQuery(condition, target))
-    mirror = hg.k_point(model, KPointQuery(flipped_c, flipped_t))
-    assert plain == pytest.approx(mirror, rel=1e-13)
+    targets = [ids[-1], ids[-2]]
+    plain = hg.ising_joint(model, targets, condition)
+    mirror = hg.ising_joint(model, targets, {v: -s for v, s in condition.items()})
+    for key, p in plain.items():
+        assert p == pytest.approx(mirror[tuple(-s for s in key)], rel=1e-13)
 
 
 def test_ising_conditional_single_edge():
@@ -110,21 +120,6 @@ def test_ising_conditional_matches_full_enumeration():
         assert p == pytest.approx(brute, abs=1e-12)
 
 
-def _corridor_sum(model, condition, target):
-    """k_point by plain enumeration of the whole corridor interior."""
-    fixed = {**condition, **target}
-    interior = sorted(hg.graph.nodes_between_adjacency(
-        model.adjacency, frozenset(condition), frozenset(target)))
-    zone = set(interior) | set(fixed)
-    terms = [(u, v, j) for u, v, j in model.couplings if u in zone and v in zone]
-    total = 0.0
-    for combo in itertools.product((1, -1), repeat=len(interior)):
-        spins = dict(fixed)
-        spins.update(zip(interior, combo))
-        total += math.exp(model.beta * sum(j * spins[u] * spins[v] for u, v, j in terms))
-    return total
-
-
 def test_corridor_components_match_full_enumeration():
     # both deciders fixed: the arms into an executive are independent
     # components of its corridor; on a tree with every leaf fixed, each
@@ -145,9 +140,9 @@ def test_corridor_components_match_full_enumeration():
             model.adjacency, frozenset(condition), frozenset({target}))
         corridor = networkx.Graph(model.adjacency).subgraph(interior)
         split += networkx.number_connected_components(corridor) >= 2
-        for spin in (1, -1):
-            assert hg.k_point(model, KPointQuery(condition, {target: spin})) == \
-                pytest.approx(_corridor_sum(model, condition, {target: spin}), rel=1e-12)
+        law = hg.ising_joint(model, [target], condition)
+        brute = helpers.brute_ising_joint(model.couplings, model.beta, [target], condition)
+        assert max(abs(law[k] - brute[k]) for k in brute) <= 1e-12
         p = hg.ising_conditional(model, target, condition)
         brute = helpers.brute_ising_conditional(model.couplings, model.beta,
                                                 target, condition)
@@ -155,11 +150,10 @@ def test_corridor_components_match_full_enumeration():
     assert split >= len(cases) // 2
 
 
-def test_k_point_drops_only_single_target_regions():
+def test_joint_sums_the_region_linking_two_targets():
     # d -> t1, d -> t2, t1 -> x, t2 -> x: the region {x} beyond the targets
-    # links t1 and t2, and k_point does not sum it, so its sums normalised
-    # over the four target patterns are not the model's joint law; each
-    # target alone, whose region is its own, still gets its marginal
+    # links t1 and t2, so the joint law sums it; each target alone, for
+    # which {x} hangs off that target only, sums it to a constant
     g = hg.HierarchyGraph(
         (hg.Vertex("d", "decider"), hg.Vertex("t1", "agent"),
          hg.Vertex("t2", "agent"), hg.Vertex("x", "executive")),
@@ -168,16 +162,53 @@ def test_k_point_drops_only_single_target_regions():
         0.5, hg.sigma_for_beta(1.0))
     model = hg.coupling_from_hierarchy(g)
     condition = {"d": 1}
-    sums = {s: hg.k_point(model, KPointQuery(condition, {"t1": s[0], "t2": s[1]}))
-            for s in itertools.product((1, -1), repeat=2)}
-    total = sum(sums.values())
-    joint = helpers.brute_ising_joint(model.couplings, model.beta, ["t1", "t2"], condition)
-    gap = helpers.tv_distance({s: z / total for s, z in sums.items()}, joint)
-    assert gap == pytest.approx(6.30e-2, abs=5e-5)
-    for t in ("t1", "t2"):
-        up, down = (hg.k_point(model, KPointQuery(condition, {t: s})) for s in (1, -1))
-        law = helpers.brute_ising_joint(model.couplings, model.beta, [t], condition)
-        assert abs(up / (up + down) - law[(1,)]) <= 1e-12
+    for targets in (["t1", "t2"], ["t2", "t1"], ["t1"], ["t2"]):
+        law = hg.ising_joint(model, targets, condition)
+        brute = helpers.brute_ising_joint(model.couplings, model.beta, targets, condition)
+        assert law.keys() == brute.keys()
+        assert max(abs(law[k] - brute[k]) for k in brute) <= 1e-12
+    # without x the targets would be independent given d
+    law = hg.ising_joint(model, ["t1", "t2"], condition)
+    t1 = hg.ising_conditional(model, "t1", condition)
+    t2 = hg.ising_conditional(model, "t2", condition)
+    assert law[(1, 1)] - t1 * t2 > 5e-3
+
+
+def _linking_component(g, condition, targets) -> bool:
+    """Whether some component of `g` minus the condition and the targets
+    touches two or more targets and no conditioned vertex."""
+    graph = networkx.Graph(g.undirected_adjacency)
+    rest = graph.subgraph(set(graph) - set(condition) - set(targets))
+    for part in networkx.connected_components(rest):
+        touched = set().union(*(graph[v] for v in part))
+        if not touched & set(condition) and len(touched & set(targets)) >= 2:
+            return True
+    return False
+
+
+def test_joint_matches_enumeration_on_random_graphs():
+    # random conditioned sets and one to three targets on trees, DAGs and
+    # digraphs; some queries have a region beyond the targets that links
+    # two of them, which the joint law must sum
+    rng = random.Random(3301)
+    linked = 0
+    for make in (helpers.random_tree, helpers.random_dag, helpers.random_digraph) * 60:
+        g = make(rng, rng.randint(4, 9))
+        try:
+            model = hg.coupling_from_hierarchy(g)
+        except hg.MultiEdgeError:
+            continue
+        ids = sorted(g.vertex_ids)
+        condition = rng.sample(ids, rng.randint(1, len(ids) // 2))
+        rest = [v for v in ids if v not in condition]
+        targets = rng.sample(rest, rng.randint(1, min(3, len(rest))))
+        spins = {v: rng.choice((1, -1)) for v in condition}
+        law = hg.ising_joint(model, targets, spins)
+        brute = helpers.brute_ising_joint(model.couplings, model.beta, targets, spins)
+        assert law.keys() == brute.keys()
+        assert max(abs(law[k] - brute[k]) for k in brute) <= 1e-12, (g, spins, targets)
+        linked += _linking_component(g, condition, targets)
+    assert linked >= 10
 
 
 def test_chain_conditional_matches_enumeration():
@@ -316,17 +347,21 @@ def test_model_validation():
 
 
 def test_query_validation():
+    model = IsingModel(("a", "b", "c"), (("a", "b", 1.0), ("b", "c", 1.0)), 1.0)
     with pytest.raises(ValueError, match="overlap"):
-        KPointQuery({"a": 1}, {"a": 1})
+        hg.ising_joint(model, ["a", "b"], {"a": 1})
     with pytest.raises(ValueError, match="nonempty"):
-        KPointQuery({}, {"a": 1})
+        hg.ising_joint(model, ["a"], {})
     with pytest.raises(ValueError, match="nonempty"):
-        KPointQuery({"a": 1}, {})
+        hg.ising_joint(model, [], {"a": 1})
     with pytest.raises(ValueError, match="spin"):
-        KPointQuery({"a": 2}, {"b": 1})
-    model = IsingModel(("a", "b"), (("a", "b", 1.0),), 1.0)
+        hg.ising_joint(model, ["b"], {"a": 2})
     with pytest.raises(ValueError, match="unknown vertex"):
-        hg.k_point(model, KPointQuery({"a": 1}, {"zz": 1}))
+        hg.ising_joint(model, ["zz"], {"a": 1})
+    with pytest.raises(ValueError, match="distinct"):
+        hg.ising_joint(model, ["b", "c", "b"], {"a": 1})
+    # none of the refused queries left a layout behind
+    assert not model.corridor_layouts
 
 
 def test_k_point_matches_enumeration_on_random_coupling_graphs():
@@ -340,9 +375,10 @@ def test_k_point_matches_enumeration_on_random_coupling_graphs():
         picked = rng.sample(vertices, 2 + k % 3)
         n_cond = 1 + (k % 3 == 2)
         condition = {v: rng.choice((1, -1)) for v in picked[:n_cond]}
-        target = {v: rng.choice((1, -1)) for v in picked[n_cond:]}
-        assert hg.k_point(model, KPointQuery(condition, target)) == \
-            pytest.approx(_corridor_sum(model, condition, target), rel=1e-12)
+        targets = picked[n_cond:]
+        law = hg.ising_joint(model, targets, condition)
+        brute = helpers.brute_ising_joint(model.couplings, model.beta, targets, condition)
+        assert max(abs(law[k] - brute[k]) for k in brute) <= 1e-12
         vertex = picked[-1]
         p = hg.ising_conditional(model, vertex, condition)
         brute = helpers.brute_ising_conditional(model.couplings, model.beta, vertex, condition)
@@ -356,15 +392,16 @@ def _complete_model(n: int, j: float, beta: float) -> IsingModel:
 
 
 def test_k_point_cap():
-    # the cap bounds log2 of the largest table elimination needs: every
-    # interior vertex of a complete coupling graph meets the other ten
-    model = _complete_model(13, 0.1, 1.0)  # 11 interior vertices
-    query = KPointQuery({"v00": 1}, {"v12": 1})
+    # the cap bounds log2 of the largest table elimination needs, and it
+    # counts every target spin: every interior vertex of a complete
+    # coupling graph meets the other nine and both targets
+    model = _complete_model(13, 0.1, 1.0)  # 10 interior vertices
+    targets, condition = ["v12", "v11"], {"v00": 1}
     with pytest.raises(hg.EnumerationCapError):
-        hg.k_point(model, query, cap=10)
-    hg.k_point(model, query, cap=11)
-    # the 11 interior vertices of a path only ever meet two at a time
-    hg.k_point(_path_model(12, 1.0, 1.0), query, cap=2)
+        hg.ising_joint(model, targets, condition, cap=11)
+    hg.ising_joint(model, targets, condition, cap=12)
+    # the 10 interior vertices of a path only ever meet two at a time
+    hg.ising_joint(_path_model(12, 1.0, 1.0), targets, condition, cap=2)
 
 
 def _split_corridor_cases(rng):
@@ -383,9 +420,9 @@ def _split_corridor_cases(rng):
 
 
 def test_keyed_conditional_matches_k_point_ratio():
-    # one sum keyed on the target agrees with the ratio of the two pinned
-    # corridor sums and with the full enumeration, on random coupling graphs
-    # with cycles and on corridors that split into components
+    # the conditional is the one-target joint law, bit for bit, and agrees
+    # with the full enumeration, on random coupling graphs with cycles and
+    # on corridors that split into components
     rng = random.Random(1010)
     cases = _split_corridor_cases(rng)
     for k in range(10):
@@ -396,9 +433,8 @@ def test_keyed_conditional_matches_k_point_ratio():
         cases.append((model, {v: rng.choice((1, -1)) for v in picked[:-1]}, picked[-1]))
     for model, condition, target in cases:
         p = hg.ising_conditional(model, target, condition)
-        up = hg.k_point(model, KPointQuery(condition, {target: 1}))
-        down = hg.k_point(model, KPointQuery(condition, {target: -1}))
-        assert p == pytest.approx(up / (up + down), abs=1e-14)
+        law = hg.ising_joint(model, [target], condition)
+        assert p == law[(1,)] and law[(-1,)] == pytest.approx(1.0 - p, abs=1e-15)
         brute = helpers.brute_ising_conditional(model.couplings, model.beta, target, condition)
         assert p == pytest.approx(brute, abs=1e-12)
         # warm: the same query again, and the flipped condition
@@ -428,17 +464,23 @@ def test_ising_conditional_errors():
 
 
 def test_warm_ising_conditional_skips_the_corridor_search(monkeypatch):
+    # neither a one-target nor a joint query searches the graph once warm
     model = hg.coupling_from_hierarchy(hg.crossed_chains(4, 4, 4, 4))
     cold = hg.ising_conditional(model, "1", {"d1": 1, "d2": -1})
+    cold_joint = hg.ising_joint(model, ["1", "2"], {"d1": 1})
 
-    def searched(*args):
+    def searched(*args, **kwargs):
         raise AssertionError("corridor searched on a warm query")
 
-    monkeypatch.setattr(hg.ising, "nodes_between_adjacency", searched)
+    monkeypatch.setattr(hg.ising, "reach", searched)
     assert hg.ising_conditional(model, "1", {"d1": 1, "d2": -1}) == cold
     hg.ising_conditional(model, "1", {"d1": -1, "d2": -1})
+    assert hg.ising_joint(model, ["1", "2"], {"d1": 1}) == cold_joint
+    hg.ising_joint(model, ["1", "2"], {"d1": -1})
     with pytest.raises(AssertionError, match="corridor"):
         hg.ising_conditional(model, "2", {"d1": 1, "d2": -1})
+    with pytest.raises(AssertionError, match="corridor"):
+        hg.ising_joint(model, ["2", "1"], {"d1": 1})
 
 
 def test_ising_conditional_cap_counts_the_target():
@@ -448,16 +490,16 @@ def test_ising_conditional_cap_counts_the_target():
     with pytest.raises(hg.EnumerationCapError):
         hg.ising_conditional(model, "v12", {"v00": 1}, cap=11)
     p = hg.ising_conditional(model, "v12", {"v00": 1}, cap=12)
-    up = hg.k_point(model, KPointQuery({"v00": 1}, {"v12": 1}), cap=11)
-    down = hg.k_point(model, KPointQuery({"v00": 1}, {"v12": -1}), cap=11)
-    assert p == pytest.approx(up / (up + down), abs=1e-14)
+    assert p == pytest.approx(helpers.brute_ising_conditional(
+        model.couplings, model.beta, "v12", {"v00": 1}), abs=1e-12)
 
 
 def test_corridor_layout_store_is_bounded():
+    # one-target and joint queries share the store
     model = _path_model(elimination._PLAN_CACHE + 10, 0.7, 1.0)
-    for v in model.vertices[1:]:
+    for v in model.vertices[2:]:
         hg.ising_conditional(model, v, {"v00": 1})
-        hg.k_point(model, KPointQuery({"v00": 1}, {v: 1}))
+        hg.ising_joint(model, [v, "v01"], {"v00": 1})
         assert len(model.corridor_layouts) <= elimination._PLAN_CACHE
     assert hg.ising_conditional(model, "v01", {"v00": 1}) == pytest.approx(
         hg.chain_conditional(1, 0.7, 1, 1), abs=1e-15)
@@ -472,11 +514,7 @@ def test_sums_beyond_float_range_are_refused(length, beta):
     with pytest.raises(ValueError, match="beta"):
         hg.ising_conditional(model, "1", {"d1": 1, "d2": -1})
     with pytest.raises(ValueError, match="beta"):
-        hg.k_point(model, KPointQuery({"d1": 1}, {"d2": -1}))
-    # the boundary energy alone overflows math.exp
-    model = IsingModel(("a", "b", "c"), (("a", "b", 1000.0), ("b", "c", 1.0)), 1.0)
-    with pytest.raises(ValueError, match="beta"):
-        hg.k_point(model, KPointQuery({"a": 1}, {"b": 1}))
+        hg.ising_joint(model, ["d2", "1"], {"d1": 1})
     # the short chain at the same beta is still answered
     g = hg.two_decider_chain(2, 3, noise_sigma=hg.sigma_for_beta(beta))
     p = hg.ising_conditional(hg.coupling_from_hierarchy(g), "1", {"d1": -1, "d2": 1})

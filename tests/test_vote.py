@@ -422,7 +422,7 @@ def test_cap_below_one_is_refused():
         with refused:
             hg.ising_conditional(model, "1", cond, cap)
         with refused:
-            hg.k_point(model, hg.KPointQuery(cond, {"1": 1}), cap)
+            hg.ising_joint(model, ["1", "2"], cond, cap)
     # 1 is a cap, though no elimination step of this graph fits under it
     with pytest.raises(hg.EnumerationCapError):
         hg.conditional_influence(g, lam, {"1"}, cond, params, cap=1)
