@@ -220,18 +220,23 @@ def main(argv=None) -> int:
 
 def summary_lines(record: dict) -> list[str]:
     """The printed summary: per workload and metric the scaled medians, the
-    pairs won and the verdict, after the faults of an invalid workload."""
+    pairs won and the verdict, then the same of the raw values, after the
+    faults of an invalid workload.  Runs that use a second CPU can read a
+    slower probe, so the two can disagree."""
     lines = []
     for workload, entry in record["workloads"].items():
         if not entry["valid"]:
             lines.append(f"{workload}: INVALID, every verdict is invalid")
             lines += [f"  {line}" for line in entry["faults"]]
         for name, m in entry["metrics"].items():
-            s = m["scaled"]
-            medians = (f"{s['parent_median']:>10.4g} -> {s['change_median']:>10.4g} "
-                       f"won {s['pairs_won']}/{s['pairs']}" if s["pairs"] else
-                       f"{'no pair finished':>38s}")
-            lines.append(f"{workload:15s} {name:12s} {medians} {s['verdict']}")
+            row = f"{workload:15s} {name:12s}"
+            for kind in ("scaled", "raw"):
+                s = m[kind]
+                medians = (f"{s['parent_median']:>10.4g} -> {s['change_median']:>10.4g} "
+                           f"won {s['pairs_won']}/{s['pairs']}" if s["pairs"] else
+                           f"{'no pair finished':>38s}")
+                row += f" {kind} {medians} {s['verdict']}"
+            lines.append(row)
     return lines
 
 

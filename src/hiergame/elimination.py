@@ -3,16 +3,13 @@ semantics' front ends (`vote`, `ising`) hand their factor tables to: the
 elimination plan and its cache, both step kinds (einsum calls and the
 tiled broadcasts of wide steps), the enumeration cap, and the two rules
 the front ends share, the layout store (`stored_in`) and the fixed field
-of a row of pulls (`fixed_fields`), and the count of usable CPUs
-(`usable_cpus`) by which the sums and the sampler decide whether to
-start a helper thread.
+of a row of pulls (`fixed_fields`).  Every sum runs on the calling thread.
 """
 
 from __future__ import annotations
 
 import functools
 import heapq
-import os
 import string
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
@@ -41,13 +38,6 @@ _PAIRWISE_SPINS = 12
 _TILE_RUN = 4
 _TILE_MAX = 5
 _TILE_COPY = 1.5
-# a wide step spanning at least this many spins runs as two parts, one per
-# value of its first kept spin, the second on a helper thread when two CPUs
-# are usable.  In dense-exact runs on a 2-vCPU Xeon VM, splitting from 17
-# spins cut the p90 latency by 13% and raised the median by 8%; from 16
-# spins the median rose 12%, and from 18 spins, where the 17-spin steps of
-# the cycles stay whole, the p90 rose too.  A thread start costs 0.1-0.2 ms
-_SPLIT_SPINS = 17
 # einsum's letters for sublist labels 0, 1, ...
 _LETTERS = string.ascii_uppercase + string.ascii_lowercase
 
@@ -98,146 +88,40 @@ class _Broadcast(NamedTuple):
     bitwise those of the plain broadcast.  Each label that no other operand
     holds and the output does not is summed as soon as that holds, by
     adding its two halves and keeping a length-1 axis; on a length-2 axis
-    that is far faster than `sum`.  What is left, of shape `result` (a
-    length per label), has the output's spins in label order.
-
-    A step of _SPLIT_SPINS or more spins with `parts` runs those instead:
-    the same program on the half of the entries where the first kept label
-    is -1, and on the half where it is +1.  Each part views the inputs
-    that hold that label at one index, shares the others, and writes into
-    its half of the output, which is allocated once.  In a part, a product
-    that sums a label is made from the operands' halves on that label, and
-    the two products are added (see `program`): the same sums in half the
-    memory.  Every entry gets the same float operations in the same order,
-    so the output is bitwise the whole program's.  The sum's helper thread
-    may run the second part (see `_Helper`).  A step has no parts when it
-    keeps no spin or a tile would span a label that a part cuts.
+    that is far faster than `sum`.  What is left, of length 1 on each
+    summed label, has the output's spins in label order.
     """
 
     inputs: tuple[int, ...]
     views: tuple[tuple[tuple[int, ...], tuple, tuple], ...]
     products: tuple[tuple[int, int, tuple[int, tuple[int, ...]] | None, tuple], ...]
     shape: tuple[int, ...]
-    result: tuple[int, ...]
-    parts: tuple[_Broadcast, _Broadcast] | None
 
     def run(self, made: list[np.ndarray | None]) -> np.ndarray:
         """The step's table from every table made so far, freeing the ones
-        it consumes; `made` is a `_Made` when the step runs in parts."""
-        parts = self.parts if len(self.views[0][1]) >= _SPLIT_SPINS else None
-        operands = [[made[f].transpose(perm)[index]
-                     for f, (perm, index, _) in zip(self.inputs, program.views)]
-                    for program in parts or (self,)]
+        it consumes."""
+        operands = [made[f].transpose(perm)[index]
+                    for f, (perm, index, _) in zip(self.inputs, self.views)]
         for f in self.inputs:
             made[f] = None
-        if parts is None:
-            return self.program(operands[0]).reshape(self.shape)
-        out = np.empty(self.shape)
-        first, second = operands
-        made.helper.split(lambda: parts[0].program(first, out[0]),
-                          lambda: parts[1].program(second, out[1]))
-        return out
-
-    def program(self, operands: list[np.ndarray], out: np.ndarray | None = None) -> np.ndarray:
-        """The program on `operands`, the inputs as `views` picks them
-        (transposed and indexed), which it consumes in place.  A part runs
-        with `out`, its half of the output, and writes its result there."""
-        into = None if out is None else out.reshape(self.result)
         for k, (_, _, halves) in enumerate(self.views):
-            operands[k] = _add_halves(operands[k], halves, None if self.products else into)
-        last = len(self.products) - 1
-        for k, (i, j, tile, halves) in enumerate(self.products):
-            dest = into if k == last else None
-            a, b = operands[i], operands.pop(j)
-            if out is None or not halves:
-                operands[i] = _add_halves(_product(a, b, tile, None if halves else dest),
-                                          halves, dest)
-                continue
-            # in a part, the first label summed here is summed as the product
-            # is made, from the products of the operands' halves: the sums
-            # that adding the product's halves makes, in half its memory
-            (low, high), rest = halves[0], halves[1:]
-            x = _product(_pick(a, low), _pick(b, low), tile, None if rest else dest)
-            np.add(x, _product(_pick(a, high), _pick(b, high), tile), out=x)
-            operands[i] = _add_halves(x, rest, dest)
-        if into is not None and operands[0] is not into:  # nothing summed or multiplied
-            np.copyto(into, operands[0])
-        return operands[0]
+            operands[k] = _add_halves(operands[k], halves)
+        for i, j, tile, halves in self.products:
+            operands[i] = _add_halves(_product(operands[i], operands.pop(j), tile), halves)
+        return operands[0].reshape(self.shape)
 
 
-class _Made(list):
-    """The tables of one sum whose plan has steps to run in parts, as
-    `sum_product` makes them, and the sum's helper thread (`helper`),
-    which those steps share."""
-
-    __slots__ = ("helper",)
-
-
-def usable_cpus() -> int:
-    """The CPUs this process may run on: the sums and the sampler start a
-    helper thread only when there are two or more."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity masks on this platform
-        return os.cpu_count() or 1
-
-
-class _Helper:
-    """The second CPU of one `sum_product` call: a thread, started at the
-    call's first split step when two CPUs are usable and joined when the
-    call ends, that runs the second part of each split step unless the
-    caller, done with the first part, finds it not yet started and runs it
-    itself.  An error the helper hits is raised in the caller."""
-
-    __slots__ = ("pool",)
-
-    def __init__(self) -> None:
-        self.pool = None
-
-    def split(self, first: Callable[[], object], second: Callable[[], object]) -> None:
-        """Run `first` and `second`, which write disjoint arrays, the second
-        perhaps on the helper; return once both have finished."""
-        if self.pool is None:
-            if usable_cpus() < 2:
-                first()
-                second()
-                return
-            # imported here: it costs a few ms, which a sum with no split
-            # step should not pay at import
-            from concurrent.futures import ThreadPoolExecutor
-            self.pool = ThreadPoolExecutor(1, thread_name_prefix="hiergame-halves")
-        job = self.pool.submit(second)
-        first()
-        if job.cancel():
-            second()
-        else:
-            job.result()
-
-    def close(self) -> None:
-        """Join the helper, if it started, once it has finished any part it
-        is running; a part it has not started is dropped."""
-        if self.pool is not None:
-            self.pool.shutdown(cancel_futures=True)
-
-
-def _product(a: np.ndarray, b: np.ndarray, tile: tuple[int, tuple[int, ...]] | None,
-             out: np.ndarray | None = None) -> np.ndarray:
-    """a * b in C order, tiled as `tile` says (see `_Broadcast`), into
-    `out` when given."""
+def _product(a: np.ndarray, b: np.ndarray,
+             tile: tuple[int, tuple[int, ...]] | None) -> np.ndarray:
+    """a * b in C order, tiled as `tile` says (see `_Broadcast`)."""
     if tile is None:
-        return np.multiply(a, b, out=out, order="C")
+        return np.multiply(a, b, order="C")
     # the product comes before the copies, which go first: allocated after
     # them, it raised a dense-exact process's peak RSS by about 1.5 MiB
     t, shape = tile
-    product = np.empty(shape, a.dtype) if out is None else out
+    product = np.empty(shape, a.dtype)
     np.multiply(_tiled(a, t), _tiled(b, t), out=product.reshape(shape[:-t] + (1 << t,)))
     return product
-
-
-def _pick(x: np.ndarray, half: tuple) -> np.ndarray:
-    """`x` at one index of the label that the `half` slices pick, or all of
-    `x` where it does not hold that label (its axis has length 1)."""
-    return x[half] if x.shape[len(half) - 1] == 2 else x
 
 
 def _tiled(x: np.ndarray, t: int) -> np.ndarray:
@@ -254,11 +138,10 @@ def _tiled(x: np.ndarray, t: int) -> np.ndarray:
     return x.reshape(head + (1 << t,))
 
 
-def _add_halves(x: np.ndarray, halves: tuple, out: np.ndarray | None = None) -> np.ndarray:
-    """`x` with the label of each (low, high) slice pair summed in turn;
-    the last sum, if any, goes into `out` when given."""
-    for k, (low, high) in enumerate(halves, 1 - len(halves)):
-        x = np.add(x[low], x[high], out=out if k == 0 else None)
+def _add_halves(x: np.ndarray, halves: tuple) -> np.ndarray:
+    """`x` with the label of each (low, high) slice pair summed in turn."""
+    for low, high in halves:
+        x = np.add(x[low], x[high])
     return x
 
 
@@ -301,38 +184,7 @@ def _broadcast_step(inputs: tuple[int, ...], sublists: list[tuple[int, ...]],
         held[i] |= held.pop(j)
         loose[i] = set()
         products.append((i, j, tile, summed(i)))
-    step = _Broadcast(inputs, tuple(views), tuple(products), (2,) * len(out),
-                      tuple(2 if label in out else 1 for label in range(width)), None)
-    # a part cuts the first kept label, and the first summed label of each
-    # product that sums one (see `_part`): no tile may span either
-    if out and all(tile is None or max([out[0]] + [len(low) - 1 for low, _ in sums[:1]])
-                   < width - tile[0] for _, _, tile, sums in products):
-        step = step._replace(parts=(_part(step, out[0], 0), _part(step, out[0], 1)))
-    return step
-
-
-def _part(step: _Broadcast, label: int, h: int) -> _Broadcast:
-    """`step` over the entries where `label`, which no tile spans and no
-    operand sums, takes index h.  A tiled product that sums a label is
-    made a half of that label at a time (see `_Broadcast.program`), so its
-    shape has length 1 there too."""
-    def cut(shape: tuple[int, ...], at: int) -> tuple[int, ...]:
-        return shape[:at] + (1,) + shape[at + 1:]
-    pick = slice(h, h + 1)
-    views = tuple((perm, index if index[label] is None else
-                   index[:label] + (pick,) + index[label + 1:], halves)
-                  for perm, index, halves in step.views)
-    products = []
-    for i, j, tile, halves in step.products:
-        if tile is not None:
-            t, shape = tile
-            shape = cut(shape, label)
-            if halves:
-                shape = cut(shape, len(halves[0][0]) - 1)
-            tile = (t, shape)
-        products.append((i, j, tile, halves))
-    return step._replace(views=views, products=tuple(products), shape=step.shape[1:],
-                         result=cut(step.result, label))
+    return _Broadcast(inputs, tuple(views), tuple(products), (2,) * len(out))
 
 
 def _tile(a: tuple[set[int], set[int]], b: tuple[set[int], set[int]],
@@ -372,14 +224,12 @@ class _Plan(NamedTuple):
     step consumes the tables it names: one einsum call when it spans fewer
     than _PAIRWISE_SPINS spins, else a broadcast program (`_Broadcast`);
     None marks a step that a later one took over.  `final` sums what is
-    left onto the keys, or is None when nothing is.  `widest` is the most
-    spins a step with parts spans, 0 when none has parts.
+    left onto the keys, or is None when nothing is.
     """
 
     unheld: int
     steps: tuple[_Einsum | _Broadcast | None, ...]
     final: _Einsum | _Broadcast | None
-    widest: int
 
 
 @functools.lru_cache(maxsize=_PLAN_CACHE)
@@ -491,9 +341,7 @@ def _elimination_plan(scopes: tuple[tuple[str, ...], ...], keys: tuple[str, ...]
         return _broadcast_step(tuple(inputs), sublists, out_labels, len(spins))
 
     compiled = tuple(map(compile_step, steps + [final]))
-    widest = max((len(step.views[0][1]) for step in compiled
-                  if isinstance(step, _Broadcast) and step.parts), default=0)
-    return _Plan(len(unheld), compiled[:-1], compiled[-1], widest)
+    return _Plan(len(unheld), compiled[:-1], compiled[-1])
 
 
 def sum_product(scopes: Sequence[tuple[str, ...]],
@@ -512,13 +360,8 @@ def sum_product(scopes: Sequence[tuple[str, ...]],
     over: the eliminated spin and its neighbours.  Entry c of the result
     sums the patterns whose key j is +1 exactly where bit j of c is set;
     with no keys the one entry is the total.  A cap of None means
-    DEFAULT_CAP; a cap below 1 is a ValueError.
-
-    With two or more usable CPUs, the sum starts a helper thread at its
-    first step of _SPLIT_SPINS or more spins and joins it before it
-    returns or raises; the helper runs the second half of each such step
-    (see `_Broadcast`, `_Helper`).  The result is bitwise the same with
-    one CPU, where no thread starts, and there is no option for it.
+    DEFAULT_CAP; a cap below 1 is a ValueError.  The sum runs on the
+    calling thread and starts none.
     """
     limit = DEFAULT_CAP if cap is None else cap
     if limit < 1:
@@ -527,17 +370,6 @@ def sum_product(scopes: Sequence[tuple[str, ...]],
     made = tables()
     if plan.unheld:
         made += [np.ones(2)] * plan.unheld
-    if plan.widest < _SPLIT_SPINS:
-        return _run(plan, made)
-    made = _Made(made)
-    made.helper = _Helper()
-    try:
-        return _run(plan, made)
-    finally:
-        made.helper.close()
-
-
-def _run(plan: _Plan, made: list[np.ndarray | None]) -> np.ndarray:
     for step in plan.steps:
         made.append(None if step is None else step.run(made))
     return np.ones(1) if plan.final is None else plan.final.run(made).reshape(-1)

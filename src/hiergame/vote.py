@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 import threading
 import time
 from dataclasses import dataclass
@@ -21,7 +22,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .elimination import fixed_fields, stored_in, sum_product, usable_cpus
+from .elimination import fixed_fields, stored_in, sum_product
 from .errors import CyclicGraphError
 from .graph import WEIGHT_TOL, HierarchyGraph, deciders
 
@@ -490,6 +491,15 @@ def partition_function(g: HierarchyGraph, a: frozenset[str] | set[str],
     layout = _vote_layout(g, a, frozenset())
     _validate_assignment(condition, a, "condition")
     return float(_vote_sum(layout, condition, params, cap)[0]) * 2.0 ** layout.roots
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on: the sampler starts its helper
+    thread only when there are two or more."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
 
 
 def _uniform_rows(seed: int, rows: int, n: int) -> Iterator[np.ndarray]:

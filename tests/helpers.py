@@ -9,11 +9,9 @@ stream exactly as the sampler does, and `concatenated_vote_tables`,
 `key_nash_cell`, which must repeat the package's float operations or
 spellings to compare bit for bit; the latter four are earlier forms of
 `regime_map`, `chain_xy`, `symmetric_nash` and the sweep's nash cell.  The
-last functions set the
-usable CPUs, switch the sampler's uniform-filling helper thread on or off
-and inject faults into it, and split the exact sums' wide steps with
-their helper thread on, off, lagging or failing, for the tests of those
-threads.
+last functions set the sampler's usable CPUs, switch its uniform-filling
+helper thread on or off and inject faults into it, for the tests of that
+thread.
 """
 
 import itertools
@@ -25,8 +23,7 @@ import time
 import numpy as np
 from scipy.special import erf
 
-from hiergame import (Edge, HierarchyGraph, Vertex, elimination, game, outcome_probability,
-                      payoff, vote)
+from hiergame import Edge, HierarchyGraph, Vertex, game, outcome_probability, payoff, vote
 
 
 def response(spin: int, field: float, mode: str, sigma: float) -> float:
@@ -477,27 +474,18 @@ def key_nash_cell(key: int) -> str:
 
 
 def usable_cpus(monkeypatch, n: int) -> None:
-    """Make the sampler and the exact sums, which share one rule, see `n`
-    usable CPUs."""
+    """Make the sampler see `n` usable CPUs."""
     monkeypatch.setattr(vote, "usable_cpus", lambda: n)
-    monkeypatch.setattr(elimination, "usable_cpus", lambda: n)
 
 
-def _thread_starts(monkeypatch, lag: float = 0.0) -> list:
-    """A list that collects the name of each thread started, less the
-    number a thread pool appends; the exact sums' helper waits `lag`
-    seconds, using no CPU, before it serves."""
+def _thread_starts(monkeypatch) -> list:
+    """A list that collects the name of each thread started."""
     started = []
 
     class Counted(threading.Thread):
         def start(self):
-            started.append(self.name.partition("_")[0])
+            started.append(self.name)
             super().start()
-
-        def run(self):
-            if self.name.startswith("hiergame-halves"):
-                time.sleep(lag)
-            super().run()
 
     monkeypatch.setattr(threading, "Thread", Counted)
     return started
@@ -505,46 +493,12 @@ def _thread_starts(monkeypatch, lag: float = 0.0) -> list:
 
 def sampler_helper(monkeypatch, on: bool) -> list:
     """Force the sampler's uniform-filling helper thread on (even with one
-    usable CPU) or off; both the sampler and the exact sums see two usable
-    CPUs.  Returns a list that collects the name of each thread started,
-    the sums' helper ("hiergame-halves") as well as the sampler's
+    usable CPU) or off; the sampler sees two usable CPUs.  Returns a list
+    that collects the name of each thread started, such as the sampler's
     ("hiergame-uniforms")."""
     monkeypatch.setattr(vote, "_HELPER_UNIFORMS", 1 if on else 1 << 62)
     usable_cpus(monkeypatch, 2)
     return _thread_starts(monkeypatch)
-
-
-def kernel_helper(monkeypatch, mode: str) -> tuple[list, list]:
-    """Split every wide step of 12 or more spins into its two parts and run
-    the exact sums' helper thread "off" (one usable CPU), "on" (the caller
-    starts each first part once the helper has taken the second), "lags"
-    (the helper waits 0.05 s before it serves, so the caller finds second
-    parts not yet started) or "raises" (as "on", and the helper raises on
-    each part it takes).  Returns the list of threads started (see
-    `sampler_helper`) and a list that collects, for each part run, whether
-    the helper ran it."""
-    monkeypatch.setattr(elimination, "_SPLIT_SPINS", 12)
-    usable_cpus(monkeypatch, 1 if mode == "off" else 2)
-    started = _thread_starts(monkeypatch, 0.05 if mode == "lags" else 0.0)
-    program = elimination._Broadcast.program
-    taken = threading.Event()
-    ran = []
-
-    def watched(step, operands, out=None):
-        if out is not None:
-            helper = threading.current_thread() is not threading.main_thread()
-            ran.append(helper)
-            if helper:
-                taken.set()
-                if mode == "raises":
-                    raise RuntimeError("helper failed")
-            elif mode in ("on", "raises"):
-                taken.wait(10.0)
-                taken.clear()
-        return program(step, operands, out)
-
-    monkeypatch.setattr(elimination._Broadcast, "program", watched)
-    return started, ran
 
 
 def faulty_sampler_helper(monkeypatch, fault: str | None) -> tuple[list, list]:

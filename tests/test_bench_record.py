@@ -90,7 +90,12 @@ def test_valid_runs_get_verdicts(monkeypatch, tmp_path, capsys):
     assert entry["metrics"]["ops_per_s"]["scaled"]["verdict"] == "gain"
     assert entry["metrics"]["op_p50_ms"]["raw"]["verdict"] == "tie"
     assert rec["trees"]["change"]["src_sha256"] == "200.0"
-    assert "INVALID" not in printed and "won 2/2 gain" in printed
+    assert "INVALID" not in printed
+    # each metric's line shows the scaled medians, then the raw ones
+    rows = {line.split()[1]: line.split()[2:] for line in printed.splitlines()}
+    assert rows["ops_per_s"] == ["scaled", "100", "->", "200", "won", "2/2", "gain",
+                                 "raw", "100", "->", "200", "won", "2/2", "gain"]
+    assert rows["op_p50_ms"][-7:] == ["raw", "1", "->", "1", "won", "0/2", "tie"]
 
 
 @pytest.mark.parametrize("correct, failed", [(False, 0), (True, 1)])
@@ -108,7 +113,8 @@ def test_wrong_answers_make_every_verdict_invalid(monkeypatch, tmp_path, capsys,
     assert entry["metrics"]["ops_per_s"]["scaled"]["pairs_won"] == 2
     assert printed.startswith("regime-map: INVALID")
     rows = [line for line in printed.splitlines() if line.startswith("regime-map ")]
-    assert len(rows) == 5 and all(line.endswith(" invalid") for line in rows)
+    assert len(rows) == 5 and all(line.endswith(" invalid") and line.count(" invalid") == 2
+                                  for line in rows)
 
 
 def test_crashed_run_is_recorded_and_its_workload_invalid(monkeypatch, tmp_path, capsys):
@@ -124,4 +130,4 @@ def test_crashed_run_is_recorded_and_its_workload_invalid(monkeypatch, tmp_path,
         "pair 0 change (seed 5) crashed with exit code 3: RuntimeError: boom"
     assert entry["metrics"]["ops_per_s"]["scaled"] == {"pairs": 0, "verdict": "invalid"}
     assert "src_sha256" not in rec["trees"]["change"]
-    assert "no pair finished invalid" in printed
+    assert printed.count("no pair finished invalid") == 10

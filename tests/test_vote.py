@@ -723,12 +723,14 @@ def test_tiled_products_bound_the_peak(monkeypatch):
     assert peaks[0] <= peaks[1] + 1.5 * 8 * max(entries)
 
 
-def _split_pool():
-    """Seeded dense DAGs and digraphs with 13 free vertices, whose sums take
-    wide steps of 12 and 13 spins, with a command vector and the targets of
-    a single, a joint and a twelve-vertex query on each."""
+def test_wide_steps_are_pinned(monkeypatch):
+    # seeded dense DAGs and digraphs with 13 free vertices, whose sums take
+    # wide steps of 12 and 13 spins: the single, joint and twelve-vertex
+    # conditionals and the partition function keep their pinned bytes in
+    # both modes
+    wide = _count_wide_steps(monkeypatch)
     rng = random.Random(9098)
-    pool = []
+    h = hashlib.sha256()
     for make, extra in ((helpers.random_dag, 75), (helpers.random_digraph, 60),
                         (helpers.random_dag, 70), (helpers.random_digraph, 55)):
         g = make(rng, 14, extra=extra)
@@ -736,97 +738,16 @@ def _split_pool():
         a = sorted(hg.deciders(g)) or rng.sample(order, 1)
         condition = {v: rng.choice((1, -1)) for v in a}
         rest = [v for v in order if v not in condition]
-        pool.append((g, condition, ({rest[-1]}, set(rest[-2:]), set(rest[1:]))))
-    return pool
-
-
-def _split_answers(pool) -> list:
-    """Every query's answer bytes on `pool`: the conditionals' tables and
-    partition sums and the partition function, in both modes."""
-    answers = []
-    for g, condition, target_sets in pool:
         for mode in ("tanh", "gaussian"):
             params = VoteParams.from_graph(g, mode=mode)
-            for targets in target_sets:
+            for targets in ({rest[-1]}, set(rest[-2:]), set(rest[1:])):
                 dist = hg.conditional_influence(g, set(condition), targets, condition, params)
-                answers.append((dist.vertices, list(dist.table),
-                                np.array([*dist.table.values(), dist.partition]).tobytes()))
+                h.update(repr((dist.vertices, list(dist.table))).encode())
+                h.update(np.array([*dist.table.values(), dist.partition]).tobytes())
             z = hg.partition_function(g, set(condition), condition, params)
-            answers.append(np.float64(z).tobytes())
-    return answers
-
-
-@pytest.mark.parametrize("mode", ["on", "off", "lags", "raises"])
-def test_split_steps_repeat_serial_bytes(monkeypatch, mode):
-    # wide steps split in two along their first kept spin, down to 12
-    # spins, give the serial bytes whether the helper thread runs every
-    # second half, none (one usable CPU: no thread starts), or lags so that
-    # the caller runs them; an error on the helper's half reaches the
-    # caller, and no call leaves a thread running
-    pool = _split_pool()
-    with monkeypatch.context() as m:
-        m.setattr(elimination, "_SPLIT_SPINS", 1 << 30)
-        serial = _split_answers(pool)
-    before = threading.active_count()
-    started, ran = helpers.kernel_helper(monkeypatch, mode)
-    if mode == "raises":
-        for g, condition, target_sets in pool:
-            params = VoteParams.from_graph(g)
-            with pytest.raises(RuntimeError, match="helper failed"):
-                hg.conditional_influence(g, set(condition), target_sets[2], condition, params)
-            assert threading.active_count() == before
-        assert ran.count(True) == len(pool)
-        return
-    assert _split_answers(pool) == serial
-    assert threading.active_count() == before
-    assert ran, "no step was split"
-    if mode == "off":
-        assert started == [] and not any(ran)
-        return
-    assert started and set(started) == {"hiergame-halves"}
-    if mode == "on":
-        # the helper ran each second half
-        assert ran.count(True) == ran.count(False)
-    else:
-        # the caller ran some second halves the helper had not started
-        assert ran.count(False) > ran.count(True)
-
-
-def test_split_step_that_only_reorders_repeats_serial_bytes(monkeypatch):
-    # a wide final step over one table sums and multiplies nothing, and
-    # its parts still write both halves of the output
-    table = np.random.default_rng(9100).random((2,) * 13)
-    scopes = [tuple(f"s{k}" for k in range(13))]
-    keys = scopes[0][::-1]
-    serial = elimination.sum_product(scopes, lambda: [table], keys)
-    _, ran = helpers.kernel_helper(monkeypatch, "on")
-    assert elimination.sum_product(scopes, lambda: [table], keys).tobytes() == serial.tobytes()
-    assert ran.count(True) == ran.count(False) == 1
-
-
-def test_split_steps_under_contention(monkeypatch):
-    # three threads summing at once, each with its helper, on however few
-    # cores, with the interpreter lock switched as often as it will go: a
-    # half run twice, or read before it is written, changes the bytes
-    pool = _split_pool()[:2]
-    serial = _split_answers(pool)
-    monkeypatch.setattr(elimination, "_SPLIT_SPINS", 12)
-    helpers.usable_cpus(monkeypatch, 2)
-    got = {}
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        runs = [threading.Thread(target=lambda k=k: got.update({k: _split_answers(pool)}))
-                for k in range(3)]
-        for run in runs:
-            run.start()
-        for run in runs:
-            run.join(timeout=120)
-            assert not run.is_alive()
-    finally:
-        sys.setswitchinterval(interval)
-    assert got == {k: serial for k in range(3)}
-    assert not any(t.name.startswith("hiergame-halves") for t in threading.enumerate())
+            h.update(np.float64(z).tobytes())
+    assert wide
+    assert h.hexdigest() == "8520c74d9d399dcafea43425d8bdc3820c585642957ee07dec91a6fd8055726c"
 
 
 def _copy(g: HierarchyGraph) -> HierarchyGraph:
